@@ -3,11 +3,13 @@
 This PR's tentpole, measured on the serving shapes it targets:
 
 * **corpus throughput (lockstep)** — NonEmp verdicts for server-logs
-  corpora through :func:`~repro.service.evaluate.evaluate_records`,
-  vector layer on vs off (:func:`~repro.engine.vector.vector_disabled`
-  pins PR 25's per-document flat path).  The lockstep sweep advances
-  every document's DFA state with one gather per *position*, so the win
-  grows with batch width; outputs must be identical batch-for-batch.
+  corpora through :func:`~repro.service.evaluate.evaluate_records`
+  (the batch APIs, vector layer included) against one per-document call
+  per record (:meth:`~repro.engine.compiled.CompiledSpanner.matches`,
+  which sweeps the flat DFA one document at a time).  The lockstep sweep
+  advances every document's DFA state with one gather per *position*, so
+  the win grows with batch width; outputs must be identical
+  batch-for-batch.
 * **mapping batches** — the same comparison for full output sets (the
   prewarm path): equality is the point, the speedup rides on how much
   of the work enumeration dominates.
@@ -39,7 +41,6 @@ from benchmarks._harness import (
 )
 from repro.engine.compiled import compile_spanner
 from repro.engine.kernel import numpy_or_none
-from repro.engine.vector import vector_disabled
 from repro.service.evaluate import WorkerPool, evaluate_records
 from repro.service.shm_store import shm_available
 from repro.workloads import server_logs
@@ -59,22 +60,31 @@ def _corpus(documents: int, lines: int):
     ]
 
 
-def _run_records(expression, records, kind: str):
+def _per_document(engine, records, kind: str):
+    """The triples of :func:`evaluate_records`, one public call per record."""
+    if kind == "matches":
+        return [(doc_id, engine.matches(text), None) for doc_id, text in records]
+    return [
+        (doc_id, frozenset(engine.mappings(text)), None)
+        for doc_id, text in records
+    ]
+
+
+def _run_records(expression, records, kind: str, vectorized: bool):
     """Fresh engine (cold per-spanner caches), shared warm tables."""
     engine = compile_spanner(expression)
     started = time.perf_counter()
-    triples = evaluate_records(engine, records, kind=kind)
+    if vectorized:
+        triples = evaluate_records(engine, records, kind=kind)
+    else:
+        triples = _per_document(engine, records, kind)
     return time.perf_counter() - started, triples
 
 
 def _best(expression, records, kind: str, vectorized: bool):
     best, triples = float("inf"), None
     for _ in range(REPEATS):
-        if vectorized:
-            elapsed, triples = _run_records(expression, records, kind)
-        else:
-            with vector_disabled():
-                elapsed, triples = _run_records(expression, records, kind)
+        elapsed, triples = _run_records(expression, records, kind, vectorized)
         best = min(best, elapsed)
     return best, triples
 
@@ -184,7 +194,7 @@ def test_e26_vector(benchmark):
             assert shm_private <= pickle_private + 16 * 1024, memory_record
 
     print_table(
-        "E26: lockstep vector vs per-document flat — corpus verdicts",
+        "E26: lockstep batch vs per-document calls — corpus verdicts",
         ["workload", "docs", "chars", "flat s", "vector s", "speedup"],
         corpus_rows,
     )
@@ -219,7 +229,7 @@ def test_e26_vector(benchmark):
     if not quick_mode():
         assert corpus_speedup >= MINIMUM_SPEEDUP, (
             f"lockstep corpus throughput only {corpus_speedup:.2f}x "
-            f"the per-document flat path"
+            f"per-document calls"
         )
 
     headline = _corpus(*CORPUS_SHAPES[0])

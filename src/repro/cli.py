@@ -22,7 +22,7 @@ Modes:
 * ``--opt-level {0,1,2}`` — the planner pipeline behind the compiled
   engine (0 straight translation, 1 default passes, 2 adds budgeted
   determinisation);
-* ``--stats`` — after the run, print the engine's kernel memo sizes and
+* ``--stats`` — after the run, print the engine's kernel table sizes and
   cache hit/miss counters to stderr.
 
 Serving mode — ``repro serve`` starts the long-running HTTP server
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help=(
-            "after the run, print kernel memo sizes and cache hit/miss "
+            "after the run, print kernel table sizes and cache hit/miss "
             "counters to stderr (compiled engine only)"
         ),
     )
@@ -656,7 +656,7 @@ def build_query_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help=(
-            "after the run, print kernel memo sizes and cache hit/miss "
+            "after the run, print kernel table sizes and cache hit/miss "
             "counters to stderr (worker counters merged in)"
         ),
     )
@@ -976,7 +976,7 @@ def _print_stats(
     worker_stats: dict | None = None,
     artifact_store=None,
 ) -> None:
-    """The ``--stats`` report: kernel memos + cache counters, to stderr.
+    """The ``--stats`` report: kernel tables + cache counters, to stderr.
 
     With ``--workers > 1`` the per-document counters accrue in the worker
     processes; ``worker_stats`` (the :meth:`WorkerPool.stats` summary the

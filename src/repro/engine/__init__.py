@@ -1,42 +1,29 @@
 """The compiled evaluation engine (hot path of the production roadmap).
 
 Precompiled transition tables (:mod:`repro.engine.tables`), the bitmask
-kernel — alphabet-class compression, mask state sets and the lazy-DFA
-memo (:mod:`repro.engine.kernel`) — memoised and prefix-sharing ``Eval``
-oracles (:mod:`repro.engine.oracle`), and the reusable
+kernel — alphabet-class compression, mask state sets and the flat lazy
+DFA that flushes at its state budget (:mod:`repro.engine.kernel`) —
+memoised and prefix-sharing ``Eval`` oracles (:mod:`repro.engine.oracle`),
+lockstep batch sweeps (:mod:`repro.engine.vector`), and the reusable
 :class:`CompiledSpanner` with its batch API (:mod:`repro.engine.compiled`).
 """
 
 import warnings as _warnings
 
 from repro.engine.compiled import CompiledSpanner
-from repro.engine.kernel import (
-    AlphabetClasses,
-    FlatOverflow,
-    FlatTables,
-    Kernel,
-    flat_disabled,
-    flat_enabled,
-    kernel_disabled,
-    kernel_enabled,
-)
+from repro.engine.kernel import AlphabetClasses, FlatTables, Kernel
 from repro.engine.oracle import (
     eval_compiled,
     eval_general_compiled,
     eval_sequential_compiled,
-    eval_sequential_flat,
-    eval_sequential_kernel,
-    eval_sequential_sets,
 )
 from repro.engine.tables import CompiledVA, DocumentIndex, compile_va
-from repro.engine.vector import vector_disabled, vector_enabled
 
 __all__ = [
     "AlphabetClasses",
     "CompiledSpanner",
     "CompiledVA",
     "DocumentIndex",
-    "FlatOverflow",
     "FlatTables",
     "Kernel",
     "compile_spanner",
@@ -44,15 +31,6 @@ __all__ = [
     "eval_compiled",
     "eval_general_compiled",
     "eval_sequential_compiled",
-    "eval_sequential_flat",
-    "eval_sequential_kernel",
-    "eval_sequential_sets",
-    "flat_disabled",
-    "flat_enabled",
-    "kernel_disabled",
-    "kernel_enabled",
-    "vector_disabled",
-    "vector_enabled",
 ]
 
 

@@ -18,9 +18,9 @@ Enumeration follows Algorithm 2 exactly, with two engine upgrades:
 * candidate spans come from the document index's reachability pruning
   instead of the full ``O(|d|²)`` span list, preserving the seed's output
   order on the surviving candidates;
-* the oracle is a per-node :class:`~repro.engine.oracle.NodeSweep` that
-  shares sweep prefixes across sibling branches (sequential automata), or
-  a compiled full sweep otherwise.
+* the oracle is a per-node :class:`~repro.engine.oracle.FlatNodeSweep`
+  that shares sweep prefixes across sibling branches on the kernel's flat
+  lazy DFA (sequential automata), or a compiled full sweep otherwise.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from repro.automata.fingerprint import va_fingerprint
 from repro.automata.va import VA
-from repro.engine.oracle import (
-    GeneralNode,
-    eval_compiled,
-    node_sweep,
-)
+from repro.engine.oracle import FlatNodeSweep, GeneralNode, eval_compiled
 from repro.engine.tables import CompiledVA, DocumentIndex, compile_va
 from repro.engine.vector import batch_accept, batch_index
 from repro.plan import Plan, plan as build_plan
@@ -89,8 +85,7 @@ class CompiledSpanner:
         # The per-spanner LRU caches are mutated under this lock so one
         # engine can serve concurrent threads (the async server's
         # in-process executor).  Index/verdict *computation* happens
-        # outside the lock; the kernel's own memos are plain dicts whose
-        # check-then-insert races only duplicate deterministic work.
+        # outside the lock, on the kernel's shared flat tables.
         self._lock = threading.Lock()
         self._indexes: OrderedDict[tuple[int, int], DocumentIndex] = OrderedDict()
         self._verdicts: OrderedDict[tuple, bool] = OrderedDict()
@@ -143,9 +138,10 @@ class CompiledSpanner:
         return self._fingerprint
 
     def kernel_stats(self) -> dict[str, int]:
-        """Memo sizes of the shared bitmask kernel (lazy-DFA entries,
-        alphabet classes, sweep contexts) — a live view of the state every
-        document this engine evaluates shares.  Forces the kernel build.
+        """Table sizes of the shared bitmask kernel (alphabet classes,
+        sweep contexts, interned documents, flat-DFA states and flushes) —
+        a live view of the state every document this engine evaluates
+        shares.  Forces the kernel build.
 
         >>> engine = compile_spanner(".*x{a+}.*")
         >>> _ = engine.mappings("baa")
@@ -267,7 +263,7 @@ class CompiledSpanner:
                     if current is None and len(self._indexes) >= _DOCUMENT_CACHE_LIMIT:
                         self._indexes.popitem(last=False)
                     self._indexes[key] = index
-                if sequential and index._reach_masks is not None:
+                if sequential:
                     # The forward sweep's last state already answers NonEmp
                     # (the unpinned sequential eval walks the same DFA).
                     verdict_key = (len(text), hash(text), empty_key)
@@ -403,7 +399,7 @@ class CompiledSpanner:
         variable = remaining[0]
         rest = remaining[1:]
         if self._cva.is_sequential:
-            node = node_sweep(self._cva, text, base, variable, index.classes)
+            node = FlatNodeSweep(self._cva, text, base, variable, index.classes)
         else:
             node = GeneralNode(self._cva, text, base, variable)
         for span in index.candidate_spans(variable):

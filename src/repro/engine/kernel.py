@@ -1,11 +1,9 @@
-"""Bitmask kernel: alphabet compression + lazy-DFA state sets.
+"""Bitmask kernel: alphabet compression + a flat lazy DFA.
 
-The set-based sweeps in :mod:`repro.engine.tables` and
-:mod:`repro.engine.oracle` simulate the NFA as Python sets of tuples —
-per-character dict lookups, ``frozenset`` churn, and a worklist loop at
-every document position.  This module applies two classic regex-engine
-techniques (the machinery behind RE2-style lazy DFAs) to variable-set
-automata:
+The sequential sweep of Theorem 5.7 and the op-free reachability index
+simulate the automaton's state *set* at every document position.  This
+module applies the machinery behind RE2-style lazy DFAs to
+variable-set automata:
 
 * **Alphabet compression** (:class:`AlphabetClasses`) — characters are
   partitioned once per :class:`~repro.engine.tables.CompiledVA` into
@@ -21,55 +19,45 @@ automata:
   step is a per-class per-state target-mask table (plus its transpose,
   used by the backward co-reachability sweep).
 
-* **A lazy DFA** — ``delta[(mask, class_id)] → mask`` memoises the
-  composite "letter step then closure" transition on demand.  Repeated
-  positions (the common case in CSV/log text) cost one dict hit.  The
-  memo lives on the kernel, which lives on the ``CompiledVA``, so it is
-  shared by every document a :class:`~repro.engine.compiled.CompiledSpanner`
-  evaluates — and, through the worker-resident engine of
-  :mod:`repro.service.evaluate`, by the whole corpus batch a worker
-  processes.  Each memo is bounded by :data:`DELTA_LIMIT` entries;
-  once full, transitions are still computed, just no longer recorded.
+* **A flat lazy DFA** (:class:`FlatTables` / :class:`FlatDFA`) — each
+  distinct state mask is interned to a small integer id, and the
+  composite "letter step then closure" transition is memoised in one
+  contiguous class-indexed ``array('i')`` row per id (``-1`` =
+  unexplored).  Documents are interned to ``bytes`` of class ids in one
+  C-level ``str.translate`` pass (numpy for long documents), so the inner
+  sweep loop is two indexed loads per character.  The tables live on the
+  kernel, which lives on the ``CompiledVA``, so they are shared by every
+  document a :class:`~repro.engine.compiled.CompiledSpanner` evaluates —
+  and, through the worker-resident engine of :mod:`repro.service.evaluate`,
+  by the whole corpus batch a worker processes.
+
+* **A bounded cache** — a DFA holds at most :data:`FLAT_STATE_LIMIT`
+  states.  Interning one more *flushes* it and keeps going, RE2's
+  lazy-DFA cache policy (Cox, "Regular Expression Matching in the Wild"):
+  the tables restart from the dead state under a new generation.  Ids
+  recorded before a flush stay readable through the masks list captured
+  with them (:class:`Trail`), so a powerset-heavy automaton costs
+  re-exploration, never an error and never unbounded memory.
 
 Pinned sweeps (the ``Eval`` oracle and enumeration nodes) run over a
 :class:`SweepContext`: the same machinery with the closure graph
 restricted by the pin context — operations of span-pinned variables only
 fire where required, closes of ⊥-pinned variables never fire — and a
-per-context delta memo.  Contexts are cached per kernel, so sibling
-recursion nodes and repeated oracle calls share closures and memos.
+flat DFA of its own.  Contexts are cached per kernel, so sibling
+recursion nodes and repeated oracle calls share closures and tables.
 
-* **Flat tables** (:class:`FlatTables` / :class:`FlatDFA`) — the third
-  layer, on top of the mask kernel.  The lazy-DFA memo becomes an
-  *interned* DFA: each distinct state mask gets a small integer id, and
-  the memo is a contiguous class-indexed row per id (``array('i')``,
-  ``-1`` = unexplored) instead of a ``(mask, class) → mask`` dict.
-  Documents are interned to ``bytes`` of class ids in one C-level
-  ``str.translate`` pass (with an optional numpy fast path for long
-  documents), so the inner sweep loop is two indexed loads per
-  character — no tuple allocation, no big-int hashing.  Mask blow-up is
-  bounded by :data:`FLAT_STATE_LIMIT` interned states per DFA; beyond
-  it :class:`FlatOverflow` drops the caller back to the dict kernel,
-  which remains byte-for-byte identical in observable behaviour (the
-  differential suite in ``tests/engine/test_flat_differential.py`` pins
-  this down).  :func:`flat_disabled` forces the dict kernel for
-  benchmarking (``bench_e25``) and cross-validation, mirroring
-  :func:`kernel_disabled` one layer up.
-
-The kernel accelerates the *sequential* sweep (Theorem 5.7) and the
-op-free reachability index; the general FPT sweep (Theorem 5.10) keeps
-the set-based representation — its states carry performed-sets and
-status vectors that do not pack into per-state bits.  The set-based
-sequential path also remains, both as the cross-validation baseline and
-behind :func:`kernel_disabled` for old-vs-new benchmarking.
+The general FPT sweep (Theorem 5.10) does not use the kernel: its states
+carry performed-sets and status vectors that do not pack into per-state
+bits.  The seed evaluators of :mod:`repro.evaluation` are the reference
+the kernel is cross-validated against.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
+import threading
 from array import array
 from collections import OrderedDict
-from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from repro.alphabet import CharSet
@@ -82,11 +70,6 @@ except ImportError:  # pragma: no cover
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tables imports us)
     from repro.engine.tables import CompiledVA
 
-#: Per-memo bound on lazy-DFA entries.  Each entry is two small ints and a
-#: mask; the bound caps a kernel's memory at a few MB even on adversarial
-#: document streams (see docs/api.md).
-DELTA_LIMIT = 1 << 18
-
 #: Interned class-id sequences kept per kernel (LRU, keyed by
 #: ``(len(text), hash(text))`` with the text verified on hit).
 _INTERN_LIMIT = 64
@@ -96,47 +79,16 @@ _INTERN_LIMIT = 64
 #: documents, so this hit rate is high.
 _CONTEXT_LIMIT = 256
 
-
-def _env_limit(name: str, default: int, minimum: int = 1) -> int:
-    """A positive integer tuning knob from the environment.
-
-    Invalid values (non-integers, or below ``minimum``) warn and fall
-    back to the default rather than poisoning import — soak runs set
-    these once and should find out loudly, not crash every child
-    process.
-    """
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = minimum - 1
-    if value < minimum:
-        warnings.warn(
-            f"{name}={raw!r} is not an integer >= {minimum}; "
-            f"using the default {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    return value
-
-
-#: Interned flat-DFA states per :class:`FlatDFA`.  Each state costs one
-#: ``array('i')`` row of ``num_classes`` entries plus the mask itself;
-#: the bound keeps a pathological (exponential-subset) automaton from
-#: materialising its whole powerset — beyond it :class:`FlatOverflow`
-#: sends the caller to the dict kernel, which stays lazy per (mask,
-#: class) pair and is bounded by :data:`DELTA_LIMIT` on its own.
-#: Overridable via ``REPRO_FLAT_STATE_LIMIT`` for soak-run tuning.
-FLAT_STATE_LIMIT = _env_limit("REPRO_FLAT_STATE_LIMIT", 1 << 12)
+#: States one :class:`FlatDFA` holds before it flushes (at least 2: the
+#: dead state and one live state).  Each state costs one ``array('i')``
+#: row of ``num_classes`` entries plus its mask, so the bound caps a
+#: DFA's memory even when the automaton's subset construction explodes.
+FLAT_STATE_LIMIT = 1 << 12
 
 #: Documents at least this long take the numpy interning path (when
 #: numpy is importable): one vectorised table lookup over the UTF-32
 #: code points instead of the per-character ``str.translate`` dict walk.
-#: Overridable via ``REPRO_NUMPY_INTERN_MIN``.
-_NUMPY_INTERN_MIN = _env_limit("REPRO_NUMPY_INTERN_MIN", 2048)
+NUMPY_INTERN_MIN = 2048
 
 
 def numpy_or_none():
@@ -151,74 +103,6 @@ def numpy_or_none():
     if _np is None or os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0"):
         return None
     return _np
-
-_ENABLED = True
-_FLAT_ENABLED = True
-
-
-class FlatOverflow(RuntimeError):
-    """A flat DFA hit :data:`FLAT_STATE_LIMIT` — fall back to the dict kernel."""
-
-
-def kernel_enabled() -> bool:
-    """Whether the bitmask kernel is active (see :func:`kernel_disabled`).
-
-    ``REPRO_NO_KERNEL=1`` forces the set-based paths process-wide;
-    unset or ``0`` leaves the kernel on (the same 0/1 convention as the
-    benchmark harness's ``REPRO_BENCH_JSON``).
-    """
-    return _ENABLED and os.environ.get("REPRO_NO_KERNEL", "") in ("", "0")
-
-
-@contextmanager
-def kernel_disabled():
-    """Force the set-based engine paths (benchmarks and cross-validation).
-
-    >>> from repro.engine.compiled import compile_spanner
-    >>> engine = compile_spanner(".*x{a+}.*")
-    >>> with kernel_disabled():
-    ...     old = engine.mappings("baa")
-    >>> engine.mappings("baa") == old
-    True
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
-def flat_enabled() -> bool:
-    """Whether the flat-table layer is active (see :func:`flat_disabled`).
-
-    ``REPRO_NO_FLAT=1`` forces the dict kernel process-wide; unset or
-    ``0`` leaves the flat tables on.  Orthogonal to
-    :func:`kernel_enabled` — with the kernel off entirely, the flat
-    layer never comes into play.
-    """
-    return _FLAT_ENABLED and os.environ.get("REPRO_NO_FLAT", "") in ("", "0")
-
-
-@contextmanager
-def flat_disabled():
-    """Force the dict-kernel paths (benchmarks and cross-validation).
-
-    >>> from repro.engine.compiled import compile_spanner
-    >>> engine = compile_spanner(".*x{a+}.*")
-    >>> with flat_disabled():
-    ...     old = engine.mappings("baa")
-    >>> engine.mappings("baa") == old
-    True
-    """
-    global _FLAT_ENABLED
-    previous = _FLAT_ENABLED
-    _FLAT_ENABLED = False
-    try:
-        yield
-    finally:
-        _FLAT_ENABLED = previous
 
 
 def iter_bits(mask: int):
@@ -303,8 +187,8 @@ class AlphabetClasses:
         return self._class_of.get(char, self.residual)
 
     def intern(self, text: str) -> tuple[int, ...]:
-        """The class-id sequence of a document (one pass, then cached
-        upstream by :meth:`Kernel.intern`)."""
+        """The class-id sequence of a document as a tuple (the form
+        :meth:`FlatTables.intern` uses past 256 classes)."""
         class_of, residual = self._class_of, self.residual
         return tuple(class_of.get(char, residual) for char in text)
 
@@ -331,7 +215,7 @@ def _closure_masks(count: int, adjacency) -> tuple[int, ...]:
 
 
 class Kernel:
-    """Bitmask tables and lazy-DFA memos for one compiled automaton."""
+    """Bitmask tables, sweep contexts and flat DFAs for one automaton."""
 
     __slots__ = (
         "cva",
@@ -341,9 +225,6 @@ class Kernel:
         "free_rev",
         "step",
         "step_rev",
-        "delta",
-        "delta_rev",
-        "_interned",
         "_contexts",
         "_flat",
     )
@@ -372,10 +253,6 @@ class Kernel:
             step_rev.append(backward)
         self.step = tuple(step)
         self.step_rev = tuple(tuple(masks) for masks in step_rev)
-        self.delta: dict[tuple[int, int], int] = {}
-        self.delta_rev: dict[tuple[int, int], int] = {}
-        self._interned: OrderedDict[tuple[int, int], tuple[str, tuple[int, ...]]]
-        self._interned = OrderedDict()
         self._contexts: OrderedDict[tuple[frozenset, frozenset], SweepContext]
         self._contexts = OrderedDict()
         self._flat: FlatTables | None = None
@@ -395,7 +272,7 @@ class Kernel:
         The mask tables may be any integer-indexable sequences — in
         particular the zero-copy ``memoryview`` rows that
         :mod:`repro.engine.artifact` casts straight out of an mmap'd
-        artifact file.  Memos start empty; they are per-process state.
+        artifact file.  DFAs start empty; they are per-process state.
         """
         self = cls.__new__(cls)
         self.cva = cva
@@ -405,85 +282,9 @@ class Kernel:
         self.free_rev = free_rev
         self.step = step
         self.step_rev = step_rev
-        self.delta = {}
-        self.delta_rev = {}
-        self._interned = OrderedDict()
         self._contexts = OrderedDict()
         self._flat = None
         return self
-
-    # -- documents -------------------------------------------------------------
-
-    def intern(self, text: str) -> tuple[int, ...]:
-        """The (cached) class-id sequence of a document.
-
-        Keyed by ``(len, hash)`` so keys stay O(1); the stored text is
-        compared on hit, so a hash collision costs a re-intern, never a
-        wrong answer.
-        """
-        key = (len(text), hash(text))
-        entry = self._interned.get(key)
-        if entry is not None and entry[0] == text:
-            self._interned.move_to_end(key)
-            return entry[1]
-        classes = self.classes.intern(text)
-        if len(self._interned) >= _INTERN_LIMIT:
-            self._interned.popitem(last=False)
-        self._interned[key] = (text, classes)
-        return classes
-
-    # -- free (operation-ignoring) sweeps ---------------------------------------
-
-    def close(self, mask: int) -> int:
-        """Free closure of a state mask (OR-fold of per-state masks)."""
-        out = 0
-        free = self.free
-        while mask:  # iter_bits, inlined: this fold is the hot primitive
-            low = mask & -mask
-            out |= free[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    def close_rev(self, mask: int) -> int:
-        out = 0
-        free_rev = self.free_rev
-        while mask:
-            low = mask & -mask
-            out |= free_rev[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    def delta_step(self, mask: int, class_id: int) -> int:
-        """Lazy-DFA transition: letter step then free closure, memoised."""
-        key = (mask, class_id)
-        cached = self.delta.get(key)
-        if cached is not None:
-            return cached
-        table = self.step[class_id]
-        seeds = 0
-        for state in iter_bits(mask):
-            seeds |= table[state]
-        result = self.close(seeds) if seeds else 0
-        if len(self.delta) < DELTA_LIMIT:
-            self.delta[key] = result
-        return result
-
-    def delta_rev_step(self, mask: int, class_id: int) -> int:
-        """Backward transition: reverse letter step then reverse closure."""
-        key = (mask, class_id)
-        cached = self.delta_rev.get(key)
-        if cached is not None:
-            return cached
-        table = self.step_rev[class_id]
-        seeds = 0
-        for state in iter_bits(mask):
-            seeds |= table[state]
-        result = self.close_rev(seeds) if seeds else 0
-        if len(self.delta_rev) < DELTA_LIMIT:
-            self.delta_rev[key] = result
-        return result
-
-    # -- pinned sweeps -----------------------------------------------------------
 
     def context(self, pinned: frozenset, nulls: frozenset) -> "SweepContext":
         """The (cached) sweep context for one pin partition."""
@@ -498,38 +299,35 @@ class Kernel:
         self._contexts[key] = context
         return context
 
-    # -- flat tables -------------------------------------------------------------
-
-    def flat_or_none(self) -> "FlatTables | None":
-        """The flat-table layer, or ``None`` inside :func:`flat_disabled`."""
-        if not flat_enabled():
-            return None
+    @property
+    def flat(self) -> "FlatTables":
+        """The flat tables: interned documents and lazy DFAs (built lazily)."""
         if self._flat is None:
             self._flat = FlatTables(self)
         return self._flat
 
     def stats(self) -> dict[str, int]:
-        """Memo sizes, for dashboards and the memory-bound docs."""
+        """Table sizes, for dashboards and the memory-bound docs.
+
+        ``flat_states`` and ``flushes`` sum over every distinct
+        :class:`FlatDFA` the kernel reaches: the document-index pair and
+        both directions of every cached sweep context.
+        """
         flat = self._flat
-        flat_states = 0
+        dfas: dict[int, FlatDFA] = {}
         if flat is not None:
-            seen = {id(flat.dfa): flat.dfa, id(flat.dfa_rev): flat.dfa_rev}
+            candidates = [flat.dfa, flat.dfa_rev]
             for ctx in self._contexts.values():
-                if ctx.flat_dfa is not None:
-                    seen[id(ctx.flat_dfa)] = ctx.flat_dfa
-            flat_states = sum(len(dfa.masks) for dfa in seen.values())
+                candidates += (ctx.flat_dfa, ctx.flat_dfa_rev)
+            for dfa in candidates:
+                if dfa is not None:
+                    dfas[id(dfa)] = dfa
         return {
             "classes": self.classes.count,
-            "delta": len(self.delta),
-            "delta_rev": len(self.delta_rev),
             "contexts": len(self._contexts),
-            "context_delta": sum(
-                len(ctx.delta)
-                for ctx in self._contexts.values()
-                if ctx.delta is not self.delta  # the no-pin context aliases it
-            ),
-            "interned": len(self._interned),
-            "flat_states": flat_states,
+            "interned": len(flat._interned) if flat is not None else 0,
+            "flat_states": sum(len(dfa.masks) for dfa in dfas.values()),
+            "flushes": sum(dfa.flushes for dfa in dfas.values()),
         }
 
 
@@ -542,8 +340,7 @@ class SweepContext:
     latter re-enter only as *counted* edges at the positions where
     :class:`~repro.engine.oracle.Requirements` demands them (see
     :meth:`closure_counted`).  With no pins the context degenerates to
-    the kernel's own free closure and shares its semantics (but keeps a
-    separate memo).
+    the kernel's own free closure and shares its flat DFAs.
     """
 
     __slots__ = (
@@ -552,7 +349,6 @@ class SweepContext:
         "nulls",
         "closure",
         "closure_rev",
-        "delta",
         "flat_dfa",
         "flat_dfa_rev",
         "_op_edges",
@@ -575,14 +371,11 @@ class SweepContext:
         self.closure_rev: tuple[int, ...] | None = None
         if not pinned and not nulls:
             # No pins: the base closure IS the free closure, so share the
-            # kernel's masks *and* its delta memo — the reachability index
-            # and the unpinned eval sweep warm the same lazy DFA.
+            # kernel's masks — and through them the document-index DFAs.
             self.closure = kernel.free
             self.closure_rev = kernel.free_rev
-            self.delta: dict[tuple[int, int], int] = kernel.delta
             return
         self.closure = _closure_masks(count, self._adjacency())
-        self.delta = {}
 
     def _adjacency(self) -> list[list[int]]:
         """The restricted free-move adjacency of this pin partition."""
@@ -636,18 +429,6 @@ class SweepContext:
             mask ^= low
         return seeds
 
-    def delta_step(self, mask: int, class_id: int) -> int:
-        """Letter step then base closure, memoised per context."""
-        key = (mask, class_id)
-        cached = self.delta.get(key)
-        if cached is not None:
-            return cached
-        seeds = self.letter(mask, class_id)
-        result = self.close(seeds) if seeds else 0
-        if len(self.delta) < DELTA_LIMIT:
-            self.delta[key] = result
-        return result
-
     # -- counted closures (positions with required operations) -------------------
 
     def op_edges(self, key: tuple[str, str]) -> tuple[tuple[int, int], ...]:
@@ -671,9 +452,10 @@ class SweepContext:
 
         ``seeds[c]`` holds the states that have performed ``c`` required
         operations; the result is the saturation under base-free moves
-        (count unchanged) and required-op edges (count + 1), mirroring the
-        set-based ``oracle._closure`` exactly.  Required ops fire level by
-        level — counts only grow — so one pass over ``0..total`` suffices.
+        (count unchanged) and required-op edges (count + 1) — the
+        ``(state, count)`` closure of the seed's Theorem 5.7 sweep, one
+        mask per count.  Required ops fire level by level — counts only
+        grow — so one pass over ``0..total`` suffices.
         """
         total = len(required)
         edges = [edge for key in required for edge in self.op_edges(key)]
@@ -764,13 +546,26 @@ class _TranslateTable(dict):
 class FlatDFA:
     """An interned lazy DFA over one closure: integer state ids, flat rows.
 
-    The dict kernel memoises ``(mask, class) → mask``; here each distinct
-    state mask is interned to a small integer id and the memo is one
-    contiguous class-indexed ``array('i')`` row per id (``-1`` =
-    unexplored, id ``0`` = the dead state).  The hot sweep loop is then
-    ``row[class_id]`` — two indexed loads per character, no tuple keys,
-    no big-int hashing.  Exploration still goes through the mask tables,
-    so semantics are exactly the dict kernel's.
+    Each distinct state mask is interned to a small integer id and the
+    transition memo is one contiguous class-indexed ``array('i')`` row
+    per id (``-1`` = unexplored, id ``0`` = the dead state).  The hot
+    sweep loop is then ``row[class_id]`` — two indexed loads per
+    character, no tuple keys, no big-int hashing.
+
+    The table holds at most :data:`FLAT_STATE_LIMIT` states.  When
+    :meth:`intern` meets a new mask on a full table it *flushes*: fresh
+    ``masks``/``ids``/``rows`` lists holding only the dead state, then
+    ``generation`` and ``flushes`` go up by one.  Only :meth:`intern` and
+    :meth:`explore` (which interns) can flush, and both return an id of
+    the current generation, so a sweep checks for a flush only on its
+    miss branch: re-read ``rows``/``masks`` and carry on.  Ids it
+    recorded earlier resolve through the lists captured with them
+    (:class:`Trail`).
+
+    A sweep holds ``lock`` while it touches the tables, from its first
+    ``intern`` to its last id lookup: ids kept in locals stay valid only
+    while no other thread can flush (one engine serves several threads
+    under ``repro serve --workers 0``).
     """
 
     __slots__ = (
@@ -781,6 +576,9 @@ class FlatDFA:
         "masks",
         "ids",
         "rows",
+        "generation",
+        "flushes",
+        "lock",
         "_blank",
     )
 
@@ -792,21 +590,32 @@ class FlatDFA:
         self.step_flat = step_flat
         self.num_states = num_states
         self.num_classes = num_classes
+        self.generation = 0
+        self.flushes = 0
+        self.lock = threading.RLock()
+        self._blank = array("i", [-1]) * num_classes
+        self._restart()
+
+    def _restart(self) -> None:
         self.masks: list[int] = [0]
         self.ids: dict[int, int] = {0: 0}
         # The dead state loops to itself on every class, so a dead sweep
         # short-circuits without ever exploring.
-        self.rows: list[array] = [array("i", [0]) * num_classes]
-        self._blank = array("i", [-1]) * num_classes
+        self.rows: list[array] = [array("i", [0]) * self.num_classes]
+
+    @property
+    def full(self) -> bool:
+        """Whether interning one more state would flush the table."""
+        return len(self.masks) >= FLAT_STATE_LIMIT
 
     def intern(self, mask: int) -> int:
         """The state id of ``mask`` (assigning one on first sight)."""
         sid = self.ids.get(mask)
         if sid is None:
             if len(self.masks) >= FLAT_STATE_LIMIT:
-                raise FlatOverflow(
-                    f"flat DFA exceeded {FLAT_STATE_LIMIT} interned states"
-                )
+                self._restart()
+                self.generation += 1
+                self.flushes += 1
             sid = len(self.masks)
             self.ids[mask] = sid
             self.masks.append(mask)
@@ -814,7 +623,11 @@ class FlatDFA:
         return sid
 
     def explore(self, sid: int, class_id: int) -> int:
-        """Resolve one unexplored transition (letter step then closure)."""
+        """Resolve one unexplored transition (letter step then closure).
+
+        Returns the target's id.  If interning it flushed the table,
+        ``sid`` belongs to the old generation and nothing is recorded.
+        """
         mask = self.masks[sid]
         step = self.step_flat
         base = class_id * self.num_states
@@ -829,17 +642,91 @@ class FlatDFA:
             low = seeds & -seeds
             out |= closure[low.bit_length() - 1]
             seeds ^= low
+        rows = self.rows
         target = self.intern(out)
-        self.rows[sid][class_id] = target
+        if rows is self.rows:
+            rows[sid][class_id] = target
         return target
 
 
-class FlatTables:
-    """The flat-table layer of one kernel: interned documents + flat DFAs.
+class Trail:
+    """Per-position state ids one sweep records on a :class:`FlatDFA`.
 
-    Built lazily by :meth:`Kernel.flat_or_none` and shared exactly like
-    the kernel itself — per :class:`~repro.engine.tables.CompiledVA`,
-    across every document and oracle call.  Holds the forward/backward
+    ``ids[pos]`` resolves through ``table``, the masks list of the
+    generation it was recorded in, so later flushes (by this sweep or
+    any other on the shared DFA) never invalidate it.  When the DFA
+    flushes *while* the sweep runs, the sweep calls :meth:`sync` with
+    its frontier: the ids recorded since the last sync are settled into
+    masks through the old list, and the trail adopts the new one.  Id 0
+    is the dead state in every generation, so a zero test on ``ids``
+    needs no resolving.
+    """
+
+    __slots__ = ("dfa", "ids", "table", "_mark", "_settled")
+
+    def __init__(self, dfa: FlatDFA, size: int, start: int) -> None:
+        self.dfa = dfa
+        self.ids = [0] * size
+        self.restart(start)
+
+    def restart(self, start: int) -> None:
+        """Begin a new recording at ``start`` on the DFA's current
+        generation (the caller has zeroed the slots it recorded)."""
+        self.table = self.dfa.masks
+        #: The first position recorded since the last generation change.
+        self._mark = start
+        self._settled: list[int | None] | None = None
+
+    def sync(self, frontier: int) -> None:
+        """Adopt the DFA's current generation if it flushed.
+
+        ``frontier`` is the next position the sweep will record; every
+        position between the last sync and it (exclusive — below it on a
+        forward sweep, above it on a backward one) holds an id of the
+        previous generation.
+        """
+        table = self.dfa.masks
+        if table is self.table:
+            return
+        settled = self._settled
+        if settled is None:
+            settled = self._settled = [None] * len(self.ids)
+        old, ids, mark = self.table, self.ids, self._mark
+        if frontier >= mark:
+            positions = range(mark, frontier)
+        else:
+            positions = range(frontier + 1, mark + 1)
+        for pos in positions:
+            settled[pos] = old[ids[pos]]
+        self._mark = frontier
+        self.table = table
+
+    def mask(self, pos: int) -> int:
+        """The state mask recorded at ``pos``."""
+        settled = self._settled
+        if settled is not None:
+            mask = settled[pos]
+            if mask is not None:
+                return mask
+        return self.table[self.ids[pos]]
+
+    def masks(self) -> list[int]:
+        """Every recorded position's state mask."""
+        table, settled = self.table, self._settled
+        if settled is None:
+            return [table[sid] for sid in self.ids]
+        return [
+            table[sid] if mask is None else mask
+            for sid, mask in zip(self.ids, settled)
+        ]
+
+
+class FlatTables:
+    """The flat tables of one kernel: interned documents + flat DFAs.
+
+    Built lazily by :attr:`Kernel.flat` and shared exactly like the
+    kernel itself — per :class:`~repro.engine.tables.CompiledVA`, across
+    every document and oracle call.  Holds the forward/backward
     document-index DFAs; pinned sweep contexts get their own
     :class:`FlatDFA` on first use (attached to the cached
     :class:`SweepContext`, so they obey the same LRU lifetime).
@@ -879,7 +766,7 @@ class FlatTables:
         )
         self._translate: _TranslateTable | None = None
         self._np_table = None
-        self._interned: OrderedDict[tuple[int, int], tuple[str, bytes]]
+        self._interned: OrderedDict[tuple[int, int], tuple[str, object]]
         self._interned = OrderedDict()
         #: The numpy vector layer over these tables, attached lazily by
         #: :func:`repro.engine.vector.vector_tables` (``None`` until a
@@ -889,29 +776,31 @@ class FlatTables:
     # -- documents -------------------------------------------------------------
 
     def intern(self, text: str):
-        """The (cached) class-id sequence of a document as ``bytes``.
+        """The (cached) class-id sequence of a document.
 
-        One C-level ``str.translate`` pass (or a vectorised numpy table
-        lookup for long documents) instead of the per-character dict walk
-        of :meth:`AlphabetClasses.intern`.  Automata with more than 256
-        alphabet classes fall back to the kernel's tuple interning —
-        the sweeps index either representation identically.
+        ``bytes`` from one C-level ``str.translate`` pass (or a vectorised
+        numpy table lookup for long documents); automata with more than
+        256 alphabet classes get a tuple instead — the sweeps index either
+        representation identically.  Keyed by ``(len, hash)`` so keys
+        stay O(1); the stored text is compared on hit, so a hash
+        collision costs a re-intern, never a wrong answer.
         """
-        if self.num_classes > 256:
-            return self.kernel.intern(text)
         key = (len(text), hash(text))
         entry = self._interned.get(key)
         if entry is not None and entry[0] == text:
             self._interned.move_to_end(key)
             return entry[1]
-        ids = self._intern_now(text)
+        if self.num_classes > 256:
+            ids = self.classes.intern(text)
+        else:
+            ids = self._intern_bytes(text)
         if len(self._interned) >= _INTERN_LIMIT:
             self._interned.popitem(last=False)
         self._interned[key] = (text, ids)
         return ids
 
-    def _intern_now(self, text: str) -> bytes:
-        if len(text) >= _NUMPY_INTERN_MIN and numpy_or_none() is not None:
+    def _intern_bytes(self, text: str) -> bytes:
+        if len(text) >= NUMPY_INTERN_MIN and numpy_or_none() is not None:
             return self._intern_numpy(text)
         table = self._translate
         if table is None:
@@ -945,7 +834,7 @@ class FlatTables:
 
         The no-pin context shares the forward document-index DFA — the
         reachability sweep and the unpinned eval sweep warm the same
-        interned states, mirroring the dict layer's shared delta memo.
+        interned states.
         """
         dfa = context.flat_dfa
         if dfa is None:

@@ -5,34 +5,31 @@ Two layers:
 * :func:`eval_compiled` — a drop-in for
   :func:`repro.evaluation.eval_problem.eval_va` that runs the same position
   sweeps over :class:`~repro.engine.tables.CompiledVA` tables.  Sequentiality
-  is decided once at compile time instead of per oracle call, and the letter
-  step is a memoised table lookup.
+  is decided once at compile time instead of per oracle call.  Sequential
+  automata run Theorem 5.7's sweep on the kernel's flat lazy DFA
+  (:mod:`repro.engine.kernel`): state sets are interned bitmasks, a
+  position without required operations is one table load, and the ≤ 2k
+  positions with required operations run a counted closure over
+  per-count masks.  Non-sequential automata run Theorem 5.10's FPT sweep
+  over set-based states — its performed-sets and status vectors do not
+  pack into per-state bits.
 
-* :class:`NodeSweep` — the enumeration-time oracle for one recursion node of
-  Algorithm 2.  A node fixes a base extended mapping ``µ`` and refines one
-  variable ``x``; its sibling branches ``µ[x → (i, j)]`` share the entire
-  sweep prefix below position ``i`` (their requirement profiles agree on
-  every earlier position, and ``x`` is classified identically everywhere but
-  ``i`` and ``j``).  ``NodeSweep`` runs that shared prefix once, records the
-  state-set entering every position, and answers each sibling query by
-  resuming from the recorded set — turning the seed's ``O(|d|)`` sweep per
-  candidate into ``O(|d| - i)`` with the prefix amortised across siblings.
+* :class:`FlatNodeSweep` — the enumeration-time oracle for one recursion
+  node of Algorithm 2 on sequential automata.  A node fixes a base
+  extended mapping ``µ`` and refines one variable ``x``; its sibling
+  branches ``µ[x → (i, j)]`` share the entire sweep prefix below position
+  ``i``, so the node runs that prefix once and answers each sibling from
+  the recorded state — turning the seed's ``O(|d|)`` sweep per candidate
+  into a few table lookups.  :class:`GeneralNode` is the full-sweep
+  oracle for non-sequential automata.
 
-On kernel-enabled automata the sequential sweeps run over the bitmask
-kernel (:mod:`repro.engine.kernel`): state sets are ints, the per-count
-buckets of the requirement-tracking closure are per-count masks, and
-positions without required operations are single lazy-DFA dict hits
-shared across every oracle call on the same automaton.
-:func:`eval_sequential_sets` and the set-based :class:`NodeSweep` remain
-as the fallback path and the cross-validation baseline; the general
-(FPT) sweep of Theorem 5.10 is always set-based — its simulation states
-carry performed-sets and status vectors that do not pack into per-state
-bits.
+The seed evaluators of :mod:`repro.evaluation` are the reference both
+layers are cross-validated against.
 """
 
 from __future__ import annotations
 
-from repro.engine.kernel import FlatOverflow, Kernel
+from repro.engine.kernel import Trail
 from repro.engine.tables import CompiledVA, close_key, open_key
 from repro.spans.mapping import NULL, ExtendedMapping, Variable
 from repro.spans.span import Span
@@ -74,161 +71,21 @@ class Requirements:
         return self.required.get(pos, _NO_OPS)
 
 
-def _closure(cva: CompiledVA, seeds, required: frozenset, pinned, nulls):
-    """Saturate ε/operation moves at one position (count-tracking form)."""
-    out = set(seeds)
-    frontier = list(out)
-    total = len(required)
-    eps, opens, closes = cva.eps, cva.opens, cva.closes
-    while frontier:
-        state, count = frontier.pop()
-        for target in eps[state]:
-            nxt = (target, count)
-            if nxt not in out:
-                out.add(nxt)
-                frontier.append(nxt)
-        for kind, table in (("o", opens), ("c", closes)):
-            for variable, target in table[state]:
-                if variable in nulls:
-                    # ⊥-pin: the open stays available (a dangling open leaves
-                    # the variable unused), only the close is forbidden.
-                    if kind == "c":
-                        continue
-                    nxt = (target, count)
-                elif variable in pinned:
-                    if (kind, variable) not in required or count >= total:
-                        continue
-                    nxt = (target, count + 1)
-                else:
-                    nxt = (target, count)
-                if nxt not in out:
-                    out.add(nxt)
-                    frontier.append(nxt)
-    return out
-
-
-def _advance(cva: CompiledVA, current, letter: str, needed: int):
-    """Letter step: keep runs that performed every required op, reset counts."""
-    seeds = set()
-    step = cva.step
-    for state, count in current:
-        if count != needed:
-            continue
-        for target in step(state, letter):
-            seeds.add((target, 0))
-    return seeds
-
-
-def eval_sequential_sets(cva: CompiledVA, text: str, pinned) -> bool:
-    """Theorem 5.7's sweep over compiled tables (set-based fallback)."""
-    end = len(text) + 1
-    requirements = Requirements(cva, end, pinned)
-    if not requirements.valid:
-        return False
-    pinned_set, nulls = requirements.pinned, requirements.nulls
-    current = _closure(
-        cva, {(cva.initial, 0)}, requirements.at(1), pinned_set, nulls
-    )
-    for pos in range(1, end):
-        seeds = _advance(cva, current, text[pos - 1], len(requirements.at(pos)))
-        if not seeds:
-            return False
-        current = _closure(cva, seeds, requirements.at(pos + 1), pinned_set, nulls)
-    return (cva.final, len(requirements.at(end))) in current
-
-
-def _sweep_masks(context, classes, start, end, masks, needed, required_at, entering=None):
-    """Advance per-count masks from position ``start`` up to ``end``.
-
-    The one copy of the kernel sweep loop shared by the ``Eval`` oracle
-    and both phases of :class:`KernelNodeSweep`.  ``masks``/``needed``
-    are the closure at ``start`` (``masks[needed]`` is the live set);
-    ``required_at(pos)`` yields the required-op set entering ``pos``
-    (falsy for none — the memoised lazy-DFA fast path).  When
-    ``entering`` is given, the count-0 closed mask entering every swept
-    position is recorded into it.  Returns the final ``(masks, needed)``
-    pair, or ``None`` once no run survives.
-    """
-    for pos in range(start, end):
-        mask = masks[needed]
-        if not mask:
-            return None
-        class_id = classes[pos - 1]
-        upcoming = required_at(pos + 1)
-        if upcoming:
-            seeds = context.letter(mask, class_id)
-            masks = context.closure_counted([seeds], upcoming) if seeds else None
-            if entering is not None:
-                entering[pos + 1] = masks[0] if masks else 0
-            if masks is None:
-                return None
-            needed = len(upcoming)
-        else:
-            mask = context.delta_step(mask, class_id)
-            if entering is not None:
-                entering[pos + 1] = mask
-            if not mask:
-                return None
-            masks = [mask]
-            needed = 0
-    return masks, needed
-
-
-def eval_sequential_kernel(
-    cva: CompiledVA,
-    text: str,
-    pinned,
-    kernel: Kernel | None = None,
-    classes: "tuple[int, ...] | None" = None,
-) -> bool:
-    """Theorem 5.7's sweep over the bitmask kernel.
-
-    The requirement-tracking state sets become per-count masks; positions
-    with no required operations (all but the ≤ 2k pinned-span endpoints)
-    are one memoised lazy-DFA transition each.
-    """
-    end = len(text) + 1
-    requirements = Requirements(cva, end, pinned)
-    if not requirements.valid:
-        return False
-    if kernel is None:
-        kernel = cva.kernel
-    context = kernel.context(
-        frozenset(requirements.pinned), frozenset(requirements.nulls)
-    )
-    if classes is None:
-        classes = kernel.intern(text)
-    required = requirements.required
-    first = required.get(1)
-    initial_mask = 1 << cva.initial
-    if first:
-        masks = context.closure_counted([initial_mask], first)
-        needed = len(first)
-    else:
-        masks = [context.close(initial_mask)]
-        needed = 0
-    swept = _sweep_masks(context, classes, 1, end, masks, needed, required.get)
-    if swept is None:
-        return False
-    masks, needed = swept
-    return bool((masks[needed] >> cva.final) & 1)
-
-
-def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, entering=None):
+def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, trail=None):
     """Advance per-count masks from ``start`` to ``end`` on the flat DFA.
 
-    The flat twin of :func:`_sweep_masks`: positions with required
-    operations (the sorted keys of the ``required`` dict in
-    ``(start, end]``) are handled exactly like the dict path — raw
-    letter step, counted closure — while every run of plain positions
-    between them is walked on the interned DFA: two indexed loads per
-    character, re-interning the live mask only when re-entering from a
-    counted closure.  Verdicts match :func:`_sweep_masks` bit for bit;
-    the recorded ``entering`` slots hold interned *state ids* (resolve
-    through ``fdfa.masks``; id 0 is the dead mask, so the 0-then-stop
-    dead convention carries over).  A state-table overflow raises
-    :class:`~repro.engine.kernel.FlatOverflow` for the caller to fall
-    back.
+    ``masks``/``needed`` are the closure at ``start`` (``masks[needed]``
+    is the live set).  Positions with required operations (the sorted
+    keys of the ``required`` dict in ``(start, end]``) take a raw letter
+    step and a counted closure; every run of plain positions between them
+    walks the interned DFA — two indexed loads per character,
+    re-interning the live mask only when re-entering from a counted
+    closure.  When ``trail`` is given, the id of the count-0 closed state
+    entering every swept position is recorded into it (id 0 — the dead
+    state — stops the sweep).  A flush of the DFA is caught on the miss
+    branch: the sweep re-reads the rows, syncs its trail and carries on.
+    Returns the final ``(masks, needed)`` pair, or ``None`` once no run
+    survives.
     """
     if start >= end:
         return masks, needed
@@ -239,20 +96,23 @@ def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, ent
     else:
         points = []
     points.append(end + 1)  # sentinel: a final plain run to ``end``
-    rows = fdfa.rows
-    state_masks = fdfa.masks
     explore = fdfa.explore
+    ids = None if trail is None else trail.ids
     pos = start
     state = fdfa.intern(masks[needed])
+    if trail is not None:
+        trail.sync(start + 1)
     for point in points:
         limit = point - 1 if point <= end else end
         if pos < limit:
+            rows = fdfa.rows
             row = rows[state]
-            if entering is None:
+            if ids is None:
                 for class_id in classes[pos - 1 : limit - 1]:
                     target = row[class_id]
                     if target < 0:
                         target = explore(state, class_id)
+                        rows = fdfa.rows
                     if not target:
                         return None
                     state = target
@@ -262,21 +122,25 @@ def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, ent
                     target = row[class_id]
                     if target < 0:
                         target = explore(state, class_id)
-                    entering[ahead] = target
+                        rows = fdfa.rows
+                        trail.sync(ahead)
+                    ids[ahead] = target
                     if not target:
                         return None
                     state = target
                     row = rows[target]
             pos = limit
         if point > end:
-            return [state_masks[state]], 0
+            return [fdfa.masks[state]], 0
         # Counted landing at ``point``: raw letter step off the live mask,
-        # then the requirement-tracking closure — same as the dict path.
+        # then the requirement-tracking closure.
         upcoming = required[point]
-        seeds = context.letter(state_masks[state], classes[point - 2])
+        seeds = context.letter(fdfa.masks[state], classes[point - 2])
         masks = context.closure_counted([seeds], upcoming) if seeds else None
-        if entering is not None:
-            entering[point] = fdfa.intern(masks[0]) if masks else 0
+        if ids is not None:
+            entered = fdfa.intern(masks[0]) if masks else 0
+            trail.sync(point)
+            ids[point] = entered
         if masks is None:
             return None
         needed = len(upcoming)
@@ -287,31 +151,23 @@ def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, ent
         if not live:
             return None
         state = fdfa.intern(live)
+        if trail is not None:
+            trail.sync(point + 1)
     raise AssertionError("unreachable: the sentinel point always returns")
 
 
-def eval_sequential_flat(
-    cva: CompiledVA,
-    text: str,
-    pinned,
-    kernel: Kernel,
-    flat,
-    classes=None,
-) -> bool:
-    """Theorem 5.7's sweep over the flat tables.
-
-    May raise :class:`~repro.engine.kernel.FlatOverflow`; callers fall
-    back to :func:`eval_sequential_kernel` (same verdicts, dict memo).
-    """
+def eval_sequential_compiled(cva: CompiledVA, text: str, pinned) -> bool:
+    """Theorem 5.7's sweep over the kernel's flat tables."""
     end = len(text) + 1
     requirements = Requirements(cva, end, pinned)
     if not requirements.valid:
         return False
+    kernel = cva.kernel
+    flat = kernel.flat
     context = kernel.context(
         frozenset(requirements.pinned), frozenset(requirements.nulls)
     )
-    if classes is None:
-        classes = flat.intern(text)
+    classes = flat.intern(text)
     fdfa = flat.context(context)
     required = requirements.required
     first = required.get(1)
@@ -322,25 +178,12 @@ def eval_sequential_flat(
     else:
         masks = [context.close(initial_mask)]
         needed = 0
-    swept = _flat_sweep(fdfa, context, classes, 1, end, masks, needed, required)
+    with fdfa.lock:
+        swept = _flat_sweep(fdfa, context, classes, 1, end, masks, needed, required)
     if swept is None:
         return False
     masks, needed = swept
     return bool((masks[needed] >> cva.final) & 1)
-
-
-def eval_sequential_compiled(cva: CompiledVA, text: str, pinned) -> bool:
-    """Theorem 5.7's sweep: flat tables, then the dict kernel, then sets."""
-    kernel = cva.kernel_or_none()
-    if kernel is None:
-        return eval_sequential_sets(cva, text, pinned)
-    flat = kernel.flat_or_none()
-    if flat is not None:
-        try:
-            return eval_sequential_flat(cva, text, pinned, kernel, flat)
-        except FlatOverflow:
-            pass
-    return eval_sequential_kernel(cva, text, pinned, kernel)
 
 
 def _general_closure(cva: CompiledVA, seeds, required: frozenset, pinned, nulls, index):
@@ -449,279 +292,38 @@ def eval_compiled(cva: CompiledVA, text: str, pinned: ExtendedMapping) -> bool:
     return eval_general_compiled(cva, text, pinned)
 
 
-class NodeSweep:
+class FlatNodeSweep:
     """Sibling-sharing oracle for one recursion node (sequential automata).
 
     The base context pins every previously fixed variable and treats the
     refined variable ``x`` as *operation-less pinned* — classified exactly
-    like ``x → ⊥``, so the base sweep simultaneously answers the ``⊥``
-    branch and provides correct entry state-sets for every span branch.
-    """
-
-    __slots__ = (
-        "cva",
-        "text",
-        "end",
-        "variable",
-        "valid",
-        "_requirements",
-        "_pinned",
-        "_nulls",
-        "_entering",
-        "_final_states",
-        "_open_key",
-        "_close_key",
-    )
-
-    def __init__(self, cva: CompiledVA, text: str, base, variable: Variable) -> None:
-        self.cva = cva
-        self.text = text
-        self.end = len(text) + 1
-        self.variable = variable
-        requirements = Requirements(cva, self.end, base)
-        self.valid = requirements.valid
-        self._requirements = requirements
-        self._entering: list = []
-        self._final_states = None
-        self._open_key = open_key(variable)
-        self._close_key = close_key(variable)
-        if not self.valid:
-            return
-        # x joins the pinned set with no required ops anywhere: forbidden at
-        # every position, exactly like the ⊥ pin, so the prefix state-sets
-        # are shared verbatim by every sibling branch.
-        self._pinned = requirements.pinned | {variable}
-        self._nulls = requirements.nulls
-        self._run_base()
-
-    def _run_base(self) -> None:
-        cva, text, end = self.cva, self.text, self.end
-        requirements = self._requirements
-        entering: list = [None] * (end + 1)
-        entering[1] = {(cva.initial, 0)}
-        current = _closure(
-            cva, entering[1], requirements.at(1), self._pinned, self._nulls
-        )
-        for pos in range(1, end):
-            seeds = _advance(
-                cva, current, text[pos - 1], len(requirements.at(pos))
-            )
-            entering[pos + 1] = seeds
-            if not seeds:
-                # Every later position is unreachable in the base context.
-                for later in range(pos + 2, end + 1):
-                    entering[later] = seeds
-                self._entering = entering
-                self._final_states = frozenset()
-                return
-            current = _closure(
-                cva, seeds, requirements.at(pos + 1), self._pinned, self._nulls
-            )
-        self._entering = entering
-        self._final_states = current
-
-    def accepts_null(self) -> bool:
-        """The verdict for ``µ[x → ⊥]`` — the base sweep's own acceptance."""
-        if not self.valid:
-            return False
-        return (self.cva.final, len(self._requirements.at(self.end))) in self._final_states
-
-    def accepts_span(self, span: Span) -> bool:
-        """The verdict for ``µ[x → span]``, resumed from the shared prefix."""
-        if not self.valid:
-            return False
-        i, j = span.begin, span.end
-        if i < 1 or j > self.end or self.variable not in self.cva.variables:
-            return False
-        entering = self._entering[i]
-        if not entering:
-            return False
-        cva, text, end = self.cva, self.text, self.end
-        requirements = self._requirements
-
-        def required_at(pos: int) -> frozenset:
-            base = requirements.at(pos)
-            if pos != i and pos != j:
-                return base
-            extra = set(base)
-            if pos == i:
-                extra.add(self._open_key)
-            if pos == j:
-                extra.add(self._close_key)
-            return frozenset(extra)
-
-        current = _closure(cva, entering, required_at(i), self._pinned, self._nulls)
-        for pos in range(i, end):
-            seeds = _advance(cva, current, text[pos - 1], len(required_at(pos)))
-            if not seeds:
-                return False
-            current = _closure(
-                cva, seeds, required_at(pos + 1), self._pinned, self._nulls
-            )
-        return (cva.final, len(required_at(end))) in current
-
-
-class KernelNodeSweep:
-    """The :class:`NodeSweep` oracle over the bitmask kernel.
-
-    Same prefix-sharing contract: the base sweep (one lazy-DFA hit per
-    position) records the count-0 closed mask *entering* every position,
-    and each sibling span ``(i, j)`` resumes from position ``i`` with the
-    open/close requirements spliced in — base closure is idempotent, so
-    resuming from the closed mask is equivalent to resuming from the raw
-    seeds the set-based sweep records.
-    """
-
-    __slots__ = (
-        "cva",
-        "text",
-        "end",
-        "variable",
-        "valid",
-        "_context",
-        "_classes",
-        "_required",
-        "_entering",
-        "_final_masks",
-        "_final_needed",
-        "_open_key",
-        "_close_key",
-    )
-
-    def __init__(
-        self,
-        cva: CompiledVA,
-        text: str,
-        base,
-        variable: Variable,
-        kernel: Kernel | None = None,
-        classes: "tuple[int, ...] | None" = None,
-    ) -> None:
-        self.cva = cva
-        self.text = text
-        self.end = len(text) + 1
-        self.variable = variable
-        requirements = Requirements(cva, self.end, base)
-        self.valid = requirements.valid
-        self._open_key = open_key(variable)
-        self._close_key = close_key(variable)
-        if not self.valid:
-            return
-        if kernel is None:
-            kernel = cva.kernel
-        # x joins the pinned set with no required ops anywhere: forbidden at
-        # every position, exactly like the ⊥ pin, so the prefix masks are
-        # shared verbatim by every sibling branch.
-        self._context = kernel.context(
-            frozenset(requirements.pinned | {variable}),
-            frozenset(requirements.nulls),
-        )
-        self._classes = kernel.intern(text) if classes is None else classes
-        self._required = requirements.required
-        self._run_base()
-
-    def _run_base(self) -> None:
-        context, classes = self._context, self._classes
-        required = self._required
-        end = self.end
-        entering = [0] * (end + 1)
-        initial_mask = 1 << self.cva.initial
-        entering[1] = context.close(initial_mask)
-        first = required.get(1)
-        if first:
-            masks = context.closure_counted([initial_mask], first)
-            needed = len(first)
-        else:
-            masks = [entering[1]]
-            needed = 0
-        swept = _sweep_masks(
-            context, classes, 1, end, masks, needed, required.get, entering
-        )
-        self._entering = entering
-        if swept is None:
-            # Some position was unreachable in the base context; every
-            # later ``entering`` slot stays 0 and no branch can accept.
-            self._final_masks = [0]
-            self._final_needed = 0
-        else:
-            self._final_masks, self._final_needed = swept
-
-    def accepts_null(self) -> bool:
-        """The verdict for ``µ[x → ⊥]`` — the base sweep's own acceptance."""
-        if not self.valid:
-            return False
-        tail = len(self._required.get(self.end, _NO_OPS))
-        if tail != self._final_needed:
-            return False
-        return bool((self._final_masks[tail] >> self.cva.final) & 1)
-
-    def accepts_span(self, span: Span) -> bool:
-        """The verdict for ``µ[x → span]``, resumed from the shared prefix."""
-        if not self.valid:
-            return False
-        i, j = span.begin, span.end
-        if i < 1 or j > self.end or self.variable not in self.cva.variables:
-            return False
-        entering = self._entering[i]
-        if not entering:
-            return False
-        context, classes = self._context, self._classes
-        required = self._required
-        end = self.end
-        open_at, close_at = self._open_key, self._close_key
-
-        def required_at(pos: int) -> frozenset:
-            base = required.get(pos, _NO_OPS)
-            if pos != i and pos != j:
-                return base
-            extra = set(base)
-            if pos == i:
-                extra.add(open_at)
-            if pos == j:
-                extra.add(close_at)
-            return frozenset(extra)
-
-        first = required_at(i)
-        masks = context.closure_counted([entering], first)
-        swept = _sweep_masks(
-            context, classes, i, end, masks, len(first), required_at
-        )
-        if swept is None:
-            return False
-        masks, needed = swept
-        return bool((masks[needed] >> self.cva.final) & 1)
-
-
-class FlatNodeSweep:
-    """The :class:`NodeSweep` oracle over the flat tables.
-
-    Same prefix-sharing contract as :class:`KernelNodeSweep` — the base
-    sweep records the count-0 closed mask entering every position, each
-    sibling span resumes from position ``i`` with the open/close
-    requirements spliced in — but plain positions walk the interned flat
-    DFA, and the sharing goes two levels deeper:
+    like ``x → ⊥`` — so one base sweep both answers the ``⊥`` branch and
+    records the count-0 closed state entering every position, shared
+    verbatim by every span branch ``(i, j)``: a branch resumes at ``i``
+    with the open/close requirements spliced in (base closure is
+    idempotent, so resuming from the closed state is exact).  Plain
+    positions walk the interned flat DFA, and the sharing goes two
+    levels deeper:
 
     * for a fixed open position ``i``, one *open sweep* (the open
-      spliced at ``i``) records the masks entering every later position,
-      so each sibling close position ``j`` resumes from a recorded mask
+      spliced at ``i``) records the states entering every later position,
+      so each sibling close position ``j`` resumes from a recorded state
       instead of re-sweeping ``i..j`` (the candidate-span list is
       ``i``-major, so this cache hits);
     * one *backward co-acceptance sweep* per node records, for every
       position ``j``, the states that can still complete the suffix
       ``j..end`` under the base requirements — so the run from ``j`` to
-      ``end`` that both dict-path resumes repeat per span collapses to a
-      single mask intersection.  Forward masks are closed under the
-      context's free moves and the backward masks are closed under their
-      reversal, so a non-empty intersection is exactly suffix
-      acceptance.
+      ``end`` collapses to a single mask intersection.  Forward masks
+      are closed under the context's free moves and the backward masks
+      are closed under their reversal, so a non-empty intersection is
+      exactly suffix acceptance.
 
     A span verdict is then one counted closure plus two table lookups;
     a rejected span usually costs a single list lookup (its recorded
-    open-sweep mask is 0).  A state-table overflow during construction
-    propagates (:func:`node_sweep` falls back to a
-    :class:`KernelNodeSweep`); an overflow during a span query is
-    absorbed by delegating that node to a lazily built dict-kernel twin,
-    so callers never see it.
+    open-sweep id is 0).  All three recordings are :class:`Trail` s, so
+    they stay valid when any sweep flushes the shared DFAs; the open
+    sweep, which resumes across calls, carries its live state over into
+    the new generation.
     """
 
     __slots__ = (
@@ -730,25 +332,23 @@ class FlatNodeSweep:
         "end",
         "variable",
         "valid",
-        "_kernel",
         "_context",
+        "_flat",
         "_fdfa",
         "_classes",
-        "_base",
         "_required",
+        "_base",
         "_entering",
         "_final_masks",
         "_final_needed",
         "_open_key",
         "_close_key",
         "_open_at",
+        "_open",
         "_open_entering",
         "_open_pos",
         "_open_state",
-        "_flat",
-        "_coaccept_masks",
-        "_coaccept_table",
-        "_fallback",
+        "_coaccept",
     )
 
     def __init__(
@@ -757,8 +357,6 @@ class FlatNodeSweep:
         text: str,
         base,
         variable: Variable,
-        kernel: Kernel,
-        flat,
         classes=None,
     ) -> None:
         self.cva = cva
@@ -770,15 +368,15 @@ class FlatNodeSweep:
         self._open_key = open_key(variable)
         self._close_key = close_key(variable)
         self._open_at = 0  # position of the cached open sweep (0 = none)
-        self._open_entering: list[int] | None = None
-        self._coaccept_masks: list[int] | None = None
-        self._coaccept_table: list[int] | None = None
-        self._fallback: KernelNodeSweep | None = None
+        self._open: Trail | None = None
+        self._coaccept: Trail | None = None
         if not self.valid:
             return
-        self._kernel = kernel
-        self._base = base
-        self._flat = flat
+        kernel = cva.kernel
+        flat = self._flat = kernel.flat
+        # x joins the pinned set with no required ops anywhere: forbidden at
+        # every position, exactly like the ⊥ pin, so the prefix states are
+        # shared verbatim by every sibling branch.
         self._context = kernel.context(
             frozenset(requirements.pinned | {variable}),
             frozenset(requirements.nulls),
@@ -789,13 +387,10 @@ class FlatNodeSweep:
         self._run_base()
 
     def _run_base(self) -> None:
-        context, classes = self._context, self._classes
+        context, fdfa = self._context, self._fdfa
         required = self._required
-        end = self.end
-        entering = [0] * (end + 1)
         initial_mask = 1 << self.cva.initial
         closed = context.close(initial_mask)
-        entering[1] = self._fdfa.intern(closed)
         first = required.get(1)
         if first:
             masks = context.closure_counted([initial_mask], first)
@@ -803,28 +398,21 @@ class FlatNodeSweep:
         else:
             masks = [closed]
             needed = 0
-        swept = _flat_sweep(
-            self._fdfa, context, classes, 1, end, masks, needed, required, entering
-        )
-        self._entering = entering
+        with fdfa.lock:
+            start = fdfa.intern(closed)
+            trail = self._base = Trail(fdfa, self.end + 1, 1)
+            self._entering = trail.ids
+            trail.ids[1] = start
+            swept = _flat_sweep(
+                fdfa, context, self._classes, 1, self.end, masks, needed, required, trail
+            )
         if swept is None:
+            # Some position was unreachable in the base context; every
+            # later slot stays 0 and no branch can accept.
             self._final_masks = [0]
             self._final_needed = 0
         else:
             self._final_masks, self._final_needed = swept
-
-    def _dict_twin(self) -> "KernelNodeSweep":
-        """The dict-kernel twin of this node (flat-DFA overflow escape)."""
-        if self._fallback is None:
-            self._fallback = KernelNodeSweep(
-                self.cva,
-                self.text,
-                self._base,
-                self.variable,
-                self._kernel,
-                self._classes,
-            )
-        return self._fallback
 
     def accepts_null(self) -> bool:
         """The verdict for ``µ[x → ⊥]`` — the base sweep's own acceptance."""
@@ -836,64 +424,91 @@ class FlatNodeSweep:
         return bool((self._final_masks[tail] >> self.cva.final) & 1)
 
     def _open_sweep(self, i: int, j: int) -> list[int]:
-        """Masks entering positions ``(i, j]`` after splicing the open at ``i``.
+        """State ids entering positions ``(i, j]`` after splicing the open
+        at ``i`` (resolve them through :attr:`_open`).
 
         One sweep per distinct ``i``, cached and extended *lazily*: the
         candidate-span list is ``i``-major, so sibling close positions
         hit the cache, and the walk only ever advances to the largest
         ``j`` queried — candidate spans are usually short, so this stays
-        far from ``end``.  Slot ``j`` holds the interned id of the
-        count-0 closed mask entering ``j`` for runs that satisfied the
-        base requirements *and* opened ``x`` at ``i`` (0 = no such run,
-        so the span ``(i, j)`` is rejected for free).
+        far from ``end``.  Slot ``j`` holds the id of the count-0 closed
+        state entering ``j`` for runs that satisfied the base
+        requirements *and* opened ``x`` at ``i`` (0 = no such run, so the
+        span ``(i, j)`` is rejected for free).
         """
-        fdfa = self._fdfa
-        if self._open_at != i:
+        if self._open_at == i:
+            pos = self._open_pos
+            if pos >= j:
+                return self._open_entering
+            state = self._open_state
+            if not state:
+                return self._open_entering  # a dead frontier leaves 0s
+            live = None
+        else:
             ops = self._required.get(i, _NO_OPS) | {self._open_key}
-            masks = self._context.closure_counted(
-                [fdfa.masks[self._entering[i]]], ops
-            )
+            masks = self._context.closure_counted([self._base.mask(i)], ops)
             live = masks[len(ops)]
-            self._open_at = i
-            self._open_entering = [0] * (self.end + 1)
-            self._open_pos = i
-            self._open_state = fdfa.intern(live) if live else 0
-        entering = self._open_entering
-        pos = self._open_pos
-        if pos >= j:
-            return entering
-        state = self._open_state
-        if not state:
-            return entering  # dead frontier: later slots stay 0
-        rows, state_masks, explore = fdfa.rows, fdfa.masks, fdfa.explore
+            pos = i
+        fdfa = self._fdfa
         context, classes = self._context, self._classes
         required = self._required
-        while pos < j and state:
-            ahead = pos + 1
-            ops = required.get(ahead)
-            if ops is None:
-                class_id = classes[pos - 1]
-                target = rows[state][class_id]
-                if target < 0:
-                    target = explore(state, class_id)
-                entering[ahead] = target
-                state = target
-            else:
-                seeds = context.letter(state_masks[state], classes[pos - 1])
-                if seeds:
-                    masks = context.closure_counted([seeds], ops)
-                    entering[ahead] = fdfa.intern(masks[0])
-                    live = masks[len(ops)]
-                    state = fdfa.intern(live) if live else 0
+        with fdfa.lock:
+            if live is not None:  # a fresh open sweep
+                state = fdfa.intern(live) if live else 0
+                trail = self._open
+                if trail is None:
+                    trail = self._open = Trail(fdfa, self.end + 1, i + 1)
+                    self._open_entering = trail.ids
                 else:
+                    # Reuse the slots: zero what the last open sweep recorded.
+                    done = self._open_at
+                    trail.ids[done + 1 : self._open_pos + 1] = [0] * (
+                        self._open_pos - done
+                    )
+                    trail.restart(i + 1)
+                self._open_at = i
+            else:
+                trail = self._open
+                if fdfa.masks is not trail.table:
+                    # Another sweep flushed the shared DFA since the last
+                    # call: carry the live state over into the new
+                    # generation.
+                    state = fdfa.intern(trail.table[state])
+                    trail.sync(pos + 1)
+            ids = trail.ids
+            rows, explore = fdfa.rows, fdfa.explore
+            while pos < j and state:
+                ahead = pos + 1
+                ops = required.get(ahead)
+                if ops is None:
+                    class_id = classes[pos - 1]
+                    target = rows[state][class_id]
+                    if target < 0:
+                        target = explore(state, class_id)
+                        rows = fdfa.rows
+                        trail.sync(ahead)
+                    ids[ahead] = target
+                    state = target
+                else:
+                    seeds = context.letter(fdfa.masks[state], classes[pos - 1])
                     state = 0
-            pos = ahead
+                    if seeds:
+                        masks = context.closure_counted([seeds], ops)
+                        entered = fdfa.intern(masks[0])
+                        trail.sync(ahead)
+                        ids[ahead] = entered
+                        live = masks[len(ops)]
+                        if live:
+                            state = fdfa.intern(live)
+                            trail.sync(ahead + 1)
+                        rows = fdfa.rows
+                pos = ahead
         self._open_pos = pos
         self._open_state = state
-        return entering
+        return ids
 
-    def _coaccept(self) -> list[int]:
-        """Co-acceptance ids: slot ``j`` interns the states (post-closure
+    def _coaccepting(self) -> Trail:
+        """Co-acceptance states: slot ``j`` holds the states (post-closure
         at ``j``, all of ``j``'s operations done) from which the suffix
         ``j..end`` still accepts under the base requirements.
 
@@ -903,62 +518,65 @@ class FlatNodeSweep:
         source).  The masks come out closed under the reverse free
         moves, which is what makes the forward/backward intersection
         test exact: a forward-closed live mask meets slot ``j`` iff it
-        meets the raw co-acceptance set.  Resolve ids through
-        ``_coaccept_table`` (the reverse DFA's mask list).
+        meets the raw co-acceptance set.
         """
-        w = self._coaccept_masks
-        if w is not None:
-            return w
+        trail = self._coaccept
+        if trail is not None:
+            return trail
         context, classes = self._context, self._classes
         end = self.end
         required = self._required
-        w = [0] * (end + 1)
         final_mask = 1 << self.cva.final
         tail = required.get(end)
         if tail:
-            levels = context.closure_counted_rev([final_mask], tail)
-            current = levels[len(tail)]
+            current = context.closure_counted_rev([final_mask], tail)[len(tail)]
         else:
             current = context.close_rev(final_mask)
-        fdfa = self._flat.context_rev(context)
-        self._coaccept_table = fdfa.masks
-        state_masks = fdfa.masks
-        rows = fdfa.rows
-        explore = fdfa.explore
-        state = fdfa.intern(current)
         points = [p for p in sorted(required, reverse=True) if p < end]
         points.append(0)  # sentinel: a final plain run down to position 1
         position = end - 1
-        for point in points:
-            row = rows[state] if state else None
-            while position > point and state:
-                # Plain position: one reverse-DFA step is the whole
-                # letter-then-closure composite, and its id is both the
-                # recorded slot and the continuation.
-                class_id = classes[position - 1]
-                target = row[class_id]
-                if target < 0:
-                    target = explore(state, class_id)
-                w[position] = target
-                state = target
-                row = rows[target]
-                position -= 1
-            if not state or not point:
-                break
-            seeds = context.letter_rev(state_masks[state], classes[point - 1])
-            if not seeds:
-                break
-            ops = required[point]
-            levels = context.closure_counted_rev([seeds], ops)
-            # Level 0 is the closed co-acceptance slot (the span's own
-            # ops fire forward, in the resume's counted closure); the
-            # top level carries the base ops backward.
-            w[point] = fdfa.intern(levels[0])
-            top = levels[len(ops)]
-            state = fdfa.intern(top) if top else 0
-            position = point - 1
-        self._coaccept_masks = w
-        return w
+        fdfa = self._flat.context_rev(context)
+        with fdfa.lock:
+            state = fdfa.intern(current)
+            trail = Trail(fdfa, end + 1, end - 1)
+            ids = trail.ids
+            rows, explore = fdfa.rows, fdfa.explore
+            for point in points:
+                row = rows[state]
+                while position > point and state:
+                    # Plain position: one reverse-DFA step is the whole
+                    # letter-then-closure composite, and its id is both the
+                    # recorded slot and the continuation.
+                    class_id = classes[position - 1]
+                    target = row[class_id]
+                    if target < 0:
+                        target = explore(state, class_id)
+                        rows = fdfa.rows
+                        trail.sync(position)
+                    ids[position] = target
+                    state = target
+                    row = rows[target]
+                    position -= 1
+                if not state or not point:
+                    break
+                seeds = context.letter_rev(fdfa.masks[state], classes[point - 1])
+                if not seeds:
+                    break
+                ops = required[point]
+                levels = context.closure_counted_rev([seeds], ops)
+                # Level 0 is the closed co-acceptance slot (the span's own
+                # ops fire forward, in the resume's counted closure); the
+                # top level carries the base ops backward.
+                entered = fdfa.intern(levels[0])
+                trail.sync(point)
+                ids[point] = entered
+                top = levels[len(ops)]
+                state = fdfa.intern(top) if top else 0
+                trail.sync(point - 1)
+                rows = fdfa.rows
+                position = point - 1
+        self._coaccept = trail
+        return trail
 
     def accepts_span(self, span: Span) -> bool:
         """The verdict for ``µ[x → span]``, resumed from the shared prefix."""
@@ -967,56 +585,30 @@ class FlatNodeSweep:
         i, j = span.begin, span.end
         if i < 1 or j > self.end or self.variable not in self.cva.variables:
             return False
-        entering = self._entering[i]
-        if not entering:
+        if not self._entering[i]:
             return False
         context = self._context
         required = self._required
-        state_masks = self._fdfa.masks
-        try:
-            if i == j:
-                # Empty span: both operations splice into one position's
-                # counted closure, resumed from the base entering mask.
-                ops = required.get(i, _NO_OPS) | {self._open_key, self._close_key}
-                levels = context.closure_counted([state_masks[entering]], ops)
-            else:
-                opened = self._open_sweep(i, j)[j]
-                if not opened:
-                    return False
-                # Resume at ``j``: the close joins whatever base operations
-                # ``j`` already requires (closure idempotence makes resuming
-                # from the recorded closed mask exact, as at the node level).
-                ops = required.get(j, _NO_OPS) | {self._close_key}
-                levels = context.closure_counted([state_masks[opened]], ops)
-            live = levels[len(ops)]
-            if not live:
+        if i == j:
+            # Empty span: both operations splice into one position's
+            # counted closure, resumed from the base entering state.
+            ops = required.get(i, _NO_OPS) | {self._open_key, self._close_key}
+            levels = context.closure_counted([self._base.mask(i)], ops)
+        else:
+            if not self._open_sweep(i, j)[j]:
                 return False
-            if j == self.end:
-                return bool((live >> self.cva.final) & 1)
-            coaccept = self._coaccept()[j]
-            return bool(coaccept and live & self._coaccept_table[coaccept])
-        except FlatOverflow:
-            return self._dict_twin().accepts_span(span)
-
-
-def node_sweep(
-    cva: CompiledVA,
-    text: str,
-    base,
-    variable: Variable,
-    classes=None,
-):
-    """The sequential enumeration-node oracle: flat, dict kernel, or sets."""
-    kernel = cva.kernel_or_none()
-    if kernel is None:
-        return NodeSweep(cva, text, base, variable)
-    flat = kernel.flat_or_none()
-    if flat is not None:
-        try:
-            return FlatNodeSweep(cva, text, base, variable, kernel, flat, classes)
-        except FlatOverflow:
-            pass
-    return KernelNodeSweep(cva, text, base, variable, kernel, classes)
+            # Resume at ``j``: the close joins whatever base operations
+            # ``j`` already requires (closure idempotence makes resuming
+            # from the recorded closed state exact, as at the node level).
+            ops = required.get(j, _NO_OPS) | {self._close_key}
+            levels = context.closure_counted([self._open.mask(j)], ops)
+        live = levels[len(ops)]
+        if not live:
+            return False
+        if j == self.end:
+            return bool((live >> self.cva.final) & 1)
+        coaccept = self._coaccepting()
+        return bool(coaccept.ids[j] and live & coaccept.mask(j))
 
 
 class GeneralNode:

@@ -9,12 +9,13 @@ once into indexed buckets:
   operations, separated so sweeps never touch labels they cannot use;
 * a letter-step table: positive finite charsets are exploded into a
   per-state ``char → targets`` dict, cofinite predicates stay as a short
-  residual list, and resolved ``(state, char)`` steps are memoised so
-  repeated letters (the common case in CSV/log documents) cost one dict
-  lookup;
+  residual list, and resolved ``(state, char)`` steps are memoised;
 * ``free`` / ``free_reversed`` adjacency — ε and variable operations
   collapsed into plain edges, the over-approximation used by the
   reachability index below.
+
+The sweeps themselves run on the bitmask kernel these tables seed
+(:mod:`repro.engine.kernel`), built lazily per automaton.
 
 :class:`DocumentIndex` pairs a compiled automaton with one document and
 precomputes, per position, which states any run prefix can occupy
@@ -33,7 +34,7 @@ from functools import lru_cache
 from repro.automata.labels import Close, Eps, Open, Sym
 from repro.automata.sequential import is_sequential
 from repro.automata.va import VA
-from repro.engine.kernel import FlatOverflow, Kernel, iter_bits, kernel_enabled
+from repro.engine.kernel import Kernel, Trail, iter_bits
 from repro.engine.vector import op_positions_np
 from repro.spans.mapping import Variable
 from repro.spans.span import Span
@@ -168,12 +169,6 @@ class CompiledVA:
             self._kernel = Kernel(self)
         return self._kernel
 
-    def kernel_or_none(self) -> Kernel | None:
-        """The kernel, or ``None`` inside :func:`~repro.engine.kernel.kernel_disabled`."""
-        if not kernel_enabled():
-            return None
-        return self.kernel
-
     # -- letter steps ----------------------------------------------------------
 
     def step(self, state: int, char: str) -> tuple[int, ...]:
@@ -189,33 +184,6 @@ class CompiledVA:
         resolved = tuple(targets)
         self._step_cache[key] = resolved
         return resolved
-
-    # -- operation-free reachability (the pruning over-approximation) -----------
-
-    def free_closure(self, states: set[int]) -> frozenset[int]:
-        """Closure under ε *and* variable operations treated as free moves."""
-        seen = set(states)
-        frontier = list(states)
-        free = self._free
-        while frontier:
-            state = frontier.pop()
-            for target in free[state]:
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        return frozenset(seen)
-
-    def free_closure_reversed(self, states: set[int]) -> frozenset[int]:
-        seen = set(states)
-        frontier = list(states)
-        reversed_free = self._free_reversed
-        while frontier:
-            state = frontier.pop()
-            for source in reversed_free[state]:
-                if source not in seen:
-                    seen.add(source)
-                    frontier.append(source)
-        return frozenset(seen)
 
 
 @lru_cache(maxsize=128)
@@ -245,17 +213,11 @@ class DocumentIndex:
     close where a ``⊣x`` edge does — every span outside the product of
     those position sets is unreachable and safely skipped.
 
-    On kernel-enabled automata (the default) both sweeps run over the
-    flat-table layer: the document is interned once into a ``bytes`` of
-    alphabet-class ids, and each pass walks the interned flat DFA — two
-    indexed loads per position (:class:`~repro.engine.kernel.FlatDFA`),
-    with the backward pass on the precomputed *reverse* class-step
-    table.  A flat-DFA state overflow
-    (:class:`~repro.engine.kernel.FlatOverflow`) or
-    :func:`~repro.engine.kernel.flat_disabled` drops to the dict-memo
-    kernel sweep; the set-based sweeps remain as the final fallback
-    (``use_kernel=False``, or inside
-    :func:`~repro.engine.kernel.kernel_disabled`).
+    Both sweeps run over the kernel's flat tables: the document is
+    interned once into alphabet-class ids, and each pass walks an
+    interned flat DFA — two indexed loads per position
+    (:class:`~repro.engine.kernel.FlatDFA`), with the backward pass on
+    the precomputed *reverse* class-step table.
 
     >>> from repro.spanner import Spanner
     >>> cva = compile_va(Spanner.compile(".*x{a}.*").automaton)
@@ -263,15 +225,20 @@ class DocumentIndex:
     (Span(begin=2, end=3),)
     """
 
-    def __init__(self, cva: CompiledVA, text: str, use_kernel: bool = True) -> None:
+    def __init__(self, cva: CompiledVA, text: str) -> None:
         self.cva = cva
         self.text = text
         self.end = len(text) + 1
-        #: Interned class ids — ``bytes`` on the flat path, a tuple on the
-        #: dict-kernel path, ``None`` on the set-based fallback.
-        self.classes: "bytes | tuple[int, ...] | None" = None
-        self._reach_masks: list[int] | None = None
-        self._coreach_masks: list[int] | None = None
+        kernel = cva.kernel
+        flat = kernel.flat
+        #: Interned class ids — ``bytes``, or a tuple past 256 classes.
+        self.classes = flat.intern(text)
+        self._reach_masks = _free_sweep(
+            flat.dfa, self.classes, kernel.free[cva.initial], 1
+        )
+        self._coreach_masks = _free_sweep(
+            flat.dfa_rev, self.classes, kernel.free_rev[cva.final], self.end
+        )
         self._reach_sets: list[frozenset[int]] | None = None
         self._coreach_sets: list[frozenset[int]] | None = None
         #: Per-position masks as ``uint64`` numpy arrays — set only by
@@ -280,18 +247,6 @@ class DocumentIndex:
         self._reach_np = None
         self._coreach_np = None
         self._span_cache: dict[Variable, tuple[Span, ...]] = {}
-        kernel = cva.kernel_or_none() if use_kernel else None
-        if kernel is not None:
-            flat = kernel.flat_or_none()
-            if flat is not None:
-                try:
-                    self._build_flat(kernel, flat, text)
-                    return
-                except FlatOverflow:
-                    pass  # fall through: the dict sweep rebuilds everything
-            self._build_kernel(kernel, text)
-        else:
-            self._build_sets(text)
 
     @classmethod
     def from_flat_sweeps(
@@ -309,7 +264,7 @@ class DocumentIndex:
         :func:`repro.engine.vector.batch_index` runs the reach/coreach
         sweeps for a whole document batch in lockstep and hands each
         document's per-position masks here — the same masks
-        :meth:`_build_flat` would compute one document at a time.
+        :meth:`__init__` computes one document at a time.
         """
         self = cls.__new__(cls)
         self.cva = cva
@@ -325,106 +280,10 @@ class DocumentIndex:
         self._span_cache = {}
         return self
 
-    def _build_flat(self, kernel, flat, text: str) -> None:
-        end = self.end
-        cva = self.cva
-        classes = flat.intern(text)
-        self.classes = classes
-        dfa = flat.dfa
-        rows = dfa.rows
-        explore = dfa.explore
-        state = dfa.intern(kernel.free[cva.initial])
-        reach_ids = [0] * (end + 1)
-        reach_ids[1] = state
-        row = rows[state]
-        pos = 1
-        while pos < end and state:
-            class_id = classes[pos - 1]
-            target = row[class_id]
-            if target < 0:
-                target = explore(state, class_id)
-            reach_ids[pos + 1] = target
-            state = target
-            if target:
-                row = rows[target]
-            pos += 1
-        masks = dfa.masks
-        self._reach_masks = [masks[sid] for sid in reach_ids]
-        dfa_rev = flat.dfa_rev
-        rows = dfa_rev.rows
-        explore = dfa_rev.explore
-        state = dfa_rev.intern(kernel.free_rev[cva.final])
-        coreach_ids = [0] * (end + 1)
-        coreach_ids[end] = state
-        row = rows[state]
-        pos = end - 1
-        while pos > 0 and state:
-            class_id = classes[pos - 1]
-            target = row[class_id]
-            if target < 0:
-                target = explore(state, class_id)
-            coreach_ids[pos] = target
-            state = target
-            if target:
-                row = rows[target]
-            pos -= 1
-        masks = dfa_rev.masks
-        self._coreach_masks = [masks[sid] for sid in coreach_ids]
-
-    def _build_kernel(self, kernel, text: str) -> None:
-        end = self.end
-        cva = self.cva
-        classes = kernel.intern(text)
-        self.classes = classes
-        reach = [0] * (end + 1)
-        current = kernel.free[cva.initial]
-        reach[1] = current
-        delta = kernel.delta_step
-        for pos in range(1, end):
-            current = delta(current, classes[pos - 1]) if current else 0
-            reach[pos + 1] = current
-        coreach = [0] * (end + 1)
-        current = kernel.free_rev[cva.final]
-        coreach[end] = current
-        delta_rev = kernel.delta_rev_step
-        for pos in range(end - 1, 0, -1):
-            current = delta_rev(current, classes[pos - 1]) if current else 0
-            coreach[pos] = current
-        self._reach_masks = reach
-        self._coreach_masks = coreach
-
-    def _build_sets(self, text: str) -> None:
-        end = self.end
-        cva = self.cva
-        reach: list[frozenset[int]] = [frozenset()] * (end + 1)
-        current = cva.free_closure({cva.initial})
-        reach[1] = current
-        for pos in range(1, end):
-            letter = text[pos - 1]
-            seeds: set[int] = set()
-            for state in current:
-                seeds.update(cva.step(state, letter))
-            current = cva.free_closure(seeds) if seeds else frozenset()
-            reach[pos + 1] = current
-        coreach: list[frozenset[int]] = [frozenset()] * (end + 1)
-        current = cva.free_closure_reversed({cva.final})
-        coreach[end] = current
-        for pos in range(end - 1, 0, -1):
-            letter = text[pos - 1]
-            ahead = coreach[pos + 1]
-            seeds = set()
-            if ahead:
-                for source, charset, target in cva.sym_edges:
-                    if target in ahead and charset.contains(letter):
-                        seeds.add(source)
-            coreach[pos] = cva.free_closure_reversed(seeds) if seeds else frozenset()
-        self._reach_sets = reach
-        self._coreach_sets = coreach
-
     @property
     def reach(self) -> list[frozenset[int]]:
-        """Per-position reach state sets (materialised from masks on the
-        kernel path; kept for inspection and cross-validation)."""
+        """Per-position reach state sets (materialised from the masks;
+        kept for inspection and cross-validation)."""
         if self._reach_sets is None:
             self._reach_sets = [
                 frozenset(iter_bits(mask)) for mask in self._reach_masks
@@ -450,32 +309,26 @@ class DocumentIndex:
         edges = table.get(variable, ())
         if not edges:
             return []
-        positions = []
         if self._reach_np is not None:
             vectorized = op_positions_np(self._reach_np, self._coreach_np, edges)
             if vectorized is not None:
                 return vectorized
-        if self._reach_masks is not None:
-            pairs = [(1 << source, 1 << target) for source, target in edges]
-            source_all = 0
-            target_all = 0
-            for source_bit, target_bit in pairs:
-                source_all |= source_bit
-                target_all |= target_bit
-            reach, coreach = self._reach_masks, self._coreach_masks
-            for pos in range(1, self.end + 1):
-                live, ahead = reach[pos], coreach[pos]
-                if not (live & source_all and ahead & target_all):
-                    continue
-                if any(
-                    live & source_bit and ahead & target_bit
-                    for source_bit, target_bit in pairs
-                ):
-                    positions.append(pos)
-            return positions
+        pairs = [(1 << source, 1 << target) for source, target in edges]
+        source_all = 0
+        target_all = 0
+        for source_bit, target_bit in pairs:
+            source_all |= source_bit
+            target_all |= target_bit
+        reach, coreach = self._reach_masks, self._coreach_masks
+        positions = []
         for pos in range(1, self.end + 1):
-            live, ahead = self._reach_sets[pos], self._coreach_sets[pos]
-            if any(state in live and target in ahead for state, target in edges):
+            live, ahead = reach[pos], coreach[pos]
+            if not (live & source_all and ahead & target_all):
+                continue
+            if any(
+                live & source_bit and ahead & target_bit
+                for source_bit, target_bit in pairs
+            ):
                 positions.append(pos)
         return positions
 
@@ -490,3 +343,40 @@ class DocumentIndex:
             )
             self._span_cache[variable] = cached
         return cached
+
+
+def _free_sweep(dfa, classes, start_mask: int, first: int) -> list[int]:
+    """Per-position state masks of one operation-free sweep on ``dfa``.
+
+    Slot ``first`` holds the closed start mask; the sweep then steps one
+    character at a time toward the other end of the document — forward
+    from position 1 (slot ``p`` is the state after character ``p - 1``)
+    or backward from ``end`` (slot ``p`` is the state before character
+    ``p``).  Slot 0, and every slot past a dead state, stays 0.
+    """
+    size = len(classes) + 2
+    if first == 1:
+        positions, shift = range(2, size), 2
+    else:
+        positions, shift = range(first - 1, 0, -1), 1
+    with dfa.lock:
+        state = dfa.intern(start_mask)
+        trail = Trail(dfa, size, first)
+        ids = trail.ids
+        ids[first] = state
+        rows = dfa.rows
+        explore = dfa.explore
+        row = rows[state]
+        for pos in positions:
+            class_id = classes[pos - shift]
+            target = row[class_id]
+            if target < 0:
+                target = explore(state, class_id)
+                rows = dfa.rows
+                trail.sync(pos)
+            if not target:
+                break
+            ids[pos] = target
+            state = target
+            row = rows[target]
+        return trail.masks()

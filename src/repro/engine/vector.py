@@ -1,6 +1,6 @@
 """Vectorized lockstep sweeps over the flat tables (the numpy layer).
 
-The flat layer (:class:`~repro.engine.kernel.FlatTables`) made the
+The flat tables (:class:`~repro.engine.kernel.FlatTables`) make the
 per-document sweep two indexed loads per character — but still one
 *python-level* loop iteration per character per document.  This module
 removes the per-document loop for corpus batches: the interned flat-DFA
@@ -10,7 +10,7 @@ advances in lockstep — one fancy-indexed gather per document *position*
 moves every document's state id at once, so the python-loop cost is
 ``O(max_len)`` per batch instead of ``O(total_chars)``.
 
-Three batch entry points sit on top of the lockstep sweep:
+Three helpers sit on top of the lockstep sweep:
 
 * :func:`batch_index` — forward reach and backward coreach sweeps for a
   document batch, yielding ready
@@ -21,34 +21,31 @@ Three batch entry points sit on top of the lockstep sweep:
   vectorized bitwise pass instead of a per-position python loop);
 * :func:`batch_accept` — NonEmp verdicts for a batch on sequential
   automata, straight off the forward reach sweep (the state walked is
-  exactly the one ``eval_sequential_flat`` walks with no pins, so the
+  exactly the one the unpinned sequential ``Eval`` sweep walks, so the
   verdicts are identical by construction);
 * :func:`op_positions_np` — the vectorized per-variable open/close
   position filter over precomputed reach/coreach mask arrays.
 
 Every helper returns ``None`` whenever the fast path cannot run —
-numpy absent or disabled (``REPRO_NO_NUMPY=1``), the layer switched off
-(``REPRO_NO_VECTOR=1`` / :func:`vector_disabled`), the kernel or flat
-layer off, more than 256 alphabet classes, a batch too large to pad
-densely, or :class:`~repro.engine.kernel.FlatOverflow` during
-exploration — and the caller falls back to the per-document flat path,
-which computes the same states from the same tables.  Outputs are
-bit-identical either way; ``tests/engine/test_vector.py`` cross-validates
-this differentially.
+numpy absent or disabled (``REPRO_NO_NUMPY=1``), more than 256 alphabet
+classes, a batch too large to pad densely, or a DFA whose completion
+would outgrow its state budget — and the caller falls back to the
+per-document flat sweeps, which compute the same states from the same
+tables.  Outputs are bit-identical either way;
+``tests/engine/test_vector.py`` cross-validates this differentially.
 
 Before a batch sweep the flat DFA is *completed* — every transition of
-every interned state is explored eagerly (still budgeted by
-``FLAT_STATE_LIMIT``), so the inner loop needs no miss handling and the
-mirror only has to catch up when a genuinely new state was interned.
-Per-document and batch sweeps warm the same DFA either way.
+every interned state is explored eagerly, so the inner loop needs no
+miss handling and the mirror only has to catch up when a genuinely new
+state was interned.  Completion stops short of ``FLAT_STATE_LIMIT``
+rather than flush, and the mirror restarts whenever the DFA's
+generation moved on.  Per-document and batch sweeps warm the same DFA
+either way.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
-from repro.engine.kernel import FlatOverflow, numpy_or_none
+from repro.engine.kernel import numpy_or_none
 
 #: Upper bound on the padded class matrix (documents × max_len cells) a
 #: single lockstep sweep may allocate.  Two matrices of this many int32
@@ -56,44 +53,6 @@ from repro.engine.kernel import FlatOverflow, numpy_or_none
 #: caller falls back to per-document sweeps rather than risk a dense-pad
 #: blow-up on skewed batches (one huge document next to tiny ones).
 _BATCH_CELL_LIMIT = 1 << 25
-
-_VECTOR_ENABLED = True
-
-
-def vector_enabled() -> bool:
-    """Whether the vector layer is active (see :func:`vector_disabled`).
-
-    Requires numpy (see :func:`~repro.engine.kernel.numpy_or_none`);
-    ``REPRO_NO_VECTOR=1`` forces the per-document flat paths process-wide
-    while leaving numpy document-interning on — the same 0/1 convention
-    as ``REPRO_NO_FLAT`` one layer down.
-    """
-    return (
-        _VECTOR_ENABLED
-        and os.environ.get("REPRO_NO_VECTOR", "") in ("", "0")
-        and numpy_or_none() is not None
-    )
-
-
-@contextmanager
-def vector_disabled():
-    """Force the per-document flat paths (benchmarks and cross-validation).
-
-    >>> from repro.engine.compiled import compile_spanner
-    >>> engine = compile_spanner(".*x{a+}.*")
-    >>> with vector_disabled():
-    ...     old = engine.matches_many(["baa", "bb"])
-    >>> engine.matches_many(["baa", "bb"]) == old
-    True
-    """
-    global _VECTOR_ENABLED
-    previous = _VECTOR_ENABLED
-    _VECTOR_ENABLED = False
-    try:
-        yield
-    finally:
-        _VECTOR_ENABLED = previous
-
 
 class _DfaMirror:
     """A completed numpy mirror of one :class:`~repro.engine.kernel.FlatDFA`.
@@ -104,14 +63,21 @@ class _DfaMirror:
     class, so the lockstep inner loop needs no per-position length
     gating.  Before a sweep the underlying DFA is *completed*
     (:meth:`complete`): every transition of every interned state is
-    explored eagerly (still budgeted by ``FLAT_STATE_LIMIT`` through
-    ``intern``), so gathers never see an unexplored ``-1`` and the inner
-    loop is one multiply-add plus one flat gather per position.
+    explored eagerly, so gathers never see an unexplored ``-1`` and the
+    inner loop is one multiply-add plus one flat gather per position.
     ``masks64`` maps sids to their state masks as ``uint64`` on
     ≤64-state automata (``None`` beyond that).
     """
 
-    __slots__ = ("dfa", "np", "table", "masks64", "_synced", "_completed")
+    __slots__ = (
+        "dfa",
+        "np",
+        "table",
+        "masks64",
+        "_generation",
+        "_synced",
+        "_completed",
+    )
 
     def __init__(self, dfa, np_module) -> None:
         self.dfa = dfa
@@ -122,6 +88,7 @@ class _DfaMirror:
             if dfa.num_states <= 64
             else None
         )
+        self._generation = dfa.generation
         self._synced = 0
         self._completed = 0
 
@@ -129,15 +96,18 @@ class _DfaMirror:
         """Explore every transition, mirror the rows, return the table.
 
         Completion can intern new states (whose rows are then completed
-        in turn), so a powerset-heavy automaton raises
-        :class:`~repro.engine.kernel.FlatOverflow` here and the batch
-        falls back per document — exactly the engines whose lazy sweeps
-        were about to overflow anyway.  Once closed, per-document sweeps
-        share the same DFA and can never miss, so later calls are
-        no-ops until someone interns a genuinely new state.
+        in turn).  It never flushes: once the DFA is full it returns
+        ``None`` and the batch falls back per document — exactly the
+        engines whose lazy sweeps would flush anyway.  Once closed,
+        per-document sweeps share the same DFA and can never miss, so
+        later calls are no-ops until someone interns a genuinely new
+        state; a flush in between restarts the mirror from scratch.
         """
         np = self.np
         dfa = self.dfa
+        if dfa.generation != self._generation:
+            self._generation = dfa.generation
+            self._synced = self._completed = 0
         rows = dfa.rows
         num_classes = dfa.num_classes
         sid = self._completed
@@ -147,6 +117,8 @@ class _DfaMirror:
                 row = rows[sid]
                 for class_id in range(num_classes):
                     if row[class_id] < 0:
+                        if dfa.full:
+                            return None
                         explore(sid, class_id)
                 sid += 1
             # Rows mirrored before this pass may have gained entries
@@ -185,7 +157,7 @@ class VectorTables:
 
     def __init__(self, flat) -> None:
         np = numpy_or_none()
-        if np is None:  # pragma: no cover - callers gate on vector_enabled
+        if np is None:  # pragma: no cover - callers gate on numpy_or_none
             raise RuntimeError("vector layer requires numpy")
         self.flat = flat
         self.np = np
@@ -203,17 +175,14 @@ def vector_tables(flat) -> VectorTables:
 
 
 def _flat_or_none(cva):
-    """The (kernel, flat) pair when every layer below us is on, else ``None``."""
-    if not vector_enabled():
+    """The flat tables when a lockstep sweep can run on them, else ``None``."""
+    if numpy_or_none() is None:
         return None
-    kernel = cva.kernel_or_none()
-    if kernel is None:
-        return None
-    flat = kernel.flat_or_none()
-    if flat is None or flat.num_classes > 256:
+    flat = cva.kernel.flat
+    if flat.num_classes > 256:
         # >256 classes interns to tuples, not bytes — stay per-document.
         return None
-    return kernel, flat
+    return flat
 
 
 def _lockstep(mirror, np, classes_t, start_sid):
@@ -226,9 +195,12 @@ def _lockstep(mirror, np, classes_t, start_sid):
     inner loop is one flat gather per position with no length gating and,
     thanks to :meth:`_DfaMirror.complete`, no miss checks.  ``out[pos,
     lane]`` is lane ``lane``'s sid after consuming its character at
-    ``pos`` (0 beyond its length).
+    ``pos`` (0 beyond its length).  ``None`` when the DFA could not be
+    completed within its state budget.
     """
     table = mirror.complete()
+    if table is None:
+        return None
     flat_table = table.ravel()
     width = table.shape[1]
     # sid * width + class_id stays inside the table, so int32 index math
@@ -290,37 +262,35 @@ def _class_matrices(np, sequences, pad, include_backward=True):
     )
 
 
-def batch_reach(cva, texts):
-    """Forward reach sweeps for a batch: ``(flat, reach_sid_rows)``.
+def _batch_sweeps(cva, flat, texts, backward: bool):
+    """The lockstep sweeps behind the batch entry points, or ``None``.
 
-    ``reach_sid_rows[i]`` lists document ``i``'s flat-DFA sid per
-    position, aligned with the per-document ``reach_ids`` layout
-    (``[0, start, after-char-1, ...]``).  ``None`` whenever the vector
-    path cannot run — the caller falls back per document.
+    Returns ``(sequences, sweeps)``: ``sweeps[0]`` is the forward reach
+    sweep as a ``(start_sid, out)`` pair (see :func:`_lockstep`),
+    ``sweeps[1]`` the backward coreach sweep when ``backward`` is set.
+    The caller holds the lock of every DFA swept until it has resolved
+    the sids.
     """
-    layers = _flat_or_none(cva)
-    if layers is None:
-        return None
-    kernel, flat = layers
     np = numpy_or_none()
-    try:
-        sequences = [flat.intern(text) for text in texts]
-        matrices = _class_matrices(np, sequences, flat.num_classes)
-        if matrices is None:
-            return None
-        forward, _ = matrices
-        tables = vector_tables(flat)
-        start = flat.dfa.intern(kernel.free[cva.initial])
-        out = _lockstep(tables.mirror, np, forward, start)
-    except FlatOverflow:
+    sequences = [flat.intern(text) for text in texts]
+    matrices = _class_matrices(
+        np, sequences, flat.num_classes, include_backward=backward
+    )
+    if matrices is None:
         return None
-    rows = []
-    for lane, seq in enumerate(sequences):
-        ids = np.zeros(len(seq) + 2, dtype=np.int32)
-        ids[1] = start
-        ids[2:] = out[: len(seq), lane]
-        rows.append(ids)
-    return flat, rows
+    tables = vector_tables(flat)
+    kernel = flat.kernel
+    directions = [(tables.mirror, kernel.free[cva.initial])]
+    if backward:
+        directions.append((tables.mirror_rev, kernel.free_rev[cva.final]))
+    sweeps = []
+    for (mirror, start_mask), classes_t in zip(directions, matrices):
+        start = mirror.dfa.intern(start_mask)
+        out = _lockstep(mirror, np, classes_t, start)
+        if out is None:
+            return None
+        sweeps.append((start, out))
+    return sequences, sweeps
 
 
 def batch_accept(cva, texts):
@@ -328,47 +298,39 @@ def batch_accept(cva, texts):
 
     Only valid on sequential automata (``cva.is_sequential``): the
     forward reach sweep then walks exactly the DFA the unpinned
-    ``eval_sequential_flat`` walks, so the final-state bit at document
-    end *is* the verdict.  Verdict extraction never materialises
-    per-document sweep rows — one gather pulls every lane's final sid.
+    :func:`~repro.engine.oracle.eval_sequential_compiled` walks, so the
+    final-state bit at document end *is* the verdict.  Verdict
+    extraction never materialises per-document sweep rows — one gather
+    pulls every lane's final sid.
     """
     if not cva.is_sequential:
         return None
-    layers = _flat_or_none(cva)
-    if layers is None:
+    flat = _flat_or_none(cva)
+    if flat is None:
         return None
-    kernel, flat = layers
     np = numpy_or_none()
-    try:
-        sequences = [flat.intern(text) for text in texts]
-        matrices = _class_matrices(
-            np, sequences, flat.num_classes, include_backward=False
-        )
-        if matrices is None:
-            return None
-        forward, _ = matrices
-        tables = vector_tables(flat)
-        start = flat.dfa.intern(kernel.free[cva.initial])
-        out = _lockstep(tables.mirror, np, forward, start)
-    except FlatOverflow:
-        return None
-    count = len(sequences)
-    if out.shape[0] == 0:  # every document empty: all lanes sit on start
-        finals = np.full(count, start, dtype=np.int32)
-    else:
-        lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
-        finals = np.where(
-            lengths > 0,
-            out[np.maximum(lengths, 1) - 1, np.arange(count)],
-            start,
-        )
     final = cva.final
-    masks64 = tables.mirror.masks64
-    if masks64 is not None:
-        bit = np.uint64(1) << np.uint64(final)
-        return ((masks64[finals] & bit) != 0).tolist()
-    masks = flat.dfa.masks
-    return [bool((masks[sid] >> final) & 1) for sid in finals.tolist()]
+    with flat.dfa.lock:
+        swept = _batch_sweeps(cva, flat, texts, backward=False)
+        if swept is None:
+            return None
+        sequences, [(start, out)] = swept
+        count = len(sequences)
+        if out.shape[0] == 0:  # every document empty: all lanes sit on start
+            finals = np.full(count, start, dtype=np.int32)
+        else:
+            lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+            finals = np.where(
+                lengths > 0,
+                out[np.maximum(lengths, 1) - 1, np.arange(count)],
+                start,
+            )
+        masks64 = flat._vector.mirror.masks64
+        if masks64 is not None:
+            bit = np.uint64(1) << np.uint64(final)
+            return ((masks64[finals] & bit) != 0).tolist()
+        masks = flat.dfa.masks
+        return [bool((masks[sid] >> final) & 1) for sid in finals.tolist()]
 
 
 def batch_index(cva, texts):
@@ -381,51 +343,42 @@ def batch_index(cva, texts):
     """
     from repro.engine.tables import DocumentIndex
 
-    layers = _flat_or_none(cva)
-    if layers is None:
+    flat = _flat_or_none(cva)
+    if flat is None:
         return None
-    kernel, flat = layers
     np = numpy_or_none()
-    try:
-        sequences = [flat.intern(text) for text in texts]
-        matrices = _class_matrices(np, sequences, flat.num_classes)
-        if matrices is None:
+    with flat.dfa.lock, flat.dfa_rev.lock:
+        swept = _batch_sweeps(cva, flat, texts, backward=True)
+        if swept is None:
             return None
-        forward, backward = matrices
-        tables = vector_tables(flat)
-        start = flat.dfa.intern(kernel.free[cva.initial])
-        start_rev = flat.dfa_rev.intern(kernel.free_rev[cva.final])
-        out = _lockstep(tables.mirror, np, forward, start)
-        out_rev = _lockstep(tables.mirror_rev, np, backward, start_rev)
-    except FlatOverflow:
-        return None
-    masks = flat.dfa.masks
-    masks_rev = flat.dfa_rev.masks
-    mirror, mirror_rev = tables.mirror, tables.mirror_rev
-    indexes = []
-    for lane, text in enumerate(texts):
-        length = len(sequences[lane])
-        reach_ids = np.zeros(length + 2, dtype=np.int32)
-        reach_ids[1] = start
-        reach_ids[2:] = out[:length, lane]
-        coreach_ids = np.zeros(length + 2, dtype=np.int32)
-        coreach_ids[-1] = start_rev
-        coreach_ids[1 : length + 1] = out_rev[:length, lane][::-1]
-        reach_np = coreach_np = None
-        if mirror.masks64 is not None:
-            reach_np = mirror.masks64[reach_ids]
-            coreach_np = mirror_rev.masks64[coreach_ids]
-        indexes.append(
-            DocumentIndex.from_flat_sweeps(
-                cva,
-                text,
-                sequences[lane],
-                [masks[sid] for sid in reach_ids.tolist()],
-                [masks_rev[sid] for sid in coreach_ids.tolist()],
-                reach_np,
-                coreach_np,
+        sequences, [(start, out), (start_rev, out_rev)] = swept
+        masks = flat.dfa.masks
+        masks_rev = flat.dfa_rev.masks
+        mirror, mirror_rev = flat._vector.mirror, flat._vector.mirror_rev
+        indexes = []
+        for lane, text in enumerate(texts):
+            length = len(sequences[lane])
+            reach_ids = np.zeros(length + 2, dtype=np.int32)
+            reach_ids[1] = start
+            reach_ids[2:] = out[:length, lane]
+            coreach_ids = np.zeros(length + 2, dtype=np.int32)
+            coreach_ids[-1] = start_rev
+            coreach_ids[1 : length + 1] = out_rev[:length, lane][::-1]
+            reach_np = coreach_np = None
+            if mirror.masks64 is not None:
+                reach_np = mirror.masks64[reach_ids]
+                coreach_np = mirror_rev.masks64[coreach_ids]
+            indexes.append(
+                DocumentIndex.from_flat_sweeps(
+                    cva,
+                    text,
+                    sequences[lane],
+                    [masks[sid] for sid in reach_ids.tolist()],
+                    [masks_rev[sid] for sid in coreach_ids.tolist()],
+                    reach_np,
+                    coreach_np,
+                )
             )
-        )
     return indexes
 
 

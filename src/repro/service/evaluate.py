@@ -11,9 +11,8 @@ serial batch path and the dominant overhead is shipping documents and
 results (the automaton rides along as a once-pickled blob that warm
 workers never even unpickle).  Keeping the
 engine also keeps its bitmask kernel (:mod:`repro.engine.kernel`): the
-lazy-DFA ``delta`` memo and alphabet classes warm up on the first
-documents and are shared across the worker's whole batch, which is where
-the kernel's corpus-throughput win (benchmark E22) comes from.
+flat lazy DFA and alphabet classes warm up on the first documents and
+are shared across the worker's whole batch.
 
 Results stream back as :class:`CorpusResult` records:
 
@@ -109,7 +108,7 @@ class CorpusResult:
 # VA shipped with the batch); every later batch for the same fingerprint —
 # whether from the same corpus run or, under the online server, from a
 # completely different request — reuses the warm engine, so document
-# indexes, Eval verdicts, and the kernel's lazy-DFA memo accumulate in the
+# indexes, Eval verdicts, and the kernel's lazy DFA accumulate in the
 # worker exactly as they do serially.
 
 #: Distinct engines a worker keeps warm (LRU); the online server can route

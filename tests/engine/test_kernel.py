@@ -1,39 +1,46 @@
-"""The bitmask kernel: alphabet classes, mask sweeps, lazy-DFA memos.
+"""The bitmask kernel: alphabet classes, mask tables, the flat lazy DFA.
 
-Every test cross-validates the kernel against the set-based engine paths
-it replaces (which remain first-class as the fallback), or pins down the
-kernel's own invariants — class partitioning with cofinite charsets,
-memo bounds, prefix sharing.  All tests carry the ``kernel`` marker, so
-``pytest -m kernel`` is the fast loop for engine work.
+Every test cross-validates the kernel against the seed's set-based
+evaluators (:mod:`repro.evaluation`, :mod:`repro.rgx.semantics`) or a
+plain-set reference index, or pins down the kernel's own invariants —
+class partitioning with cofinite charsets, the state budget and its
+flushes, sharing across documents.  The cross-validations run under every
+flat-DFA state budget of :data:`tests.engine_checks.LIMITS`.  All tests
+carry the ``kernel`` marker, so ``pytest -m kernel`` is the fast loop for
+engine work.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.alphabet import CharSet
 from repro.automata.labels import Open
 from repro.automata.thompson import to_va
 from repro.automata.va import VA
-from repro.engine import compile_va, flat_disabled, kernel_disabled
+from repro.engine import compile_va
 from repro.engine.compiled import compile_spanner
 from repro.engine import kernel as kernel_module
-from repro.engine.kernel import AlphabetClasses, iter_bits
-from repro.engine.oracle import (
-    KernelNodeSweep,
-    NodeSweep,
-    eval_sequential_kernel,
-    eval_sequential_sets,
-)
+from repro.engine.kernel import AlphabetClasses, FlatDFA, Trail, iter_bits
+from repro.engine.oracle import FlatNodeSweep, eval_sequential_compiled
 from repro.engine.tables import DocumentIndex
+from repro.evaluation.enumerate import enumerate_va_oracle
+from repro.evaluation.eval_problem import eval_va
 from repro.plan import OPT_LEVELS, plan
 from repro.rgx.parser import parse
+from repro.rgx.semantics import mappings as seed_mappings
 from repro.spans.mapping import NULL, ExtendedMapping
 from repro.spans.span import Span, all_spans
 from repro.workloads.expressions import seller_like_sequential_rgx
+from tests.engine_checks import FlushTally, reference_index, set_closure
 from tests.strategies import VARIABLES, documents, rgx_expressions
 
 pytestmark = pytest.mark.kernel
+
+#: An automaton whose subset construction needs more than 8 DFA states
+#: (the classic ``(a|b)*a(a|b)^3`` blow-up), so every small budget flushes.
+HEAVY = parse("(a|b)*a(a|b)(a|b)(a|b)x{(a|b)*}")
+HEAVY_DOCUMENT = "abbababbabab"
 
 
 class TestAlphabetClasses:
@@ -98,9 +105,9 @@ class TestKernelTables:
     def test_free_closure_masks_match_set_closure(self):
         cva = compile_va(to_va(parse(".*x{a+}y{b*}.*")))
         for state in range(cva.num_states):
-            expected = cva.free_closure({state})
+            expected = set_closure(cva, {state})
             assert frozenset(iter_bits(cva.kernel.free[state])) == expected
-            expected_rev = cva.free_closure_reversed({state})
+            expected_rev = set_closure(cva, {state}, reverse=True)
             assert frozenset(iter_bits(cva.kernel.free_rev[state])) == expected_rev
 
     def test_class_step_masks_match_step(self):
@@ -114,36 +121,79 @@ class TestKernelTables:
                 assert kernel.step[class_id][state] == expected
 
     def test_delta_memo_records_transitions(self):
+        """The flat DFA's rows are the lazy-DFA memo: explore once, then hit."""
         cva = compile_va(to_va(seller_like_sequential_rgx(1)))
         kernel = cva.kernel
-        kernel.delta.clear()
-        mask = kernel.free[cva.initial]
+        dfa = FlatDFA(
+            kernel.free, kernel.flat.step_flat, cva.num_states, kernel.classes.count
+        )
+        start = dfa.intern(kernel.free[cva.initial])
         class_id = kernel.classes.residual
-        first = kernel.delta_step(mask, class_id)
-        assert kernel.delta[(mask, class_id)] == first
-        assert kernel.delta_step(mask, class_id) == first  # memo hit
+        assert dfa.rows[start][class_id] == -1  # unexplored
+        target = dfa.explore(start, class_id)
+        assert dfa.rows[start][class_id] == target  # recorded
+        seeds = 0
+        for state in iter_bits(kernel.free[cva.initial]):
+            seeds |= kernel.step[class_id][state]
+        expected = 0
+        for state in iter_bits(seeds):
+            expected |= kernel.free[state]
+        assert dfa.masks[target] == expected
 
     def test_delta_memo_is_bounded(self, monkeypatch):
-        cva = compile_va(to_va(seller_like_sequential_rgx(1)))
-        kernel = cva.kernel
-        kernel.delta.clear()
-        monkeypatch.setattr(kernel_module, "DELTA_LIMIT", 0)
-        mask = kernel.free[cva.initial]
-        class_id = kernel.classes.classify("f")
-        computed = kernel.delta_step(mask, class_id)
-        # over the bound: still computed correctly, just not recorded
-        assert kernel.delta == {}
-        seeds = 0
-        for state in iter_bits(mask):
-            seeds |= kernel.step[class_id][state]
-        assert computed == (kernel.close(seeds) if seeds else 0)
+        """At the budget the DFA flushes and keeps going (RE2's policy)."""
+        monkeypatch.setattr(kernel_module, "FLAT_STATE_LIMIT", 3)
+        dfa = FlatDFA((1, 2, 4, 8), [0] * 4, 4, 1)
+        assert [dfa.intern(mask) for mask in (1, 2)] == [1, 2]
+        assert dfa.full and dfa.flushes == 0
+        old_masks = dfa.masks
+        assert dfa.intern(4) == 1  # flushed: dead state 0, then mask 4
+        assert (dfa.generation, dfa.flushes) == (1, 1)
+        assert dfa.masks == [0, 4] and dfa.masks is not old_masks
+        assert dfa.ids == {0: 0, 4: 1}
+        assert list(dfa.rows[0]) == [0]  # the dead state loops to itself
+        assert old_masks == [0, 1, 2]  # captured lists stay readable
+        for mask in range(1, 64):
+            dfa.intern(mask)
+            assert len(dfa.masks) <= 3
+
+    def test_explore_that_flushes_records_nothing(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "FLAT_STATE_LIMIT", 2)
+        # Two states, one class: 0b01 steps to 0b10 and 0b10 to itself.
+        dfa = FlatDFA((1, 2), [2, 2], 2, 1)
+        first = dfa.intern(1)
+        target = dfa.explore(first, 0)  # 0b10 is new: the table flushes
+        assert dfa.flushes == 1
+        assert dfa.masks[target] == 2
+        assert list(dfa.rows[target]) == [-1]  # the old row is gone
+
+    def test_trail_resolves_ids_across_flushes(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "FLAT_STATE_LIMIT", 2)
+        dfa = FlatDFA((1, 2, 4), [0] * 3, 3, 1)
+        forward = Trail(dfa, 5, 1)
+        forward.ids[1] = dfa.intern(1)
+        forward.ids[2] = dfa.intern(1)
+        forward.ids[3] = dfa.intern(2)  # flushes
+        forward.sync(3)
+        forward.ids[4] = dfa.intern(4)  # flushes again
+        forward.sync(4)
+        assert forward.masks() == [0, 1, 1, 2, 4]
+        assert [forward.mask(pos) for pos in range(5)] == [0, 1, 1, 2, 4]
+        backward = Trail(dfa, 4, 3)
+        backward.ids[3] = dfa.intern(4)
+        backward.ids[2] = dfa.intern(1)  # flushes
+        backward.sync(2)
+        backward.ids[1] = dfa.intern(1)
+        backward.sync(1)  # no flush since the last sync: a no-op
+        assert backward.masks() == [0, 1, 1, 4]
 
     def test_intern_cache_verifies_text_on_hit(self):
         cva = compile_va(to_va(seller_like_sequential_rgx(1)))
-        kernel = cva.kernel
-        first = kernel.intern("f0=a;")
-        assert kernel.intern("f0=a;") is first  # cached
-        assert kernel.intern("f0=b;") != ()  # different text, no false hit
+        flat = cva.kernel.flat
+        first = flat.intern("f0=a;")
+        assert flat.intern("f0=a;") is first  # cached
+        second = flat.intern("f0=b;")  # different text, no false hit
+        assert second is not first and len(flat._interned) == 2
 
 
 @st.composite
@@ -163,58 +213,104 @@ def extended_pins(draw, document_length: int = 4) -> ExtendedMapping:
 
 
 class TestKernelAgainstSets:
-    @given(expression=rgx_expressions(), document=documents())
-    @settings(max_examples=60, deadline=None)
-    def test_document_index_matches_set_index(self, expression, document):
-        compiled = plan(expression, opt_level=1)
-        cva = compile_va(compiled.automaton)
-        kernel_index = DocumentIndex(cva, document, use_kernel=True)
-        set_index = DocumentIndex(cva, document, use_kernel=False)
-        assert kernel_index.reach == set_index.reach
-        assert kernel_index.coreach == set_index.coreach
-        for variable in sorted(cva.variables):
-            assert kernel_index.candidate_spans(variable) == set_index.candidate_spans(
-                variable
-            )
+    """The kernel against set-based references, under every state budget."""
 
-    @given(
-        expression=rgx_expressions(),
-        document=documents(max_length=5),
-        pinned=extended_pins(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_sequential_eval_matches_sets(self, expression, document, pinned):
-        cva = compile_va(plan(expression, opt_level=1).automaton)
-        if not cva.is_sequential:
-            return
-        assert eval_sequential_kernel(cva, document, pinned) == eval_sequential_sets(
-            cva, document, pinned
+    def test_document_index_matches_set_index(self):
+        tally = FlushTally()
+
+        @given(expression=rgx_expressions(), document=documents())
+        @example(expression=HEAVY, document=HEAVY_DOCUMENT)
+        @settings(max_examples=60, deadline=None)
+        def check(expression, document):
+            def run():
+                cva = compile_va(plan(expression, opt_level=1).automaton)
+                index = DocumentIndex(cva, document)
+                reach, coreach, candidate_spans = reference_index(cva, document)
+                assert index.reach == reach
+                assert index.coreach == coreach
+                for variable in sorted(cva.variables):
+                    assert index.candidate_spans(variable) == candidate_spans(
+                        variable
+                    )
+
+            tally.run(run)
+
+        check()
+        tally.assert_flushed()
+
+    def test_sequential_eval_matches_sets(self):
+        tally = FlushTally()
+
+        @given(
+            expression=rgx_expressions(),
+            document=documents(max_length=5),
+            pinned=extended_pins(),
         )
+        @example(
+            expression=HEAVY,
+            document=HEAVY_DOCUMENT,
+            pinned=ExtendedMapping({"x": NULL}),
+        )
+        @settings(max_examples=60, deadline=None)
+        def check(expression, document, pinned):
+            def run():
+                automaton = plan(expression, opt_level=1).automaton
+                cva = compile_va(automaton)
+                if cva.is_sequential:
+                    assert eval_sequential_compiled(
+                        cva, document, pinned
+                    ) == eval_va(automaton, document, pinned)
 
-    @given(expression=rgx_expressions(), document=documents(max_length=5))
-    @settings(max_examples=40, deadline=None)
-    def test_node_sweep_matches_set_sweep(self, expression, document):
-        cva = compile_va(plan(expression, opt_level=1).automaton)
-        if not cva.is_sequential or not cva.mentioned_variables:
-            return
-        variable = sorted(cva.mentioned_variables)[0]
-        kernel_node = KernelNodeSweep(cva, document, {}, variable)
-        set_node = NodeSweep(cva, document, {}, variable)
-        assert kernel_node.accepts_null() == set_node.accepts_null()
-        for span in all_spans(len(document)):
-            assert kernel_node.accepts_span(span) == set_node.accepts_span(span), span
+            tally.run(run)
 
-    @given(expression=rgx_expressions(), document=documents())
-    @settings(max_examples=40, deadline=None)
-    def test_mappings_identical_at_every_opt_level(self, expression, document):
-        for level in OPT_LEVELS:
-            engine = compile_spanner(expression, opt_level=level)
-            with_kernel = engine.mappings(document)
-            with kernel_disabled():
-                without = compile_spanner(expression, opt_level=level).mappings(
-                    document
+        check()
+        tally.assert_flushed()
+
+    def test_node_sweep_matches_set_sweep(self):
+        tally = FlushTally()
+
+        @given(expression=rgx_expressions(), document=documents(max_length=5))
+        @example(expression=HEAVY, document=HEAVY_DOCUMENT)
+        @settings(max_examples=40, deadline=None)
+        def check(expression, document):
+            def run():
+                automaton = plan(expression, opt_level=1).automaton
+                cva = compile_va(automaton)
+                if not cva.is_sequential or not cva.mentioned_variables:
+                    return
+                variable = sorted(cva.mentioned_variables)[0]
+                node = FlatNodeSweep(cva, document, {}, variable)
+                assert node.accepts_null() == eval_va(
+                    automaton, document, ExtendedMapping({variable: NULL})
                 )
-            assert with_kernel == without
+                for span in all_spans(len(document)):
+                    assert node.accepts_span(span) == eval_va(
+                        automaton, document, ExtendedMapping({variable: span})
+                    ), span
+
+            tally.run(run)
+
+        check()
+        tally.assert_flushed()
+
+    def test_mappings_identical_at_every_opt_level(self):
+        tally = FlushTally()
+
+        @given(expression=rgx_expressions(), document=documents())
+        @example(expression=HEAVY, document=HEAVY_DOCUMENT)
+        @settings(max_examples=40, deadline=None)
+        def check(expression, document):
+            expected = seed_mappings(expression, document)
+
+            def run():
+                for level in OPT_LEVELS:
+                    engine = compile_spanner(expression, opt_level=level)
+                    assert engine.mappings(document) == expected, level
+
+            tally.run(run)
+
+        check()
+        tally.assert_flushed()
 
     def test_sequentialised_non_sequential_source(self):
         # The e21 trick: a bogus unusable open makes the source fail the
@@ -224,25 +320,36 @@ class TestKernelAgainstSets:
         looped = base.transitions + ((base.final, Open("v0"), base.final),)
         automaton = VA(base.num_states, base.initial, base.final, looped)
         document = "f0=ab;f1=cd;"
-        engine = compile_spanner(automaton, opt_level=1)
-        assert engine.tables.is_sequential  # the plan sequentialised it
-        with kernel_disabled():
-            expected = compile_spanner(automaton, opt_level=1).mappings(document)
-        assert engine.mappings(document) == expected
+        expected = set(enumerate_va_oracle(automaton, document))
         assert expected  # the workload must actually produce mappings
+        tally = FlushTally()
+
+        def run():
+            engine = compile_spanner(automaton, opt_level=1)
+            assert engine.tables.is_sequential  # the plan sequentialised it
+            assert engine.mappings(document) == expected
+
+        tally.run(run)
+        tally.assert_flushed()
 
 
 class TestKernelSharing:
-    def test_delta_memo_shared_across_documents(self):
+    def test_delta_memo_shared_across_documents(self, monkeypatch):
+        """A second document with the same class sequence explores nothing."""
         engine = compile_spanner(".*x{a+}.*")
-        engine.tables.kernel.delta.clear()
-        with flat_disabled():  # the dict memo is the layer under test
-            assert engine.mappings("baa")
-            entries = len(engine.tables.kernel.delta)
-            assert entries > 0
-            assert engine.mappings("aab")  # same classes, mostly memo hits
+        assert engine.mappings("baa")
+        explored = []
+        original = FlatDFA.explore
+
+        def counting_explore(self, sid, class_id):
+            explored.append((sid, class_id))
+            return original(self, sid, class_id)
+
+        monkeypatch.setattr(FlatDFA, "explore", counting_explore)
+        assert engine.mappings("caa")  # 'b' and 'c' are both residual
+        assert explored == []
         stats = engine.kernel_stats()
-        assert stats["delta"] >= entries
+        assert stats["flat_states"] > 0
         assert stats["classes"] >= 2
 
     def test_flat_states_shared_across_documents(self):
@@ -253,9 +360,30 @@ class TestKernelSharing:
         assert engine.mappings("aab")  # same classes: mostly interned hits
         assert engine.kernel_stats()["flat_states"] >= states
 
-    def test_kernel_disabled_forces_set_paths(self):
-        engine = compile_spanner(".*x{a+}.*")
-        with kernel_disabled():
-            index = engine.index("ba")
-            assert index.classes is None  # set-based build
-        assert engine.index("ab").classes is not None  # distinct cache entry
+    def test_stats_count_every_flat_dfa(self):
+        """``flat_states`` sums every distinct DFA, the reverse ones of the
+        pin contexts included (node sweeps build them for co-acceptance)."""
+        engine = compile_spanner(".*x{a+}b y{c+}.*", opt_level=1)
+        assert engine.mappings("zaabccz aab cc abc")
+        kernel = engine.tables.kernel
+        flat = kernel.flat
+        dfas = {id(flat.dfa): flat.dfa, id(flat.dfa_rev): flat.dfa_rev}
+        for context in kernel._contexts.values():
+            for dfa in (context.flat_dfa, context.flat_dfa_rev):
+                if dfa is not None:
+                    dfas[id(dfa)] = dfa
+        assert any(
+            context.flat_dfa_rev not in (None, flat.dfa_rev)
+            for context in kernel._contexts.values()
+        )
+        stats = engine.kernel_stats()
+        assert stats["flat_states"] == sum(len(dfa.masks) for dfa in dfas.values())
+        assert stats["flat_states"] == 48
+        assert stats["flushes"] == 0
+        assert sorted(stats) == [
+            "classes",
+            "contexts",
+            "flat_states",
+            "flushes",
+            "interned",
+        ]

@@ -1,36 +1,38 @@
-"""The vector layer against the per-document flat path, bit for bit.
+"""The vector layer against per-document calls, bit for bit.
 
 :mod:`repro.engine.vector` advances a whole corpus batch through the
-flat DFA in lockstep; the contract is that every observable output —
-NonEmp verdicts, document indexes, candidate spans, mapping sets,
-enumeration order — is *identical* to the per-document flat path (and,
-transitively, to the dict-kernel and set-based paths the flat
-differential suite pins down).  The hypothesis sweeps here run the same
-batches with the layer on and off at every opt level; the deterministic
-tests cover the gates, the fallbacks, and the environment overrides.
+flat DFA in lockstep; the contract is that every observable output of
+the batch APIs — NonEmp verdicts, document indexes, candidate spans,
+mapping sets, enumeration order — is *identical* to the per-document
+calls, which never touch the vector layer, and to the seed reference.
+The hypothesis sweeps run the same batches both ways at every opt level
+and under every flat-DFA state budget of
+:data:`tests.engine_checks.LIMITS` (the small budgets make the lockstep
+completion stop short and hand batches to per-document sweeps); the
+deterministic tests cover the gates, the fallbacks, and the tuning
+constants.
 """
 
 import os
-import subprocess
-import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import compile_va, flat_disabled, kernel_disabled
+from repro.automata.labels import Open
+from repro.automata.thompson import to_va
+from repro.automata.va import VA
+from repro.engine import compile_va
+from repro.engine import kernel as kernel_module
 from repro.engine.compiled import compile_spanner
-from repro.engine.kernel import numpy_or_none
+from repro.engine.kernel import FlatTables, numpy_or_none
 from repro.engine.tables import DocumentIndex
-from repro.engine.vector import (
-    batch_accept,
-    batch_index,
-    batch_reach,
-    vector_disabled,
-    vector_enabled,
-)
+from repro.engine.vector import _DfaMirror, batch_accept, batch_index
 from repro.plan import OPT_LEVELS, plan
 from repro.rgx.parser import parse
+from repro.rgx.semantics import mappings as seed_mappings
+from repro.workloads.expressions import seller_like_sequential_rgx
+from tests.engine_checks import FlushTally, flat_limit
 from tests.strategies import documents, rgx_expressions
 
 pytestmark = [pytest.mark.kernel, pytest.mark.differential]
@@ -48,6 +50,10 @@ PATTERNS = [
 
 BATCH = ["", "a", "b", "ab", "ba", "aabba", "ab" * 20, "b" * 7, "abab" + "b" * 5]
 
+#: A pattern whose DFAs outgrow every small budget (see
+#: ``tests/engine/test_kernel.py``).
+HEAVY = "(a|b)*a(a|b)(a|b)(a|b)x{(a|b)*}"
+
 
 def _examples(default: int = 25) -> int:
     try:
@@ -60,32 +66,72 @@ def _examples(default: int = 25) -> int:
 EXAMPLES = _examples()
 
 
+def _per_document(pattern, batch, opt_level=None):
+    """Verdicts and mapping sets from per-document calls on a fresh engine."""
+    engine = compile_spanner(pattern, opt_level=opt_level)
+    return (
+        [engine.matches(text) for text in batch],
+        [engine.mappings(text) for text in batch],
+    )
+
+
 class TestGates:
-    def test_vector_disabled_context(self):
-        before = vector_enabled()
-        with vector_disabled():
-            assert not vector_enabled()
-        assert vector_enabled() == before
-
-    def test_no_vector_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        assert not vector_enabled()
-        monkeypatch.setenv("REPRO_NO_VECTOR", "0")
-        # "0" means enabled — the 0/1 convention all REPRO_NO_* knobs share.
-        assert vector_enabled() == (numpy_or_none() is not None)
-
     def test_no_numpy_env_gates_the_layer(self, monkeypatch):
+        """``REPRO_NO_NUMPY=1`` also keeps long documents off the numpy
+        interning path (the batch helpers are covered below)."""
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        monkeypatch.setattr(kernel_module, "NUMPY_INTERN_MIN", 1)
         assert numpy_or_none() is None
-        assert not vector_enabled()
+        cva = compile_va(plan(parse(PATTERNS[0]), opt_level=1).automaton)
+        flat = FlatTables(cva.kernel)
+        monkeypatch.setattr(FlatTables, "_intern_numpy", None)  # must not be reached
+        assert flat.intern("baab") == bytes(
+            flat.classes.classify(char) for char in "baab"
+        )
+
+    def test_batch_helpers_return_none_when_disabled(self, monkeypatch):
+        cva = compile_va(plan(parse(PATTERNS[0]), opt_level=1).automaton)
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        assert batch_accept(cva, BATCH) is None
+        assert batch_index(cva, BATCH) is None
+        monkeypatch.delenv("REPRO_NO_NUMPY")
+        # Batch verdicts need the sequential sweep.
+        base = to_va(seller_like_sequential_rgx(1))
+        looped = base.transitions + ((base.final, Open("v0"), base.final),)
+        general = compile_va(VA(base.num_states, base.initial, base.final, looped))
+        assert not general.is_sequential
+        assert batch_accept(general, BATCH) is None
 
     @requires_numpy
-    def test_batch_helpers_return_none_when_disabled(self):
-        cva = compile_va(plan(parse(PATTERNS[0]), opt_level=1).automaton)
-        with vector_disabled():
+    def test_completion_stops_short_of_the_budget(self):
+        """A DFA that cannot be completed within the budget sends the
+        batch back to per-document sweeps — without flushing."""
+        with flat_limit(3) as probe:
+            cva = compile_va(plan(parse(HEAVY), opt_level=1).automaton)
             assert batch_accept(cva, BATCH) is None
             assert batch_index(cva, BATCH) is None
-            assert batch_reach(cva, BATCH) is None
+        assert probe.flushes == 0
+
+    @requires_numpy
+    def test_mirror_restarts_after_a_flush(self, monkeypatch):
+        cva = compile_va(plan(parse(PATTERNS[1]), opt_level=1).automaton)
+        dfa = FlatTables(cva.kernel).dfa
+        mirror = _DfaMirror(dfa, numpy_or_none())
+        start = cva.kernel.free[cva.initial]
+        dfa.intern(start)
+        assert mirror.complete() is not None
+        fresh = next(
+            mask for mask in range(1, 1 << cva.num_states) if mask not in dfa.ids
+        )
+        monkeypatch.setattr(kernel_module, "FLAT_STATE_LIMIT", len(dfa.masks))
+        dfa.intern(fresh)
+        monkeypatch.undo()
+        assert dfa.flushes == 1
+        dfa.intern(start)
+        table = mirror.complete()
+        assert table is not None
+        for sid, row in enumerate(dfa.rows):
+            assert list(table[sid, :-1]) == list(row)
 
 
 @requires_numpy
@@ -104,8 +150,7 @@ class TestBatchFunctions:
         indexes = batch_index(cva, BATCH)
         assert indexes is not None
         for text, index in zip(BATCH, indexes):
-            with vector_disabled():
-                reference = DocumentIndex(cva, text)
+            reference = DocumentIndex(cva, text)
             assert index.reach == reference.reach
             assert index.coreach == reference.coreach
             for variable in sorted(cva.variables):
@@ -125,10 +170,12 @@ class TestBatchFunctions:
 
 
 class TestCompiledBatchApi:
+    """The batch APIs against per-document calls on a fresh engine — the
+    path with the vector layer off."""
+
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_matches_many_identical_with_layer_off(self, pattern):
-        with vector_disabled():
-            expected = compile_spanner(pattern).matches_many(BATCH)
+        expected, _ = _per_document(pattern, BATCH)
         engine = compile_spanner(pattern)
         assert engine.matches_many(BATCH) == expected
         # Second call is served from the verdict cache, same answers.
@@ -136,145 +183,128 @@ class TestCompiledBatchApi:
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_evaluate_many_identical_with_layer_off(self, pattern):
-        with vector_disabled():
-            expected = compile_spanner(pattern).evaluate_many(BATCH)
+        _, expected = _per_document(pattern, BATCH)
         assert compile_spanner(pattern).evaluate_many(BATCH) == expected
+        engine = compile_spanner(pattern)
+        for index, text in zip(engine.index_many(BATCH), BATCH):
+            assert index.reach == DocumentIndex(engine.tables, text).reach
 
     def test_extraction_order_survives_prewarm(self):
         engine = compile_spanner(PATTERNS[1])
         engine.prewarm(BATCH)
-        with vector_disabled():
-            reference = compile_spanner(PATTERNS[1])
-            for text in BATCH:
-                assert list(engine.extract(text)) == list(
-                    reference.extract(text)
-                )
+        reference = compile_spanner(PATTERNS[1])
+        for text in BATCH:
+            assert list(engine.extract(text)) == list(reference.extract(text))
 
 
 class TestHypothesisDifferential:
-    """The acceptance sweep: batches at every opt level, layer on vs off."""
+    """The acceptance sweep: batches at every opt level and state budget,
+    batch APIs against per-document calls and the seed semantics."""
 
-    @given(
-        expression=rgx_expressions(),
-        batch=st.lists(documents(), min_size=0, max_size=6),
-    )
-    @settings(max_examples=EXAMPLES, deadline=None)
-    def test_matches_many_every_opt_level(self, expression, batch):
-        for level in OPT_LEVELS:
-            with vector_disabled():
-                expected = compile_spanner(
-                    expression, opt_level=level
-                ).matches_many(batch)
-            actual = compile_spanner(expression, opt_level=level).matches_many(
-                batch
-            )
-            assert actual == expected
+    def test_matches_many_every_opt_level(self):
+        tally = FlushTally()
 
-    @given(
-        expression=rgx_expressions(),
-        batch=st.lists(documents(), min_size=0, max_size=4),
-    )
-    @settings(max_examples=EXAMPLES, deadline=None)
-    def test_evaluate_many_every_opt_level(self, expression, batch):
-        for level in OPT_LEVELS:
-            with vector_disabled():
-                expected = compile_spanner(
-                    expression, opt_level=level
-                ).evaluate_many(batch)
-            actual = compile_spanner(
-                expression, opt_level=level
-            ).evaluate_many(batch)
-            assert actual == expected
+        @given(
+            expression=rgx_expressions(),
+            batch=st.lists(documents(), min_size=0, max_size=6),
+        )
+        @example(expression=parse(HEAVY), batch=["abbababbabab", "ab", ""])
+        @settings(max_examples=EXAMPLES, deadline=None)
+        def check(expression, batch):
+            def run():
+                for level in OPT_LEVELS:
+                    expected, _ = _per_document(expression, batch, level)
+                    engine = compile_spanner(expression, opt_level=level)
+                    assert engine.matches_many(batch) == expected, level
 
-    @given(
-        expression=rgx_expressions(),
-        batch=st.lists(documents(), min_size=1, max_size=4),
-    )
-    @settings(max_examples=EXAMPLES, deadline=None)
-    def test_vector_agrees_with_dict_and_set_paths(self, expression, batch):
-        vector_out = compile_spanner(expression).evaluate_many(batch)
-        with flat_disabled():
-            dict_out = compile_spanner(expression).evaluate_many(batch)
-        with kernel_disabled():
-            set_out = compile_spanner(expression).evaluate_many(batch)
-        assert vector_out == dict_out == set_out
+            tally.run(run)
+
+        check()
+        tally.assert_flushed()
+
+    def test_evaluate_many_every_opt_level(self):
+        tally = FlushTally()
+
+        @given(
+            expression=rgx_expressions(),
+            batch=st.lists(documents(), min_size=0, max_size=4),
+        )
+        @example(expression=parse(HEAVY), batch=["abbababbabab", "ab", ""])
+        @settings(max_examples=EXAMPLES, deadline=None)
+        def check(expression, batch):
+            def run():
+                for level in OPT_LEVELS:
+                    _, expected = _per_document(expression, batch, level)
+                    engine = compile_spanner(expression, opt_level=level)
+                    assert engine.evaluate_many(batch) == expected, level
+
+            tally.run(run)
+
+        check()
+        tally.assert_flushed()
+
+    def test_vector_agrees_with_seed(self):
+        tally = FlushTally()
+
+        @given(
+            expression=rgx_expressions(),
+            batch=st.lists(documents(), min_size=1, max_size=4),
+        )
+        @example(expression=parse(HEAVY), batch=["abbababbabab", "ab"])
+        @settings(max_examples=EXAMPLES, deadline=None)
+        def check(expression, batch):
+            expected = [seed_mappings(expression, text) for text in batch]
+
+            def run():
+                engine = compile_spanner(expression)
+                assert engine.evaluate_many(batch) == expected
+                assert engine.matches_many(batch) == [bool(out) for out in expected]
+
+            tally.run(run)
+
+        check()
+        tally.assert_flushed()
 
 
-SUBPROCESS_CHECK = """
-import os
-from repro.engine.compiled import compile_spanner
-from repro.engine.vector import vector_disabled
-batch = ["", "a", "ab", "ba" * 9, "aabba"]
-engine = compile_spanner(".*x{a+}.*")
-vec = engine.matches_many(batch), engine.evaluate_many(batch)
-with vector_disabled():
-    ref_engine = compile_spanner(".*x{a+}.*")
-    ref = ref_engine.matches_many(batch), ref_engine.evaluate_many(batch)
-assert vec == ref, (vec, ref)
-print("IDENTICAL")
-"""
+SMALL_BATCH = ["", "a", "ab", "ba" * 9, "aabba"]
 
 
-def _run(env_overrides, code=SUBPROCESS_CHECK):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src)
-    env.update(env_overrides)
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
+def _assert_batch_matches_seed(pattern=".*x{a+}.*"):
+    expected = [seed_mappings(parse(pattern), text) for text in SMALL_BATCH]
+    engine = compile_spanner(pattern)
+    assert engine.matches_many(SMALL_BATCH) == [bool(out) for out in expected]
+    assert engine.evaluate_many(SMALL_BATCH) == expected
 
 
 class TestEnvironmentOverrides:
-    """The REPRO_FLAT_STATE_LIMIT / REPRO_NUMPY_INTERN_MIN knobs.
-
-    Process-wide constants, so each case runs in a fresh interpreter.
+    """The process-wide knobs: the two tuning constants of
+    :mod:`repro.engine.kernel` (patched in-process) and ``REPRO_NO_NUMPY``.
     """
 
     def test_tiny_flat_state_limit_still_identical(self):
-        # A limit this small overflows immediately: every path falls back
-        # to the dict kernel, and outputs must not change.
-        result = _run({"REPRO_FLAT_STATE_LIMIT": "2"})
-        assert result.returncode == 0, result.stderr
-        assert "IDENTICAL" in result.stdout
+        # A budget this small flushes on nearly every new state, and the
+        # lockstep completion hands every batch back to per-document
+        # sweeps: outputs must not change.
+        with flat_limit(2) as probe:
+            _assert_batch_matches_seed()
+            _assert_batch_matches_seed(HEAVY)
+        assert probe.flushes > 0
 
-    def test_numpy_intern_threshold_zero_still_identical(self):
+    def test_numpy_intern_threshold_zero_still_identical(self, monkeypatch):
         # Threshold 1 interns even one-character documents via numpy.
-        result = _run({"REPRO_NUMPY_INTERN_MIN": "1"})
-        assert result.returncode == 0, result.stderr
-        assert "IDENTICAL" in result.stdout
+        monkeypatch.setattr(kernel_module, "NUMPY_INTERN_MIN", 1)
+        calls = []
+        original = FlatTables._intern_numpy
 
-    @pytest.mark.parametrize("value", ["banana", "-3", "0"])
-    def test_invalid_override_warns_and_uses_default(self, value):
-        probe = (
-            "import warnings\n"
-            "with warnings.catch_warnings(record=True) as caught:\n"
-            "    warnings.simplefilter('always')\n"
-            "    from repro.engine import kernel\n"
-            "assert kernel.FLAT_STATE_LIMIT == 1 << 12, kernel.FLAT_STATE_LIMIT\n"
-            "assert any('REPRO_FLAT_STATE_LIMIT' in str(w.message) for w in caught)\n"
-            "print('DEFAULTED')\n"
-        )
-        result = _run({"REPRO_FLAT_STATE_LIMIT": value}, code=probe)
-        assert result.returncode == 0, result.stderr
-        assert "DEFAULTED" in result.stdout
+        def spy(self, text):
+            calls.append(text)
+            return original(self, text)
 
-    def test_valid_override_is_respected(self):
-        probe = (
-            "from repro.engine import kernel\n"
-            "assert kernel.FLAT_STATE_LIMIT == 99, kernel.FLAT_STATE_LIMIT\n"
-            "print('APPLIED')\n"
-        )
-        result = _run({"REPRO_FLAT_STATE_LIMIT": "99"}, code=probe)
-        assert result.returncode == 0, result.stderr
-        assert "APPLIED" in result.stdout
+        monkeypatch.setattr(FlatTables, "_intern_numpy", spy)
+        _assert_batch_matches_seed()
+        assert bool(calls) == (numpy_or_none() is not None)
 
-    def test_no_vector_env_still_identical(self):
-        result = _run({"REPRO_NO_VECTOR": "1"})
-        assert result.returncode == 0, result.stderr
-        assert "IDENTICAL" in result.stdout
-
-    def test_no_numpy_env_still_identical(self):
-        result = _run({"REPRO_NO_NUMPY": "1"})
-        assert result.returncode == 0, result.stderr
-        assert "IDENTICAL" in result.stdout
+    def test_no_numpy_env_still_identical(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        monkeypatch.setattr(kernel_module, "NUMPY_INTERN_MIN", 1)
+        _assert_batch_matches_seed()

@@ -1,0 +1,164 @@
+"""Shared helpers for the engine differential suites.
+
+**State budgets.**  The flat lazy DFA (:class:`repro.engine.kernel.FlatDFA`) flushes when
+interning one more state would pass ``FLAT_STATE_LIMIT``.  Real
+workloads rarely get there, so the differential suites re-run each check
+with the limit patched down to a handful of states: :func:`flat_limit`
+patches the budget, starts from fresh compiled tables, and watches every
+``FlatDFA`` built inside it; :class:`FlushTally` runs one check under
+every budget in :data:`LIMITS` and remembers whether the small budgets
+really flushed.
+
+**A set-based reference index.**  :func:`reference_index` recomputes a
+:class:`~repro.engine.tables.DocumentIndex`'s reach/coreach sets and
+candidate spans with plain Python sets straight off the compiled
+transition lists — no kernel, no DFA.
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+import pytest
+
+from repro.engine import kernel as kernel_module
+from repro.engine.kernel import FlatDFA
+from repro.engine.tables import CompiledVA, compile_va
+from repro.spans.span import Span
+
+#: The production budget first, then budgets small enough to flush.
+LIMITS = (kernel_module.FLAT_STATE_LIMIT, 2, 3, 8)
+SMALL_LIMITS = LIMITS[1:]
+
+
+class Probe:
+    """Every ``FlatDFA`` built under one budget, and the most states any
+    of them ever held at once."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.dfas: list[FlatDFA] = []
+        self.peak = 0
+
+    @property
+    def flushes(self) -> int:
+        return sum(dfa.flushes for dfa in self.dfas)
+
+
+@contextlib.contextmanager
+def flat_limit(limit: int):
+    """Patch ``FLAT_STATE_LIMIT`` to ``limit`` around fresh compiled tables.
+
+    Yields a :class:`Probe`; on exit asserts that no DFA ever held more
+    than ``limit`` states.  ``compile_va``'s cache is cleared on entry
+    and exit, so kernels built under one budget never leak into another.
+    """
+    probe = Probe(limit)
+    original_init = FlatDFA.__init__
+    original_intern = FlatDFA.intern
+
+    def init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        probe.dfas.append(self)
+
+    def intern(self, mask):
+        sid = original_intern(self, mask)
+        probe.peak = max(probe.peak, len(self.masks))
+        return sid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_module, "FLAT_STATE_LIMIT", limit)
+        patch.setattr(FlatDFA, "__init__", init)
+        patch.setattr(FlatDFA, "intern", intern)
+        compile_va.cache_clear()
+        try:
+            yield probe
+        finally:
+            compile_va.cache_clear()
+    assert probe.peak <= limit, (
+        f"a FlatDFA held {probe.peak} states under a limit of {limit}"
+    )
+
+
+class FlushTally:
+    """Runs checks under every budget in :data:`LIMITS`, counting flushes."""
+
+    def __init__(self) -> None:
+        self.flushes = dict.fromkeys(LIMITS, 0)
+
+    def run(self, check) -> None:
+        """``check()`` once per budget, each on fresh tables."""
+        for limit in LIMITS:
+            with flat_limit(limit) as probe:
+                check()
+            self.flushes[limit] += probe.flushes
+
+    def assert_flushed(self, limits=SMALL_LIMITS) -> None:
+        """Every budget in ``limits`` flushed at least once (and the
+        default never).  Checks on automata whose DFAs fit in a few
+        states pass only the budgets below that size."""
+        assert self.flushes[LIMITS[0]] == 0, self.flushes
+        for limit in limits:
+            assert self.flushes[limit] > 0, (
+                f"no flush at FLAT_STATE_LIMIT={limit}: {self.flushes}"
+            )
+
+
+def _set_closure(adjacency, states) -> frozenset[int]:
+    seen = set(states)
+    frontier = list(seen)
+    while frontier:
+        for target in adjacency[frontier.pop()]:
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return frozenset(seen)
+
+
+def set_closure(cva: CompiledVA, states, reverse: bool = False) -> frozenset[int]:
+    """Closure of ``states`` under ε and variable operations as free moves."""
+    adjacency = cva.free_adjacency_reversed if reverse else cva.free_adjacency
+    return _set_closure(adjacency, states)
+
+
+def reference_index(cva: CompiledVA, text: str):
+    """``(reach, coreach, candidate_spans)`` computed with Python sets.
+
+    ``candidate_spans(variable)`` lists the spans ``(i, j)``, ``i``-major,
+    where some open edge of the variable is live at ``i`` and some close
+    edge at ``j`` — the definition :class:`DocumentIndex` implements.
+    """
+    end = len(text) + 1
+    reach = [frozenset()] * (end + 1)
+    current = set_closure(cva, {cva.initial})
+    reach[1] = current
+    for pos in range(1, end):
+        seeds = {t for state in current for t in cva.step(state, text[pos - 1])}
+        current = set_closure(cva, seeds) if seeds else frozenset()
+        reach[pos + 1] = current
+    coreach = [frozenset()] * (end + 1)
+    current = set_closure(cva, {cva.final}, reverse=True)
+    coreach[end] = current
+    for pos in range(end - 1, 0, -1):
+        seeds = {
+            source
+            for source, charset, target in cva.sym_edges
+            if target in current and charset.contains(text[pos - 1])
+        }
+        current = set_closure(cva, seeds, reverse=True) if seeds else frozenset()
+        coreach[pos] = current
+
+    def live(table, variable):
+        edges = table.get(variable, ())
+        return [
+            pos
+            for pos in range(1, end + 1)
+            if any(s in reach[pos] and t in coreach[pos] for s, t in edges)
+        ]
+
+    def candidate_spans(variable):
+        opens = live(cva.opens_by_variable, variable)
+        closes = live(cva.closes_by_variable, variable)
+        return tuple(Span(i, j) for i in opens for j in closes if i <= j)
+
+    return reach, coreach, candidate_spans

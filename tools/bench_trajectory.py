@@ -11,9 +11,8 @@ trajectory across PRs is a single glance instead of N files:
 
     $ python tools/bench_trajectory.py
     benchmark  family       median  minimum  margin  mode
-    e25        corpus       3.61    3.00     1.20x   full
-    e25        enumeration  3.14    3.00     1.05x   full
     e26        corpus       3.86    2.00     1.93x   full
+    e27        cluster      1.72    1.50     1.15x   full
 
 ``--json OUT`` additionally writes the merged records for dashboards.
 Exit status is 2 when any full-mode benchmark is under its bar (quick
