@@ -6,18 +6,35 @@ extraction over growing land-registry documents and record the maximum
 and mean gap between consecutive outputs; the max-delay curve must scale
 polynomially (bounded log-log slope), and the automaton stays fixed while
 the document grows.
+
+A second arm runs the compiled engine (``CompiledSpanner.enumerate``) over
+the end-to-end benchmark's access-log pattern on 40-160-line
+``server_logs`` documents and records the log-log slope of the mean
+per-mapping delay against |d|.  Every node generates its accepted spans
+from its own sweeps, so a node costs O(|d|) and the mean delay grows
+about linearly; full mode asserts a slope below 1.15 (quick mode, on
+10-40 lines, only prints it).
 """
 
 import time
 
 import pytest
 
-from benchmarks._harness import loglog_slope, print_table, quick_mode, sizes
+from benchmarks._harness import (
+    loglog_slope,
+    print_table,
+    quick_mode,
+    sizes,
+    write_results,
+)
+from benchmarks.e2e.inputs import LOGS_PATTERN, logs_ok
 from repro.automata.thompson import to_va
+from repro.engine.compiled import compile_spanner
 from repro.evaluation.enumerate import enumerate_va
-from repro.workloads import land_registry
+from repro.workloads import land_registry, server_logs
 
 ROW_COUNTS = sizes(full=[1, 2, 3, 4, 6], quick=[2, 3])
+LOG_LINES = sizes(full=[40, 80, 120, 160], quick=[10, 20, 30, 40])
 
 
 def _delays(automaton, document):
@@ -66,3 +83,62 @@ def test_e01_enumeration_delay(benchmark):
 
     document = land_registry.generate_document(2, seed=7)
     benchmark(lambda: list(enumerate_va(automaton, document)))
+
+
+def _mean_delay(text: str, repeat: int = 3):
+    """Best-of-``repeat`` mean seconds per mapping on a fresh engine (its
+    index and verdict caches empty; the shared flat DFA stays warm), and
+    the last run's decoded mappings."""
+    best = float("inf")
+    for _ in range(repeat):
+        engine = compile_spanner(LOGS_PATTERN)
+        started = time.perf_counter()
+        found = list(engine.enumerate(text))
+        elapsed = time.perf_counter() - started
+        best = min(best, elapsed / max(len(found), 1))
+    decoded = [{v: s.content(text) for v, s in m.items()} for m in found]
+    return best, decoded
+
+
+@pytest.mark.benchmark(group="e01")
+def test_e01_compiled_enumeration_delay(benchmark):
+    rows, lengths, delays = [], [], []
+    compile_spanner(LOGS_PATTERN).count(server_logs.render(
+        server_logs.generate_lines(10, seed=1)
+    ))  # warm the shared tables
+    for line_count in LOG_LINES:
+        lines = server_logs.generate_lines(line_count, seed=21 + line_count)
+        text = server_logs.render(lines)
+        delay, decoded = _mean_delay(text)
+        assert logs_ok(lines, decoded)  # one mapping per log line
+        rows.append((line_count, len(text), len(decoded), delay * 1e3))
+        lengths.append(len(text))
+        delays.append(delay)
+    slope = loglog_slope(lengths, delays)
+    print_table(
+        "E1b: compiled-engine enumeration delay (access-log pattern)",
+        ["lines", "|d|", "#outputs", "mean delay ms"],
+        rows,
+    )
+    print(f"mean-delay log-log slope vs |d|: {slope:.2f} (O(|d|) per node ⇔ ~1)")
+    write_results(
+        "e01_compiled",
+        {
+            "series": [
+                {
+                    "lines": row[0],
+                    "document_length": row[1],
+                    "outputs": row[2],
+                    "mean_delay_ms": row[3],
+                }
+                for row in rows
+            ],
+            "slope": slope,
+        },
+    )
+    if not quick_mode():  # tiny documents are too noisy for a slope bound
+        assert slope < 1.15
+
+    text = server_logs.render(server_logs.generate_lines(LOG_LINES[0], seed=21))
+    engine = compile_spanner(LOGS_PATTERN)
+    benchmark(lambda: engine.count(text))

@@ -11,7 +11,7 @@ Everything a user of the library needs goes through here::
     for result in api.evaluate(pattern, corpus, workers=4):   # many documents
         ...
 
-    for m in api.enumerate(pattern, document):           # constant-delay stream
+    for m in api.enumerate(pattern, document):           # polynomial-delay stream
         ...
 
     queries = api.query({"seller": seller, "buyer": buyer})   # many queries
@@ -126,8 +126,9 @@ def enumerate(
     """Stream one document's decoded mappings in enumeration order.
 
     The lazy counterpart of ``compile(source).extract(document)`` —
-    backed by the constant-delay enumeration of Theorem 5.2, so the first
-    mapping arrives without materialising the output set.
+    backed by Algorithm 2's polynomial-delay enumeration (Theorem 5.1,
+    :mod:`repro.evaluation.enumerate`), so the first mapping arrives
+    without materialising the output set.
 
     >>> list(enumerate(".*x{a+}.*", "ba"))
     [{'x': 'a'}]

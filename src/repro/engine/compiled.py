@@ -15,12 +15,16 @@ reachability index) is cached so repeated evaluation of the same document
 
 Enumeration follows Algorithm 2 exactly, with two engine upgrades:
 
-* candidate spans come from the document index's reachability pruning
-  instead of the full ``O(|d|²)`` span list, preserving the seed's output
-  order on the surviving candidates;
-* the oracle is a per-node :class:`~repro.engine.oracle.FlatNodeSweep`
-  that shares sweep prefixes across sibling branches on the kernel's flat
-  lazy DFA (sequential automata), or a compiled full sweep otherwise.
+* each recursion node is a per-node oracle — a
+  :class:`~repro.engine.oracle.FlatNodeSweep` that shares sweep prefixes
+  across sibling branches on the kernel's flat lazy DFA (sequential
+  automata), or a compiled full sweep otherwise;
+* instead of being asked about every span, the node generates its
+  accepted spans itself, in the seed's ``i``-major order, from the
+  document index's open and close positions (the reachability pruning):
+  it skips open positions its base sweep rules out and stops walking the
+  close positions once its open sweep dies, so no ``O(|d|²)`` candidate
+  list is built.
 """
 
 from __future__ import annotations
@@ -372,7 +376,7 @@ class CompiledSpanner:
         document: "Document | str",
         start: ExtendedMapping | None = None,
     ) -> Iterator[Mapping]:
-        """Algorithm 2 with span pruning and prefix-sharing oracles."""
+        """Algorithm 2 with node-generated spans and prefix-sharing oracles."""
         text = as_text(document)
         initial = ExtendedMapping.empty() if start is None else start
         if not self.eval(text, initial):
@@ -402,11 +406,12 @@ class CompiledSpanner:
             node = FlatNodeSweep(self._cva, text, base, variable, index.classes)
         else:
             node = GeneralNode(self._cva, text, base, variable)
-        for span in index.candidate_spans(variable):
-            if node.accepts_span(span):
-                child = dict(base)
-                child[variable] = span
-                yield from self._recurse(text, index, child, rest)
+        opens = index.open_positions(variable)
+        closes = index.close_positions(variable)
+        for span in node.spans(opens, closes):
+            child = dict(base)
+            child[variable] = span
+            yield from self._recurse(text, index, child, rest)
         if node.accepts_null():
             child = dict(base)
             child[variable] = NULL

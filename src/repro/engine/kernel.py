@@ -226,6 +226,7 @@ class Kernel:
         "step",
         "step_rev",
         "_contexts",
+        "_lock",
         "_flat",
     )
 
@@ -255,6 +256,9 @@ class Kernel:
         self.step_rev = tuple(tuple(masks) for masks in step_rev)
         self._contexts: OrderedDict[tuple[frozenset, frozenset], SweepContext]
         self._contexts = OrderedDict()
+        #: Guards the context LRU: threads sharing one engine would
+        #: otherwise evict a key between its lookup and its recency update.
+        self._lock = threading.Lock()
         self._flat: FlatTables | None = None
 
     @classmethod
@@ -283,21 +287,23 @@ class Kernel:
         self.step = step
         self.step_rev = step_rev
         self._contexts = OrderedDict()
+        self._lock = threading.Lock()
         self._flat = None
         return self
 
     def context(self, pinned: frozenset, nulls: frozenset) -> "SweepContext":
         """The (cached) sweep context for one pin partition."""
         key = (pinned, nulls)
-        context = self._contexts.get(key)
-        if context is not None:
-            self._contexts.move_to_end(key)
+        with self._lock:
+            context = self._contexts.get(key)
+            if context is not None:
+                self._contexts.move_to_end(key)
+                return context
+            context = SweepContext(self, pinned, nulls)
+            if len(self._contexts) >= _CONTEXT_LIMIT:
+                self._contexts.popitem(last=False)
+            self._contexts[key] = context
             return context
-        context = SweepContext(self, pinned, nulls)
-        if len(self._contexts) >= _CONTEXT_LIMIT:
-            self._contexts.popitem(last=False)
-        self._contexts[key] = context
-        return context
 
     @property
     def flat(self) -> "FlatTables":
@@ -317,7 +323,9 @@ class Kernel:
         dfas: dict[int, FlatDFA] = {}
         if flat is not None:
             candidates = [flat.dfa, flat.dfa_rev]
-            for ctx in self._contexts.values():
+            with self._lock:
+                contexts = list(self._contexts.values())
+            for ctx in contexts:
                 candidates += (ctx.flat_dfa, ctx.flat_dfa_rev)
             for dfa in candidates:
                 if dfa is not None:
@@ -744,6 +752,7 @@ class FlatTables:
         "_translate",
         "_np_table",
         "_interned",
+        "_lock",
         "_vector",
     )
 
@@ -768,6 +777,9 @@ class FlatTables:
         self._np_table = None
         self._interned: OrderedDict[tuple[int, int], tuple[str, object]]
         self._interned = OrderedDict()
+        #: Guards the document LRU (see :attr:`Kernel._lock`); interning
+        #: itself runs outside it.
+        self._lock = threading.Lock()
         #: The numpy vector layer over these tables, attached lazily by
         #: :func:`repro.engine.vector.vector_tables` (``None`` until a
         #: batch sweep first asks for it).
@@ -786,17 +798,20 @@ class FlatTables:
         collision costs a re-intern, never a wrong answer.
         """
         key = (len(text), hash(text))
-        entry = self._interned.get(key)
-        if entry is not None and entry[0] == text:
-            self._interned.move_to_end(key)
-            return entry[1]
+        interned = self._interned
+        with self._lock:
+            entry = interned.get(key)
+            if entry is not None and entry[0] == text:
+                interned.move_to_end(key)
+                return entry[1]
         if self.num_classes > 256:
             ids = self.classes.intern(text)
         else:
             ids = self._intern_bytes(text)
-        if len(self._interned) >= _INTERN_LIMIT:
-            self._interned.popitem(last=False)
-        self._interned[key] = (text, ids)
+        with self._lock:
+            if key not in interned and len(interned) >= _INTERN_LIMIT:
+                interned.popitem(last=False)
+            interned[key] = (text, ids)
         return ids
 
     def _intern_bytes(self, text: str) -> bytes:

@@ -20,14 +20,19 @@ Two layers:
   branches ``µ[x → (i, j)]`` share the entire sweep prefix below position
   ``i``, so the node runs that prefix once and answers each sibling from
   the recorded state — turning the seed's ``O(|d|)`` sweep per candidate
-  into a few table lookups.  :class:`GeneralNode` is the full-sweep
-  oracle for non-sequential automata.
+  into a few table lookups — and generates its accepted spans from its
+  own sweeps instead of being asked about every candidate pair.
+  :class:`GeneralNode` is the full-sweep oracle for non-sequential
+  automata.
 
 The seed evaluators of :mod:`repro.evaluation` are the reference both
 layers are cross-validated against.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 
 from repro.engine.kernel import Trail
 from repro.engine.tables import CompiledVA, close_key, open_key
@@ -308,8 +313,7 @@ class FlatNodeSweep:
     * for a fixed open position ``i``, one *open sweep* (the open
       spliced at ``i``) records the states entering every later position,
       so each sibling close position ``j`` resumes from a recorded state
-      instead of re-sweeping ``i..j`` (the candidate-span list is
-      ``i``-major, so this cache hits);
+      instead of re-sweeping ``i..j``;
     * one *backward co-acceptance sweep* per node records, for every
       position ``j``, the states that can still complete the suffix
       ``j..end`` under the base requirements — so the run from ``j`` to
@@ -318,12 +322,15 @@ class FlatNodeSweep:
       are closed under their reversal, so a non-empty intersection is
       exactly suffix acceptance.
 
-    A span verdict is then one counted closure plus two table lookups;
-    a rejected span usually costs a single list lookup (its recorded
-    open-sweep id is 0).  All three recordings are :class:`Trail` s, so
-    they stay valid when any sweep flushes the shared DFAs; the open
-    sweep, which resumes across calls, carries its live state over into
-    the new generation.
+    The node generates its accepted spans itself (:meth:`spans`): it
+    passes over the open positions once, skips an ``i`` the base run
+    never enters or where no ``x⊢`` can fire, and walks the close
+    positions ``j ≥ i`` only until the open sweep's frontier dies.  Each
+    surviving pair costs one counted closure plus two table lookups —
+    the same verdict :meth:`accepts_span` gives a single span.  All three
+    recordings are :class:`Trail` s, so they stay valid when any sweep
+    flushes the shared DFAs; the open sweep, which resumes across calls,
+    carries its live state over into the new generation.
     """
 
     __slots__ = (
@@ -427,11 +434,11 @@ class FlatNodeSweep:
         """State ids entering positions ``(i, j]`` after splicing the open
         at ``i`` (resolve them through :attr:`_open`).
 
-        One sweep per distinct ``i``, cached and extended *lazily*: the
-        candidate-span list is ``i``-major, so sibling close positions
-        hit the cache, and the walk only ever advances to the largest
-        ``j`` queried — candidate spans are usually short, so this stays
-        far from ``end``.  Slot ``j`` holds the id of the count-0 closed
+        One sweep per distinct ``i``, cached and extended *lazily*:
+        :meth:`spans` is ``i``-major, so sibling close positions hit the
+        cache, and the walk only ever advances to the largest ``j``
+        queried — accepted spans are usually short, so this stays far
+        from ``end``.  Slot ``j`` holds the id of the count-0 closed
         state entering ``j`` for runs that satisfied the base
         requirements *and* opened ``x`` at ``i`` (0 = no such run, so the
         span ``(i, j)`` is rejected for free).
@@ -587,6 +594,45 @@ class FlatNodeSweep:
             return False
         if not self._entering[i]:
             return False
+        return self._resume(i, j)
+
+    def spans(self, opens: Sequence[int], closes: Sequence[int]) -> Iterator[Span]:
+        """The accepted spans ``(i, j)`` with ``i`` in ``opens``, ``j`` in
+        ``closes`` and ``i ≤ j``, in the seed's ``i``-major order.
+
+        ``opens`` and ``closes`` are ascending positions in ``1..end`` (a
+        :class:`~repro.engine.tables.DocumentIndex`'s).  The output is
+        exactly the pairs :meth:`accepts_span` accepts, but an ``i`` is
+        skipped outright when the base run never enters it or, if ``i``
+        carries no pinned operation, when its entering state holds no
+        source of an ``x⊢`` edge (with another operation at ``i``, ``x⊢``
+        may fire after it, from a state the entering mask lacks); and the
+        walk over ``j`` stops once the open sweep from ``i`` is dead.
+        """
+        if not self.valid or self.variable not in self.cva.variables:
+            return
+        entering, required, base = self._entering, self._required, self._base
+        sources = 0
+        for source_bit, _ in self._context.op_edges(self._open_key):
+            sources |= source_bit
+        resume = self._resume
+        count = len(closes)
+        for i in opens:
+            if not entering[i]:
+                continue
+            if i not in required and not base.mask(i) & sources:
+                continue
+            for at in range(bisect_left(closes, i), count):
+                j = closes[at]
+                if self._open_at == i and not self._open_state and self._open_pos < j:
+                    break  # every slot past the dead frontier is 0
+                if resume(i, j):
+                    yield Span(i, j)
+
+    def _resume(self, i: int, j: int) -> bool:
+        """The verdict for ``µ[x → (i, j)]`` once the base run enters ``i``:
+        splice the operations in, resume from the recorded prefix and meet
+        the co-acceptance slot at ``j``."""
         context = self._context
         required = self._required
         if i == j:
@@ -631,3 +677,13 @@ class GeneralNode:
         pinned = dict(self.base)
         pinned[self.variable] = span
         return eval_general_compiled(self.cva, self.text, pinned)
+
+    def spans(self, opens: Sequence[int], closes: Sequence[int]) -> Iterator[Span]:
+        """The accepted spans of the ``opens × closes`` product (``i ≤ j``),
+        ``i``-major — one full sweep per pair."""
+        count = len(closes)
+        for i in opens:
+            for at in range(bisect_left(closes, i), count):
+                span = Span(i, closes[at])
+                if self.accepts_span(span):
+                    yield span

@@ -20,11 +20,12 @@ The sweeps themselves run on the bitmask kernel these tables seed
 :class:`DocumentIndex` pairs a compiled automaton with one document and
 precomputes, per position, which states any run prefix can occupy
 (``reach``) and which states can still finish the document (``coreach``).
-From those two arrays it derives *candidate spans* per variable: a span
-``(i, j)`` survives only if some ``x⊢`` transition can fire at position
-``i`` and some ``⊣x`` transition at position ``j`` on a live run.  This is
-the span pruning used by the compiled enumerator — the pruned list is
-usually a tiny subset of the ``O(|d|²)`` spans the seed oracle tries.
+From those two arrays it derives, per variable, the positions where an
+``x⊢`` transition can fire on a live run (:meth:`~DocumentIndex.open_positions`)
+and where a ``⊣x`` transition can (:meth:`~DocumentIndex.close_positions`).
+The compiled enumerator hands both lists to each recursion node, which
+generates its accepted spans from them; :meth:`~DocumentIndex.candidate_spans`
+spells out their ``O(|d|²)`` product for inspection.
 """
 
 from __future__ import annotations
@@ -243,10 +244,10 @@ class DocumentIndex:
         self._coreach_sets: list[frozenset[int]] | None = None
         #: Per-position masks as ``uint64`` numpy arrays — set only by
         #: :meth:`from_flat_sweeps` on ≤64-state automata, enabling the
-        #: vectorized candidate-span filter.
+        #: vectorized open/close position filter.
         self._reach_np = None
         self._coreach_np = None
-        self._span_cache: dict[Variable, tuple[Span, ...]] = {}
+        self._positions: dict[OpKey, tuple[int, ...]] = {}
 
     @classmethod
     def from_flat_sweeps(
@@ -277,7 +278,7 @@ class DocumentIndex:
         self._coreach_sets = None
         self._reach_np = reach_np
         self._coreach_np = coreach_np
-        self._span_cache = {}
+        self._positions = {}
         return self
 
     @property
@@ -298,15 +299,27 @@ class DocumentIndex:
             ]
         return self._coreach_sets
 
-    def open_positions(self, variable: Variable) -> list[int]:
-        """Positions where an ``x⊢`` transition can fire on a live run."""
-        return self._op_positions(self.cva.opens_by_variable, variable)
+    def open_positions(self, variable: Variable) -> tuple[int, ...]:
+        """Positions where an ``x⊢`` transition can fire on a live run
+        (ascending, memoised per variable)."""
+        return self._op_positions(OPEN, variable)
 
-    def close_positions(self, variable: Variable) -> list[int]:
-        return self._op_positions(self.cva.closes_by_variable, variable)
+    def close_positions(self, variable: Variable) -> tuple[int, ...]:
+        """Positions where a ``⊣x`` transition can fire on a live run."""
+        return self._op_positions(CLOSE, variable)
 
-    def _op_positions(self, table, variable: Variable) -> list[int]:
-        edges = table.get(variable, ())
+    def _op_positions(self, kind: str, variable: Variable) -> tuple[int, ...]:
+        key = (kind, variable)
+        positions = self._positions.get(key)
+        if positions is None:
+            cva = self.cva
+            table = cva.opens_by_variable if kind == OPEN else cva.closes_by_variable
+            positions = self._positions[key] = tuple(
+                self._live_positions(table.get(variable, ()))
+            )
+        return positions
+
+    def _live_positions(self, edges) -> list[int]:
         if not edges:
             return []
         if self._reach_np is not None:
@@ -333,16 +346,15 @@ class DocumentIndex:
         return positions
 
     def candidate_spans(self, variable: Variable) -> tuple[Span, ...]:
-        """The pruned span list for one variable, in the seed's (i, j) order."""
-        cached = self._span_cache.get(variable)
-        if cached is None:
-            opens = self.open_positions(variable)
-            closes = self.close_positions(variable)
-            cached = tuple(
-                Span(i, j) for i in opens for j in closes if i <= j
-            )
-            self._span_cache[variable] = cached
-        return cached
+        """The pruned span list for one variable, in the seed's (i, j) order:
+        every ``(i, j)`` with ``i`` an open and ``j`` a close position.
+
+        Enumeration never builds this list (each node generates its own
+        spans from the two position lists); it is kept for inspection."""
+        closes = self.close_positions(variable)
+        return tuple(
+            Span(i, j) for i in self.open_positions(variable) for j in closes if i <= j
+        )
 
 
 def _free_sweep(dfa, classes, start_mask: int, first: int) -> list[int]:

@@ -190,11 +190,84 @@ class TestFlatAgainstDictAndSets:
                         assert verdict == eval_va(
                             automaton, document, ExtendedMapping({variable: span})
                         ), span
+                    # Node-generated spans: the candidate product filtered
+                    # by accepts_span, order included.
+                    index = DocumentIndex(cva, document)
+                    positions = (
+                        index.open_positions(variable),
+                        index.close_positions(variable),
+                    )
+                    expected = [
+                        span
+                        for span in index.candidate_spans(variable)
+                        if FlatNodeSweep(cva, document, {}, variable).accepts_span(span)
+                    ]
+                    spans = FlatNodeSweep(cva, document, {}, variable).spans(*positions)
+                    assert list(spans) == expected
+                    assert list(general.spans(*positions)) == expected
 
             tally.run(run)
 
         check()
         tally.assert_flushed()
+
+    @pytest.mark.parametrize(
+        "pattern, document",
+        [
+            ("y{a}x{b}", "ab"),
+            ("x{y{a}b}", "ab"),
+            ("x{ε}y{a}", "a"),
+            ("x{y{ε}}", ""),
+            (".*y{a}x{b}.*", "abab"),
+            (".*x{y{a}b}.*", "babb"),
+        ],
+    )
+    def test_node_spans_where_the_open_meets_a_pinned_operation(self, pattern, document):
+        """``x⊢`` at a position that also carries a pinned variable's
+        operation fires from a state the base entering mask lacks, so the
+        open-source bit test must not skip that position: ``spans`` still
+        equals the filtered candidate product and the seed's verdicts."""
+        automaton = plan(parse(pattern), opt_level=1).automaton
+        pins = [NULL, *all_spans(len(document))]
+        cases = [
+            (variable, {other: value})
+            for variable, other in (("x", "y"), ("y", "x"))
+            for value in pins
+        ]
+        accepted = 0
+        tally = FlushTally()
+
+        def run():
+            nonlocal accepted
+            cva = compile_va(automaton)
+            assert cva.is_sequential
+            index = DocumentIndex(cva, document)
+            for variable, base in cases:
+                positions = (
+                    index.open_positions(variable),
+                    index.close_positions(variable),
+                )
+                truth = [
+                    span
+                    for span in index.candidate_spans(variable)
+                    if eval_va(
+                        automaton, document, ExtendedMapping({**base, variable: span})
+                    )
+                ]
+                reference = FlatNodeSweep(cva, document, base, variable)
+                filtered = [
+                    span
+                    for span in index.candidate_spans(variable)
+                    if reference.accepts_span(span)
+                ]
+                node = FlatNodeSweep(cva, document, base, variable)
+                assert list(node.spans(*positions)) == filtered == truth, base
+                general = GeneralNode(cva, document, base, variable)
+                assert list(general.spans(*positions)) == truth, base
+                accepted += len(truth)
+
+        tally.run(run)
+        assert accepted
 
     def test_mappings_identical_at_every_opt_level(self):
         tally = FlushTally()
@@ -360,6 +433,29 @@ class TestFlatEdgeCases:
         assert verdicts == expected
         assert probe.flushes > 0
 
+    @pytest.mark.parametrize("limit", [2, 3])
+    def test_interleaved_span_generation_survives_flushes(self, limit):
+        """``spans`` pauses between yields — enumeration recurses there —
+        and other nodes' sweeps flush the shared DFA meanwhile."""
+        expression = parse("(a|b)*x{a(a|b)*}(a|b)*b(a|b)(a|b)")
+        automaton = plan(expression, opt_level=1).automaton
+        document = HEAVY_DOCUMENT
+        expected = [
+            span
+            for span in all_spans(len(document))
+            if eval_va(automaton, document, ExtendedMapping({"x": span}))
+        ]
+        assert expected
+        with flat_limit(limit) as probe:
+            cva = compile_va(automaton)
+            index = DocumentIndex(cva, document)
+            node = FlatNodeSweep(cva, document, {}, "x")
+            spans = []
+            for span in node.spans(index.open_positions("x"), index.close_positions("x")):
+                spans.append(span)
+                FlatNodeSweep(cva, document, {}, "x").accepts_null()
+        assert spans == expected
+        assert probe.flushes > 0
 
     def test_threads_sharing_an_engine_across_flushes(self):
         """Threads enumerating on one engine flush its shared DFAs under

@@ -10,6 +10,10 @@ carry the ``kernel`` marker, so ``pytest -m kernel`` is the fast loop for
 engine work.
 """
 
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,8 +23,9 @@ from repro.automata.labels import Open
 from repro.automata.thompson import to_va
 from repro.automata.va import VA
 from repro.engine import compile_va
-from repro.engine.compiled import compile_spanner
+from repro.engine import compiled as compiled_module
 from repro.engine import kernel as kernel_module
+from repro.engine.compiled import compile_spanner
 from repro.engine.kernel import AlphabetClasses, FlatDFA, Trail, iter_bits
 from repro.engine.oracle import FlatNodeSweep, eval_sequential_compiled
 from repro.engine.tables import DocumentIndex
@@ -387,3 +392,73 @@ class TestKernelSharing:
             "flushes",
             "interned",
         ]
+
+
+def _pinned_subset(expected, pins: dict) -> set:
+    """The mappings of ``expected`` that agree with every pin (``⊥`` = unset)."""
+    return {
+        mapping
+        for mapping in expected
+        if all(
+            (variable not in mapping) if value is NULL else mapping.get(variable) == value
+            for variable, value in pins.items()
+        )
+    }
+
+
+class TestKernelThreads:
+    def test_lru_caches_survive_threads_evicting_each_other(self, monkeypatch):
+        """The kernel's context and interning LRUs hold one or two entries,
+        so threads sharing one engine evict each other's keys between a
+        lookup and its recency update; every thread still gets the seed's
+        output for its own documents and pin partitions."""
+        monkeypatch.setattr(kernel_module, "_CONTEXT_LIMIT", 1)
+        monkeypatch.setattr(kernel_module, "_INTERN_LIMIT", 2)
+        # One-entry engine caches: every enumeration re-interns its
+        # document and rebuilds its pin contexts.
+        monkeypatch.setattr(compiled_module, "_DOCUMENT_CACHE_LIMIT", 1)
+        monkeypatch.setattr(compiled_module, "_VERDICT_CACHE_LIMIT", 1)
+        pattern = ".*x{a+}(b y{c+}|ε)(z w{a*}|ε).*"
+        expression = parse(pattern)
+        rng = random.Random(11)
+        documents = [
+            "".join(rng.choice("abcz") for _ in range(rng.randint(6, 12)))
+            for _ in range(12)
+        ]
+        jobs = []
+        for text in documents:
+            expected = seed_mappings(expression, text)
+            partitions = [{}, {"y": NULL}, {"w": NULL, "y": NULL}]
+            partitions += [dict(mapping.items()) for mapping in sorted(expected, key=repr)[:2]]
+            partitions += [{"x": mapping["x"]} for mapping in expected if "x" in mapping][:1]
+            for pins in partitions:
+                jobs.append((text, pins, _pinned_subset(expected, pins)))
+        assert any(want for _, _, want in jobs)
+        compile_va.cache_clear()
+        engine = compile_spanner(pattern)
+        failures = []
+
+        def work(offset):
+            try:
+                for round_ in range(30):
+                    for k in range(offset, len(jobs), 6):
+                        text, pins, want = jobs[(k + round_) % len(jobs)]
+                        got = set(engine.enumerate(text, ExtendedMapping(pins)))
+                        if got != want:
+                            failures.append((text, pins))
+            except Exception as error:  # reported below, not swallowed
+                failures.append(repr(error))
+
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            compile_va.cache_clear()
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
