@@ -1,4 +1,4 @@
-"""E26 — lockstep vectorized sweeps + shared-memory engine segments.
+"""E26 — lockstep vectorized sweeps.
 
 This PR's tentpole, measured on the serving shapes it targets:
 
@@ -13,21 +13,14 @@ This PR's tentpole, measured on the serving shapes it targets:
 * **mapping batches** — the same comparison for full output sets (the
   prewarm path): equality is the point, the speedup rides on how much
   of the work enumeration dominates.
-* **worker memory (shared segments)** — a :class:`WorkerPool` run with
-  shared-memory segments against one without: every worker must attach
-  the one published segment (no fallbacks), and the per-worker private
-  memory attributable to engine delivery must not exceed the
-  pickle-path baseline — the engine bytes live once per host, not once
-  per worker.
 
 Acceptance: byte-identical outputs everywhere, and (full mode) a median
 corpus-throughput speedup of at least ``MINIMUM_SPEEDUP`` from the
 lockstep path.  With ``REPRO_BENCH_JSON`` set the series lands in
 ``BENCH_e26.json``.  Under ``REPRO_BENCH_QUICK`` only output equality
-and the shared-memory invariants are asserted.
+is asserted.
 """
 
-import os
 import statistics
 import time
 
@@ -41,8 +34,7 @@ from benchmarks._harness import (
 )
 from repro.engine.compiled import compile_spanner
 from repro.engine.kernel import numpy_or_none
-from repro.service.evaluate import WorkerPool, evaluate_records
-from repro.service.shm_store import shm_available
+from repro.service.evaluate import evaluate_records
 from repro.workloads import server_logs
 
 #: (documents, log lines) corpus shapes: wide batches are the lockstep
@@ -87,40 +79,6 @@ def _best(expression, records, kind: str, vectorized: bool):
         elapsed, triples = _run_records(expression, records, kind, vectorized)
         best = min(best, elapsed)
     return best, triples
-
-
-def _worker_private_kib(pid: int) -> "int | None":
-    """The worker's private (unshared) memory, KiB, via smaps_rollup."""
-    try:
-        with open(f"/proc/{pid}/smaps_rollup", encoding="ascii") as handle:
-            totals = {}
-            for line in handle:
-                key, _, rest = line.partition(":")
-                parts = rest.split()
-                if parts and parts[-1] == "kB":
-                    totals[key] = int(parts[0])
-        return totals.get("Private_Clean", 0) + totals.get("Private_Dirty", 0)
-    except OSError:  # pragma: no cover - no smaps on this platform
-        return None
-
-
-def _pool_memory_probe(expression, records, shared_memory: bool):
-    """Evaluate one batch per worker; report stats and worker memory."""
-    engine = compile_spanner(expression)
-    with WorkerPool(2, shared_memory=shared_memory) as pool:
-        futures = [
-            pool.submit(engine, records[i::2], kind="mappings")
-            for i in range(2)
-        ]
-        triples = [future.result() for future in futures]
-        private = [
-            _worker_private_kib(pid) for pid in pool._pool._processes
-        ]
-        stats = pool.stats()
-    merged = [triple for batch in triples for triple in batch]
-    merged.sort(key=lambda triple: triple[0])
-    private = [kib for kib in private if kib is not None]
-    return merged, stats["shm"], (max(private) if private else None)
 
 
 @pytest.mark.benchmark(group="e26")
@@ -170,48 +128,11 @@ def test_e26_vector(benchmark):
         "speedup": flat_time / vector_time if vector_time else float("inf"),
     }
 
-    memory_record = None
-    if shm_available():
-        records = _corpus(*MAPPING_SHAPE)
-        shm_out, shm_stats, shm_private = _pool_memory_probe(
-            expression, records, shared_memory=True
-        )
-        pickle_out, _, pickle_private = _pool_memory_probe(
-            expression, records, shared_memory=False
-        )
-        assert shm_out == pickle_out  # segment delivery changes nothing
-        assert shm_stats.get("publishes") == 1  # one segment per host
-        assert shm_stats.get("attaches", 0) >= 1
-        assert shm_stats.get("fallbacks", 0) == 0
-        memory_record = {
-            "segment_bytes": shm_stats.get("bytes"),
-            "worker_private_kib_shm": shm_private,
-            "worker_private_kib_pickle": pickle_private,
-        }
-        if shm_private is not None and pickle_private is not None:
-            # The segment keeps engine bytes out of per-worker private
-            # memory; allow generous noise headroom (allocator slack).
-            assert shm_private <= pickle_private + 16 * 1024, memory_record
-
     print_table(
         "E26: lockstep batch vs per-document calls — corpus verdicts",
         ["workload", "docs", "chars", "flat s", "vector s", "speedup"],
         corpus_rows,
     )
-    print_table(
-        "E26: shared-memory worker delivery",
-        ["segment B", "worker private KiB (shm)", "worker private KiB (pickle)"],
-        [
-            (
-                memory_record["segment_bytes"] if memory_record else "-",
-                memory_record["worker_private_kib_shm"] if memory_record else "-",
-                memory_record["worker_private_kib_pickle"]
-                if memory_record
-                else "-",
-            )
-        ],
-    )
-
     corpus_speedup = statistics.median(
         record["speedup"] for record in corpus_records
     )
@@ -220,7 +141,6 @@ def test_e26_vector(benchmark):
         {
             "corpus": corpus_records,
             "mappings": mapping_record,
-            "memory": memory_record,
             "median_speedup": {"corpus": corpus_speedup},
             "minimum_speedup": MINIMUM_SPEEDUP,
         },

@@ -275,7 +275,7 @@ def build_cache_parser() -> argparse.ArgumentParser:
         description=(
             "Inspect and maintain the durable engine-artifact cache "
             "(compiled engines serialized to disk, reloaded zero-copy by "
-            "later runs, servers, and worker processes).  See "
+            "later runs and servers).  See "
             "docs/artifacts.md."
         ),
         epilog=(
@@ -442,17 +442,8 @@ def _add_serve_flags(
         default=None,
         help=(
             "durable engine-artifact cache directory: compiled engines "
-            "persist across restarts and warm-load into workers "
+            "persist across restarts and load instead of recompiling "
             "(defaults to $REPRO_ARTIFACT_DIR when set)"
-        ),
-    )
-    parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help=(
-            "do not publish engines to worker processes through "
-            "shared-memory segments (also: REPRO_NO_SHM=1); workers fall "
-            "back to the artifact cache or the pickled automaton"
         ),
     )
 
@@ -814,7 +805,6 @@ def _server_config_kwargs(arguments) -> dict | None:
         max_pending=arguments.max_pending,
         drain_grace=arguments.drain_grace,
         artifact_dir=artifact_dir,
-        shared_memory=False if arguments.no_shm else None,
         task_timeout=arguments.task_timeout,
         max_rebuilds=arguments.max_rebuilds,
         degraded_reset=arguments.degraded_reset,
@@ -953,8 +943,7 @@ def _attach_artifacts(directory: str | None):
 
     ``directory`` (the ``--artifact-dir`` flag) wins; otherwise
     ``$REPRO_ARTIFACT_DIR``; with neither, no store is attached and the
-    run behaves exactly as before.  The resolved directory is exported
-    back into the environment so worker processes inherit it.
+    run behaves exactly as before.
     """
     import os
 
@@ -966,7 +955,6 @@ def _attach_artifacts(directory: str | None):
         return None
     store = ArtifactStore(directory)
     DEFAULT_CACHE.attach_artifacts(store)
-    os.environ[ARTIFACT_DIR_ENV] = store.root
     return store
 
 
@@ -1006,17 +994,11 @@ def _print_stats(
         f"stats: spanner-cache {formatted(DEFAULT_CACHE.stats())}",
         file=sys.stderr,
     )
-    artifacts: dict = {}
     if artifact_store is not None:
-        artifacts = dict(artifact_store.counters())
-    if worker_stats:
-        for key, value in worker_stats.get("artifacts", {}).items():
-            artifacts[key] = artifacts.get(key, 0) + value
-    if artifacts:
-        print(f"stats: artifacts {formatted(artifacts)}", file=sys.stderr)
-    shm = dict(worker_stats.get("shm", {})) if worker_stats else {}
-    if shm:
-        print(f"stats: shm {formatted(shm)}", file=sys.stderr)
+        print(
+            f"stats: artifacts {formatted(artifact_store.counters())}",
+            file=sys.stderr,
+        )
     resilience = (
         dict(worker_stats.get("resilience", {})) if worker_stats else {}
     )

@@ -164,15 +164,12 @@ def _mask_sections(buffer, offset: int, meta: dict):
     return free, free_rev, step, step_rev
 
 
-def deserialize_engine(buffer, expected_fingerprint: str | None = None):
-    """Rebuild a :class:`~repro.engine.compiled.CompiledSpanner` from bytes.
+def _checked_payload(buffer) -> memoryview:
+    """The payload of an artifact whose envelope validates.
 
-    ``buffer`` may be any buffer-protocol object — in particular an
-    ``mmap.mmap``, which the ≤64-state fast path slices without copying.
-    Raises :class:`ArtifactError` on any validation failure.
+    Checks the magic, format version, declared length and SHA-256, and
+    raises :class:`ArtifactError` on the first that fails.
     """
-    from repro.engine.compiled import CompiledSpanner
-
     view = bytes(buffer[:_HEADER_LEN])
     if len(view) < _HEADER_LEN or view[:4] != MAGIC:
         raise ArtifactError("not an engine artifact (bad magic)")
@@ -187,6 +184,19 @@ def deserialize_engine(buffer, expected_fingerprint: str | None = None):
         raise ArtifactError("artifact payload truncated")
     if hashlib.sha256(payload).digest() != view[8:40]:
         raise ArtifactError("artifact checksum mismatch")
+    return payload
+
+
+def deserialize_engine(buffer, expected_fingerprint: str | None = None):
+    """Rebuild a :class:`~repro.engine.compiled.CompiledSpanner` from bytes.
+
+    ``buffer`` may be any buffer-protocol object — in particular an
+    ``mmap.mmap``, which the ≤64-state fast path slices without copying.
+    Raises :class:`ArtifactError` on any validation failure.
+    """
+    from repro.engine.compiled import CompiledSpanner
+
+    payload = _checked_payload(buffer)
     try:
         meta_len = int.from_bytes(payload[:4], "little")
         meta = json.loads(bytes(payload[4 : 4 + meta_len]))
@@ -228,20 +238,7 @@ def artifact_meta(buffer) -> dict:
     Validates the envelope (magic, version, checksum) only — used by the
     store's listing and stats paths.
     """
-    view = bytes(buffer[:_HEADER_LEN])
-    if len(view) < _HEADER_LEN or view[:4] != MAGIC:
-        raise ArtifactError("not an engine artifact (bad magic)")
-    version = int.from_bytes(view[4:8], "little")
-    if version != FORMAT_VERSION:
-        raise ArtifactError(
-            f"artifact format v{version}, this build reads v{FORMAT_VERSION}"
-        )
-    declared = int.from_bytes(view[40:48], "little")
-    payload = memoryview(buffer)[_HEADER_LEN:]
-    if len(payload) != declared:
-        raise ArtifactError("artifact payload truncated")
-    if hashlib.sha256(payload).digest() != view[8:40]:
-        raise ArtifactError("artifact checksum mismatch")
+    payload = _checked_payload(buffer)
     try:
         meta_len = int.from_bytes(payload[:4], "little")
         return json.loads(bytes(payload[4 : 4 + meta_len]))

@@ -99,9 +99,6 @@ class ServerConfig:
     naive: bool = False
     #: Durable engine-artifact cache directory (None: in-memory only).
     artifact_dir: str | None = None
-    #: Shared-memory engine segments for worker processes (None:
-    #: auto-detect; False: pickled/artifact path only).
-    shared_memory: bool | None = None
     #: Per-batch worker deadline, seconds (None: REPRO_TASK_TIMEOUT).
     task_timeout: float | None = None
     #: Consecutive pool rebuilds tolerated before degrading to threads.
@@ -147,7 +144,6 @@ class ServerConfig:
             inline_threads=self.inline_threads,
             naive=self.naive,
             artifact_dir=self.artifact_dir,
-            shared_memory=self.shared_memory,
             task_timeout=self.task_timeout,
             max_rebuilds=self.max_rebuilds,
             breaker_threshold=self.breaker_threshold,

@@ -105,10 +105,6 @@ class DispatcherConfig:
     #: Directory of durable engine artifacts; None leaves the cache purely
     #: in-memory (see repro.service.artifact_store).
     artifact_dir: str | None = None
-    #: Publish engines to worker processes through shared-memory segments
-    #: (see repro.service.shm_store).  None auto-detects; False forces the
-    #: pickled/artifact path.  Only meaningful with ``workers >= 1``.
-    shared_memory: bool | None = None
     #: Per-batch deadline on the worker pool, seconds; None disables
     #: (falls back to ``REPRO_TASK_TIMEOUT``).
     task_timeout: float | None = None
@@ -228,8 +224,6 @@ class Dispatcher:
         elif self.config.workers >= 1:
             self._backend = ProcessBackend(
                 self.config.workers,
-                artifact_dir=self.config.artifact_dir,
-                shared_memory=self.config.shared_memory,
                 task_timeout=self.config.task_timeout,
                 max_rebuilds=self.config.max_rebuilds,
             )
@@ -587,29 +581,15 @@ class Dispatcher:
     # -- introspection -----------------------------------------------------------
 
     def artifact_counters(self) -> dict[str, int]:
-        """Dispatcher-side plus worker-side artifact hit/miss/save/error sums."""
-        totals: dict[str, int] = {}
-        if self.artifacts is not None:
-            totals.update(self.artifacts.counters())
-        pool = self.worker_pool
-        if pool is not None:
-            for key, value in pool.stats()["artifacts"].items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def shm_counters(self) -> dict[str, int]:
-        """The pool's shared-memory counters (publish and attach side)."""
-        pool = self.worker_pool
-        if pool is None:
+        """The dispatcher's artifact-store hit/miss/save/error counters."""
+        if self.artifacts is None:
             return {}
-        return dict(pool.stats().get("shm", {}))
+        return self.artifacts.counters()
 
     def publish_artifact_metrics(self) -> None:
-        """Refresh the ``repro_artifact_*`` / ``repro_shm_*`` gauges."""
+        """Refresh the ``repro_artifact_*`` gauges."""
         for key, value in self.artifact_counters().items():
             self.metrics.gauge(f"repro_artifact_{key}", value)
-        for key, value in self.shm_counters().items():
-            self.metrics.gauge(f"repro_shm_{key}", value)
 
     @property
     def degraded(self) -> bool:
@@ -675,10 +655,9 @@ class Dispatcher:
         }
         if self._backend is not None:
             snapshot["backend"] = self._backend.name
-        pool = self.worker_pool
-        if self.artifacts is not None or pool is not None:
+        if self.artifacts is not None:
             snapshot["artifacts"] = self.artifact_counters()
+        pool = self.worker_pool
         if pool is not None:
-            snapshot["shm"] = self.shm_counters()
             snapshot["worker_stats"] = pool.stats()
         return snapshot

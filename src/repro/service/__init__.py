@@ -45,7 +45,6 @@ from repro.service.resilience import (
     PoolBroken,
     RetryPolicy,
 )
-from repro.service.shm_store import ShmStore, shm_available
 from repro.util.errors import CorpusError
 
 __all__ = [
@@ -66,11 +65,9 @@ __all__ = [
     "QuerySet",
     "QuerySetResult",
     "RetryPolicy",
-    "ShmStore",
     "SpannerCache",
     "WorkerPool",
     "as_corpus",
-    "shm_available",
     "cached_spanner",
     "corpus_outputs",
     "evaluate_corpus",

@@ -3,10 +3,12 @@
 :mod:`repro.engine.artifact` turns a compiled engine into one versioned,
 checksummed byte blob; this module gives those blobs a home.  An
 :class:`ArtifactStore` maps a post-plan automaton fingerprint to an
-``.rpra`` file under a cache directory, so *any* process — a fresh CLI
-invocation, a restarted server, a cold worker process — can skip
-planning, table derivation, and kernel construction entirely and mmap
-the finished engine instead.
+``.rpra`` file under a cache directory, so a fresh CLI invocation or a
+restarted server can skip planning, table derivation, and kernel
+construction entirely and mmap the finished engine instead.  The store
+lives in the coordinating process only: worker-pool processes build
+their engines from the pickled automaton shipped with each batch (see
+:mod:`repro.service.evaluate`).
 
 Layout (all under the store root)::
 
@@ -60,11 +62,10 @@ from repro.engine.artifact import (
 )
 from repro.service import faults
 
-__all__ = ["ArtifactStore", "default_artifact_root", "store_from_env"]
+__all__ = ["ArtifactStore", "default_artifact_root"]
 
-#: Environment variable naming the cache directory.  Worker processes and
-#: servers configured with an explicit directory export it here so every
-#: child resolves the same store.
+#: Environment variable naming the cache directory, read when no
+#: directory is given explicitly.
 ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
 
 _LAYOUT_VERSION = "v1"
@@ -79,18 +80,6 @@ def default_artifact_root() -> str:
         os.path.expanduser("~"), ".cache"
     )
     return os.path.join(base, "repro-spanners", "artifacts")
-
-
-def store_from_env() -> "ArtifactStore | None":
-    """An :class:`ArtifactStore` at :data:`ARTIFACT_DIR_ENV`, or ``None``.
-
-    The hook worker processes use: the coordinating process exports the
-    directory into the environment, children pick it up here.  No
-    variable set → no store, engines compile from the pickled automaton
-    as before.
-    """
-    root = os.environ.get(ARTIFACT_DIR_ENV)
-    return ArtifactStore(root) if root else None
 
 
 class ArtifactStore:
@@ -216,21 +205,6 @@ class ArtifactStore:
         # A ref is only trustworthy while its artifact validates; a bogus
         # fingerprint fails there, never here.
         return fingerprint if len(fingerprint) == 64 else None
-
-    def read_blob(self, fingerprint: str) -> "bytes | None":
-        """The raw artifact bytes for ``fingerprint``, or ``None``.
-
-        A plain read for callers that want the *bytes* rather than an
-        engine — the shared-memory publisher reuses a saved artifact
-        instead of re-serialising.  Deliberately counter-free: this is
-        not a cache hit or miss, and the blob is validated wherever it
-        is eventually deserialised.
-        """
-        try:
-            with open(self.artifact_path(fingerprint), "rb") as handle:
-                return handle.read()
-        except OSError:
-            return None
 
     def load(self, fingerprint: str):
         """The engine for ``fingerprint``, rebuilt zero-copy from its mmap.

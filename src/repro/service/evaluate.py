@@ -8,8 +8,9 @@ worker process compiles its own engine once from the pickled automaton
 (memoised by fingerprint, so one pool can serve many spanners) and keeps
 it for every chunk it receives, so the per-document cost matches the
 serial batch path and the dominant overhead is shipping documents and
-results (the automaton rides along as a once-pickled blob that warm
-workers never even unpickle).  Keeping the
+results.  The pickled automaton is the one way an engine reaches a
+worker: it rides along with every batch as a once-pickled blob, and
+warm workers never even unpickle it.  Keeping the
 engine also keeps its bitmask kernel (:mod:`repro.engine.kernel`): the
 flat lazy DFA and alphabet classes warm up on the first documents and
 are shared across the worker's whole batch.
@@ -117,22 +118,9 @@ _WORKER_ENGINE_LIMIT = 32
 
 _WORKER_ENGINES: "OrderedDict[str, CompiledSpanner]" = OrderedDict()
 
-#: The worker's artifact store; ``False`` until first resolved from the
-#: environment (``None`` when no directory is configured).
-_WORKER_ARTIFACTS: object = False
 
-
-def _worker_init(artifact_dir: "str | None") -> None:
-    """Process-pool initializer: point workers at the parent's artifact dir."""
-    if artifact_dir:
-        from repro.service.artifact_store import ARTIFACT_DIR_ENV
-
-        os.environ[ARTIFACT_DIR_ENV] = artifact_dir
-    # Fork-started workers inherit the parent's counter state; their
-    # snapshots must report only their own attaches.
-    from repro.service.shm_store import reset_worker_counters
-
-    reset_worker_counters()
+def _worker_init() -> None:
+    """Process-pool initializer: arm the fault registry in the worker."""
     # Spawn-started workers parse the fault environment themselves;
     # fork-started ones re-parse so faults armed after the parent first
     # imported the registry still take effect.
@@ -140,39 +128,13 @@ def _worker_init(artifact_dir: "str | None") -> None:
     faults.inject(faults.WORKER_BOOT)
 
 
-def _worker_artifacts():
-    global _WORKER_ARTIFACTS
-    if _WORKER_ARTIFACTS is False:
-        from repro.service.artifact_store import store_from_env
-
-        _WORKER_ARTIFACTS = store_from_env()
-    return _WORKER_ARTIFACTS
-
-
-def _worker_engine(
-    fingerprint: str, automaton_blob: bytes, segment=None
-) -> CompiledSpanner:
+def _worker_engine(fingerprint: str, automaton_blob: bytes) -> CompiledSpanner:
+    """The warm engine for ``fingerprint``, else one built from the blob."""
     engine = _WORKER_ENGINES.get(fingerprint)
     if engine is None:
         if len(_WORKER_ENGINES) >= _WORKER_ENGINE_LIMIT:
             _WORKER_ENGINES.popitem(last=False)
-        if segment is not None:
-            # Cheapest first: rebuild from the segment the coordinating
-            # process published — shared pages, zero-copy mask views.
-            from repro.service import shm_store
-
-            engine = shm_store.attach_engine(segment, fingerprint)
-            if engine is None:
-                shm_store.count_fallback()
-        if engine is None:
-            store = _worker_artifacts()
-            if store is not None:
-                # Warm-load the finished engine — tables, kernel masks and
-                # all — from the artifact the coordinating process saved,
-                # instead of re-deriving everything from the pickled VA.
-                engine = store.load(fingerprint)
-        if engine is None:
-            engine = CompiledSpanner(pickle.loads(automaton_blob))
+        engine = CompiledSpanner(pickle.loads(automaton_blob))
         _WORKER_ENGINES[fingerprint] = engine
     else:
         _WORKER_ENGINES.move_to_end(fingerprint)
@@ -275,42 +237,27 @@ def evaluate_records(
 
 
 def _evaluate_batch(
-    fingerprint: str,
-    automaton_blob: bytes,
-    records,
-    kind: str,
-    spans: bool,
-    segment=None,
+    fingerprint: str, automaton_blob: bytes, records, kind: str, spans: bool
 ):
     """One batch inside a worker process: warm engine lookup, then records.
 
-    ``segment`` is the published shared-memory descriptor for the
-    engine, when the coordinating process has one (see
-    :mod:`repro.service.shm_store`).  Returns ``(triples, (fingerprint,
-    snapshot))``: alongside the result triples, each batch ships back a
-    snapshot of the worker engine's cumulative kernel/cache counters, so
-    the coordinating process can report merged ``--stats`` instead of
-    silently showing only its own (cold) engine.  Counters are
-    cumulative per worker engine, so the pool keeps only the *latest*
-    snapshot per ``(pid, fingerprint)``.
+    Returns ``(triples, (fingerprint, snapshot))``: alongside the result
+    triples, each batch ships back a snapshot of the worker engine's
+    cumulative kernel/cache counters, so the coordinating process can
+    report merged ``--stats`` instead of silently showing only its own
+    (cold) engine.  Counters are cumulative per worker engine, so the
+    pool keeps only the *latest* snapshot per ``(pid, fingerprint)``.
     """
-    from repro.service import shm_store
-
     faults.inject(faults.WORKER_KILL)
     faults.inject(faults.TASK_SLOW)
     faults.inject(faults.TASK_ERROR)
     faults.maybe_poison(records)
-    engine = _worker_engine(fingerprint, automaton_blob, segment)
+    engine = _worker_engine(fingerprint, automaton_blob)
     triples = evaluate_records(engine, records, kind, spans)
-    store = _worker_artifacts()
     snapshot = {
         "pid": os.getpid(),
         "kernel": engine.kernel_stats(),
         "cache": engine.cache_stats(),
-        # Store-wide (per worker process), not per engine: merged by
-        # elementwise max per pid on the coordinating side.
-        "artifacts": store.counters() if store is not None else {},
-        "shm": shm_store.worker_counters(),
     }
     return triples, (fingerprint, snapshot)
 
@@ -338,8 +285,6 @@ class WorkerPool:
     def __init__(
         self,
         workers: int,
-        artifact_dir: "str | None" = None,
-        shared_memory: "bool | None" = None,
         task_timeout: "float | None" = None,
         retry: "RetryPolicy | None" = None,
         max_rebuilds: int = DEFAULT_MAX_REBUILDS,
@@ -356,11 +301,6 @@ class WorkerPool:
         self._task_timeout = task_timeout
         self._retry = retry if retry is not None else RetryPolicy.from_env()
         self._max_rebuilds = max_rebuilds
-        if artifact_dir is None:
-            from repro.service.artifact_store import ARTIFACT_DIR_ENV
-
-            artifact_dir = os.environ.get(ARTIFACT_DIR_ENV)
-        self._artifact_dir = artifact_dir
         # Resilience state: the executor is *replaceable* — a broken or
         # hung pool is reaped and respawned under _pool_lock, and the
         # generation counter makes sure each broken executor is rebuilt
@@ -382,17 +322,6 @@ class WorkerPool:
         self._blobs: "weakref.WeakKeyDictionary[CompiledSpanner, bytes]" = (
             weakref.WeakKeyDictionary()
         )
-        # Engine segments published for this pool's workers; ``None``
-        # when shared memory is off (explicitly, or unavailable).  The
-        # finalizer mirrors shutdown() so abandoned pools — dropped
-        # references, exceptions before shutdown, interpreter exit —
-        # still unlink their segments instead of leaking /dev/shm files.
-        from repro.service.shm_store import ShmStore, shm_available
-
-        use_shm = shared_memory if shared_memory is not None else shm_available()
-        self._shm = ShmStore() if use_shm else None
-        if self._shm is not None:
-            self._shm_finalizer = weakref.finalize(self, self._shm.close)
         # Latest cumulative counter snapshot per (pid, fingerprint); see
         # _evaluate_batch.  Guarded: done-callbacks run on executor threads.
         self._stats_lock = threading.Lock()
@@ -411,26 +340,9 @@ class WorkerPool:
             self._blobs[engine] = blob
         return blob
 
-    def _segment(self, engine: CompiledSpanner):
-        """The engine's published shared-memory descriptor, or ``None``."""
-        if self._shm is None:
-            return None
-        artifact_blob = None
-        if self._artifact_dir:
-            # Reuse the bytes the artifact store already serialised
-            # rather than serialising the engine a second time.
-            from repro.service.artifact_store import ArtifactStore
-
-            artifact_blob = ArtifactStore(self._artifact_dir).read_blob(
-                engine.fingerprint
-            )
-        return self._shm.publish(engine, blob=artifact_blob)
-
     def _spawn_executor(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=self._workers,
-            initializer=_worker_init,
-            initargs=(self._artifact_dir,),
+            max_workers=self._workers, initializer=_worker_init
         )
 
     @property
@@ -504,7 +416,6 @@ class WorkerPool:
                 list(task["records"]),
                 task["kind"],
                 task["spans"],
-                self._segment(engine),
             )
         except BrokenExecutor:
             self._rebuild(generation)
@@ -666,11 +577,7 @@ class WorkerPool:
 
     def _probe_once(self, engine, records, kind: str, spans: bool):
         """One quarantined attempt; ``None`` when the probe pool broke/hung."""
-        probe_pool = ProcessPoolExecutor(
-            max_workers=1,
-            initializer=_worker_init,
-            initargs=(self._artifact_dir,),
-        )
+        probe_pool = ProcessPoolExecutor(max_workers=1, initializer=_worker_init)
         try:
             future = probe_pool.submit(
                 _evaluate_batch,
@@ -679,7 +586,6 @@ class WorkerPool:
                 list(records),
                 kind,
                 spans,
-                self._segment(engine),
             )
             try:
                 triples, (fingerprint, snapshot) = future.result(
@@ -808,40 +714,20 @@ class WorkerPool:
                 for (pid, fp), snapshot in self._worker_stats.items()
                 if fingerprint is None or fp == fingerprint
             ]
-            all_snapshots = list(self._worker_stats.values())
         kernel: dict[str, int] = {}
         cache: dict[str, int] = {}
         for snapshot in snapshots:
             for target, source in ((kernel, "kernel"), (cache, "cache")):
                 for key, value in snapshot[source].items():
                     target[key] = target.get(key, 0) + value
-        # Artifact and shm counters are store-wide per worker process
-        # (cumulative across every engine the worker touched), so the
-        # per-fingerprint filter does not apply: take the elementwise max
-        # per pid — the counters only grow, so the max is the latest —
-        # then sum pids.
-        def merged_per_pid(source: str) -> dict[str, int]:
-            per_pid: dict[int, dict[str, int]] = {}
-            for snapshot in all_snapshots:
-                merged = per_pid.setdefault(snapshot["pid"], {})
-                for key, value in snapshot.get(source, {}).items():
-                    merged[key] = max(merged.get(key, 0), value)
-            totals: dict[str, int] = {}
-            for merged in per_pid.values():
-                for key, value in merged.items():
-                    totals[key] = totals.get(key, 0) + value
-            return totals
-
-        shm = merged_per_pid("shm")
-        if self._shm is not None:
-            for key, value in self._shm.counters().items():
-                shm[key] = shm.get(key, 0) + value
         return {
             "workers": len({snapshot["pid"] for snapshot in snapshots}),
             "kernel": kernel,
             "cache": cache,
-            "artifacts": merged_per_pid("artifacts"),
-            "shm": shm,
+            # Always empty: workers build engines from the pickled
+            # automaton.  Kept because benchmarks/e2e/replay.py reads both.
+            "artifacts": {},
+            "shm": {},
             "resilience": self.resilience(),
         }
 
@@ -857,10 +743,6 @@ class WorkerPool:
                 _settle_exception(outer, PoolBroken("worker pool shut down"))
         if pool is not None:
             pool.shutdown(wait=wait)
-        # After the workers are done (their mapped pages survive the
-        # unlink; only *new* attaches would fail): drop the segments.
-        if self._shm is not None:
-            self._shm.close()
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -9,7 +9,7 @@ can exercise every recovery path deterministically.
 Faults are armed through ``REPRO_FAULTS``, a comma-separated list of
 ``point:trigger`` entries::
 
-    REPRO_FAULTS=worker_kill:0.1,shm_attach:fail,artifact_load:2
+    REPRO_FAULTS=worker_kill:0.1,artifact_load:2
 
 Injection **points** name where the fault fires (each is checked by one
 call site in the service layer):
@@ -22,10 +22,8 @@ call site in the service layer):
 ``task_error``       raise inside batch execution (a poisoned shard)
 ``task_slow``        sleep :data:`SLOW_SECONDS` at task entry (a hung worker,
                      for deadline tests)
-``shm_attach``       fail the shared-memory attach (falls back to the
-                     artifact store, then the pickled automaton)
-``artifact_load``    fail the artifact-store load (falls back to the pickled
-                     automaton)
+``artifact_load``    fail the artifact-store load in the coordinating process
+                     (a counted miss; the engine is compiled instead)
 ``compile``          raise in the server dispatcher's compile path (trips the
                      per-pattern circuit breaker)
 ===================  ==========================================================
@@ -51,10 +49,10 @@ itself when a batch containing one arrives, which is how the chaos suite
 drives the worker pool's batch-bisection path down to a single
 per-document error record.
 
->>> registry = FaultRegistry.parse("shm_attach:2")
->>> [registry.should_fire("shm_attach") for _ in range(4)]
+>>> registry = FaultRegistry.parse("artifact_load:2")
+>>> [registry.should_fire("artifact_load") for _ in range(4)]
 [True, True, False, False]
->>> registry.counters()["shm_attach"]
+>>> registry.counters()["artifact_load"]
 2
 """
 
@@ -72,7 +70,6 @@ __all__ = [
     "COMPILE",
     "FaultRegistry",
     "InjectedFault",
-    "SHM_ATTACH",
     "SLOW_SECONDS",
     "TASK_ERROR",
     "TASK_SLOW",
@@ -100,7 +97,6 @@ WORKER_BOOT = "worker_boot"
 WORKER_KILL = "worker_kill"
 TASK_ERROR = "task_error"
 TASK_SLOW = "task_slow"
-SHM_ATTACH = "shm_attach"
 ARTIFACT_LOAD = "artifact_load"
 COMPILE = "compile"
 

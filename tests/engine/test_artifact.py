@@ -89,14 +89,21 @@ class TestRoundtrip:
         assert restored.fingerprint == engine.fingerprint
 
 
+#: Both readers validate the envelope through one check; every envelope
+#: corruption test runs against each.
+READERS = (deserialize_engine, artifact_meta)
+
+
 class TestFaultInjection:
     def test_truncated_header(self, blob):
-        with pytest.raises(ArtifactError):
-            deserialize_engine(blob[:20])
+        for read in READERS:
+            with pytest.raises(ArtifactError):
+                read(blob[:20])
 
     def test_truncated_payload(self, blob):
-        with pytest.raises(ArtifactError, match="truncated"):
-            deserialize_engine(blob[:-5])
+        for read in READERS:
+            with pytest.raises(ArtifactError, match="truncated"):
+                read(blob[:-5])
 
     @pytest.mark.parametrize(
         "offset_fraction", [0.1, 0.3, 0.5, 0.7, 0.9]
@@ -105,13 +112,15 @@ class TestFaultInjection:
         corrupt = bytearray(blob)
         position = 48 + int((len(blob) - 48) * offset_fraction)
         corrupt[position] ^= 0x40
-        with pytest.raises(ArtifactError):
-            deserialize_engine(bytes(corrupt))
+        for read in READERS:
+            with pytest.raises(ArtifactError):
+                read(bytes(corrupt))
 
     def test_wrong_magic(self, blob):
         assert blob[:4] == MAGIC
-        with pytest.raises(ArtifactError, match="magic"):
-            deserialize_engine(b"NOPE" + blob[4:])
+        for read in READERS:
+            with pytest.raises(ArtifactError, match="magic"):
+                read(b"NOPE" + blob[4:])
 
     def test_wrong_format_version(self, blob):
         bumped = (

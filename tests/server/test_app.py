@@ -244,42 +244,6 @@ class TestArtifactCache:
         assert warm_gauges["repro_artifact_hits"] == 1
         assert warm_gauges["repro_artifact_misses"] == 0
 
-    def test_worker_pool_reads_the_artifact_dir(self, tmp_path):
-        # Shared-memory segments would satisfy the workers before they
-        # ever touch the artifact directory; force the disk path — this
-        # test is about the artifact fallback chain staying intact.
-        directory = str(tmp_path)
-        config = ServerConfig(
-            port=0,
-            workers=2,
-            batch_max_delay=0.005,
-            artifact_dir=directory,
-            shared_memory=False,
-        )
-        with ServerThread(config) as server:
-            with ServerClient(*server.address) as client:
-                expected = client.enumerate(".*x{a+}.*", ["baa"])
-        # Restart with workers: the batches evaluated in worker processes
-        # must warm-load the artifact the first run saved.
-        with ServerThread(config) as server:
-            with ServerClient(*server.address) as client:
-                assert client.enumerate(".*x{a+}.*", ["baa"]) == expected
-                deadline = time.time() + 5
-                hits = 0.0
-                while time.time() < deadline:
-                    metrics = client.metrics_text()
-                    gauges = {
-                        line.split()[0]: float(line.split()[1])
-                        for line in metrics.splitlines()
-                        if line.startswith("repro_artifact_")
-                    }
-                    # dispatcher hit + at least one worker-side hit
-                    hits = gauges.get("repro_artifact_hits", 0.0)
-                    if hits >= 2:
-                        break
-                    time.sleep(0.05)
-        assert hits >= 2
-
 
 class TestWorkerProcesses:
     def test_server_on_worker_pool(self):

@@ -13,14 +13,8 @@ import threading
 import pytest
 
 from repro.engine.compiled import compile_spanner
-from repro.service.artifact_store import (
-    ARTIFACT_DIR_ENV,
-    ArtifactStore,
-    default_artifact_root,
-    store_from_env,
-)
+from repro.service.artifact_store import ArtifactStore, default_artifact_root
 from repro.service.cache import SpannerCache
-from repro.service.evaluate import WorkerPool
 
 pytestmark = pytest.mark.kernel
 
@@ -205,37 +199,7 @@ class TestSpannerCacheIntegration:
         }
 
 
-class TestWorkerWarmLoad:
-    def test_workers_load_the_parents_artifact(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        engine = compile_spanner(PATTERN)
-        store.save(engine, opt_level=1)
-        # Shared-memory segments would satisfy the workers first; turn
-        # them off — this test pins down the disk warm-load path.
-        with WorkerPool(2, artifact_dir=store.root, shared_memory=False) as pool:
-            futures = [
-                pool.submit(engine, [(f"d{i}", DOCUMENT)], kind="extract")
-                for i in range(4)
-            ]
-            for future in futures:
-                (triple,) = future.result()
-                assert triple[2] is None
-        merged = pool.stats(engine.fingerprint)
-        # Each worker process that compiled the engine did so from the
-        # artifact, not the pickled automaton.
-        assert merged["artifacts"].get("hits", 0) >= 1
-        assert merged["artifacts"].get("misses", 0) == 0
-
-
 class TestEnvironmentResolution:
-    def test_store_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(ARTIFACT_DIR_ENV, raising=False)
-        assert store_from_env() is None
-        monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path))
-        resolved = store_from_env()
-        assert resolved is not None
-        assert resolved.root == str(tmp_path)
-
     def test_default_root_honours_xdg(self, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg-test")
         assert default_artifact_root() == (

@@ -1,5 +1,11 @@
 """Corpus evaluation: sharding, ordering, determinism, error isolation."""
 
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.engine.compiled import compile_spanner
@@ -113,8 +119,7 @@ class TestParallel:
     def test_merged_worker_stats_are_the_sum_of_per_worker_counters(self):
         # The --stats/--workers contract: the merged report equals the
         # sum over workers of each worker's latest cumulative snapshot
-        # (kernel/cache summed per (pid, fingerprint); artifact counters
-        # summed per pid).
+        # (kernel/cache summed per (pid, fingerprint)).
         from repro.service.evaluate import WorkerPool
 
         engine = compile_spanner(PATTERN)
@@ -143,6 +148,60 @@ class TestParallel:
                     expected[key] = expected.get(key, 0) + value
             assert merged[section] == expected
         assert merged["kernel"].get("flat_states", 0) > 0  # real work merged
+
+
+#: Runs one batch on a two-worker pool, then reports the interpreter's
+#: child processes (every /proc entry whose parent pid is ours) next to
+#: the pool's worker pids.
+_POOL_CHILDREN_SCRIPT = f"""
+import json, os
+from repro.engine.compiled import compile_spanner
+from repro.service import WorkerPool
+
+def children():
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{{entry}}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == os.getpid():
+            found.append(int(entry))
+    return sorted(found)
+
+with WorkerPool(2) as pool:
+    pool.submit(compile_spanner({PATTERN!r}), [("d0", "baa")]).result()
+    print(json.dumps([children(), sorted(pool.worker_pids())]))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or multiprocessing.get_start_method() != "fork",
+    reason="reads /proc; other start methods run a fork server helper",
+)
+class TestPoolProcesses:
+    def test_pool_owner_starts_no_child_beyond_its_workers(self):
+        """Engines reach workers as pickles, so owning a pool starts no
+        helper process (such as multiprocessing's resource tracker)."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(
+            os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _POOL_CHILDREN_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        children, workers = json.loads(result.stdout)
+        assert len(workers) == 2
+        assert children == workers
 
 
 class TestExtractCorpus:

@@ -26,20 +26,20 @@ class TestParsing:
         assert fired == [True, False, False, False, False]
 
     def test_count_fires_first_n_checks(self):
-        registry = FaultRegistry.parse("shm_attach:3")
-        fired = [registry.should_fire("shm_attach") for _ in range(5)]
+        registry = FaultRegistry.parse("artifact_load:3")
+        fired = [registry.should_fire("artifact_load") for _ in range(5)]
         assert fired == [True, True, True, False, False]
-        assert registry.counters() == {"shm_attach": 3}
+        assert registry.counters() == {"artifact_load": 3}
 
     def test_unarmed_point_never_fires(self):
         registry = FaultRegistry.parse("task_error:fail")
-        assert not registry.should_fire("shm_attach")
+        assert not registry.should_fire("artifact_load")
 
     def test_multiple_entries(self):
-        registry = FaultRegistry.parse("task_error:fail, shm_attach:once")
+        registry = FaultRegistry.parse("task_error:fail, artifact_load:once")
         assert registry.should_fire("task_error")
-        assert registry.should_fire("shm_attach")
-        assert not registry.should_fire("shm_attach")
+        assert registry.should_fire("artifact_load")
+        assert not registry.should_fire("artifact_load")
 
     @pytest.mark.parametrize(
         "text",
@@ -87,10 +87,10 @@ class TestSharedState:
         assert not second.should_fire("worker_kill")
 
     def test_state_file_length_is_the_counter(self, tmp_path):
-        registry = FaultRegistry.parse("shm_attach:1", state_dir=str(tmp_path))
+        registry = FaultRegistry.parse("artifact_load:1", state_dir=str(tmp_path))
         for _ in range(3):
-            registry.should_fire("shm_attach")
-        assert (tmp_path / "shm_attach.fired").stat().st_size == 3
+            registry.should_fire("artifact_load")
+        assert (tmp_path / "artifact_load.fired").stat().st_size == 3
 
 
 class TestModuleRegistry:
@@ -113,14 +113,14 @@ class TestModuleRegistry:
         assert not faults.active()
 
     def test_injected_context_layers_points(self, monkeypatch):
-        monkeypatch.setenv(faults.FAULTS_ENV, "shm_attach:fail")
+        monkeypatch.setenv(faults.FAULTS_ENV, "artifact_load:fail")
         faults.reload()
         with faults.injected("task_error", "fail"):
             with pytest.raises(InjectedFault):
-                faults.inject("shm_attach")
+                faults.inject("artifact_load")
             with pytest.raises(InjectedFault):
                 faults.inject("task_error")
-        assert os.environ[faults.FAULTS_ENV] == "shm_attach:fail"
+        assert os.environ[faults.FAULTS_ENV] == "artifact_load:fail"
         faults.reload()
 
     def test_injected_context_replaces_same_point(self, monkeypatch):

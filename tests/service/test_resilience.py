@@ -15,7 +15,8 @@ import pytest
 
 from tests.conftest import chaos_docs
 from repro.engine.compiled import compile_spanner
-from repro.service import WorkerPool, evaluate_corpus, faults
+from repro.service import SpannerCache, WorkerPool, evaluate_corpus, faults
+from repro.service.artifact_store import ArtifactStore
 from repro.service.resilience import (
     CircuitBreaker,
     PoolBroken,
@@ -309,29 +310,32 @@ class TestGracefulDegradation:
 
 @pytest.mark.chaos
 class TestEngineShippingFallbacks:
-    """shm attach → artifact load → pickled automaton, injected in turn."""
+    """Injected faults on the way to an engine cost counters, not outputs."""
 
     def expected(self, corpus):
         return snapshot(evaluate_corpus(PATTERN, corpus, workers=1))
 
-    def test_shm_attach_failure_falls_back(self, tmp_path):
-        corpus = docs(16)
-        with faults.injected("shm_attach", "fail"):
-            with WorkerPool(2, artifact_dir=str(tmp_path)) as pool:
-                results = snapshot(
-                    evaluate_corpus(PATTERN, corpus, workers=2, pool=pool)
-                )
-        assert results == self.expected(corpus)
-
     def test_artifact_load_failure_falls_back(self, tmp_path):
+        """A failing parent-side artifact load is a counted error: the
+        cache compiles instead and the pool's outputs are unchanged."""
         corpus = docs(16)
-        with faults.injected("shm_attach", "fail"):
-            with faults.injected("artifact_load", "fail"):
-                with WorkerPool(2, artifact_dir=str(tmp_path)) as pool:
-                    results = snapshot(
-                        evaluate_corpus(PATTERN, corpus, workers=2, pool=pool)
-                    )
-        assert results == self.expected(corpus)
+        expected = self.expected(corpus)
+        populate = SpannerCache()
+        populate.attach_artifacts(ArtifactStore(str(tmp_path)))
+        populate.get(PATTERN)
+        assert populate.artifacts.counters()["saves"] == 1
+        store = ArtifactStore(str(tmp_path))
+        cache = SpannerCache()
+        cache.attach_artifacts(store)
+        with faults.injected("artifact_load", "fail"):
+            engine = cache.get(PATTERN)
+            with WorkerPool(2) as pool:
+                results = snapshot(
+                    evaluate_corpus(engine, corpus, workers=2, pool=pool)
+                )
+        assert results == expected
+        assert store.counters()["errors"] >= 1
+        assert store.counters()["hits"] == 0
 
     def test_task_error_fault_reports_not_crashes(self, tmp_path):
         """An injected in-task exception is a deterministic error: it is
