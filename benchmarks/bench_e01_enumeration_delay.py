@@ -10,10 +10,15 @@ the document grows.
 A second arm runs the compiled engine (``CompiledSpanner.enumerate``) over
 the end-to-end benchmark's access-log pattern on 40-160-line
 ``server_logs`` documents and records the log-log slope of the mean
-per-mapping delay against |d|.  Every node generates its accepted spans
-from its own sweeps, so a node costs O(|d|) and the mean delay grows
-about linearly; full mode asserts a slope below 1.15 (quick mode, on
-10-40 lines, only prints it).
+per-mapping delay against |d|.  Sibling nodes share their sweeps: each
+sweep context sweeps the document once (its pin-free prefix and suffix,
+and the first node that runs past its pins), and every other node sweeps
+only its pinned line and the distance to where it rejoins a sibling's
+trail.  Swept positions per mapping stay flat as |d| grows, so the mean
+delay should too; what still grows is the per-node pass over the open
+positions.  Full mode asserts a slope below :data:`MAXIMUM_SLOPE` and
+writes it into the results as ``maximum_slope`` (quick mode, on 10-40
+lines, only prints the slope).
 """
 
 import time
@@ -35,6 +40,9 @@ from repro.workloads import land_registry, server_logs
 
 ROW_COUNTS = sizes(full=[1, 2, 3, 4, 6], quick=[2, 3])
 LOG_LINES = sizes(full=[40, 80, 120, 160], quick=[10, 20, 30, 40])
+#: The E1b bound on the mean-delay log-log slope (full mode): well under
+#: the ~1 of nodes that each sweep the whole document.
+MAXIMUM_SLOPE = 0.4
 
 
 def _delays(automaton, document):
@@ -120,7 +128,10 @@ def test_e01_compiled_enumeration_delay(benchmark):
         ["lines", "|d|", "#outputs", "mean delay ms"],
         rows,
     )
-    print(f"mean-delay log-log slope vs |d|: {slope:.2f} (O(|d|) per node ⇔ ~1)")
+    print(
+        f"mean-delay log-log slope vs |d|: {slope:.2f} "
+        f"(shared sweeps, flat per-mapping work ⇔ ~0; bound {MAXIMUM_SLOPE})"
+    )
     write_results(
         "e01_compiled",
         {
@@ -134,10 +145,11 @@ def test_e01_compiled_enumeration_delay(benchmark):
                 for row in rows
             ],
             "slope": slope,
+            "maximum_slope": MAXIMUM_SLOPE,
         },
     )
     if not quick_mode():  # tiny documents are too noisy for a slope bound
-        assert slope < 1.15
+        assert slope < MAXIMUM_SLOPE
 
     text = server_logs.render(server_logs.generate_lines(LOG_LINES[0], seed=21))
     engine = compile_spanner(LOGS_PATTERN)

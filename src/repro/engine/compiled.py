@@ -13,12 +13,19 @@ tables, the sequentiality check) happens once; per-document work (the
 reachability index) is cached so repeated evaluation of the same document
 — the serving pattern the batch API targets — pays for it once.
 
-Enumeration follows Algorithm 2 exactly, with two engine upgrades:
+Enumeration follows Algorithm 2 exactly, with three engine upgrades:
 
 * each recursion node is a per-node oracle — a
   :class:`~repro.engine.oracle.FlatNodeSweep` that shares sweep prefixes
   across sibling branches on the kernel's flat lazy DFA (sequential
   automata), or a compiled full sweep otherwise;
+* sibling nodes share sweeps too: every :meth:`CompiledSpanner.enumerate`
+  call makes one :class:`~repro.engine.oracle.SweepShare` and hands it
+  down the recursion, so per sweep context the pin-free prefix and
+  suffix are swept once and a node sweeps only its pinned stretch, up to
+  where it rejoins a sibling's trail.  The share lives only for the call
+  — not on the cached document index, not on the kernel that threads
+  share — so it needs no lock;
 * instead of being asked about every span, the node generates its
   accepted spans itself, in the seed's ``i``-major order, from the
   document index's open and close positions (the reachability pruning):
@@ -35,7 +42,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from repro.automata.fingerprint import va_fingerprint
 from repro.automata.va import VA
-from repro.engine.oracle import FlatNodeSweep, GeneralNode, eval_compiled
+from repro.engine.oracle import FlatNodeSweep, GeneralNode, SweepShare, eval_compiled
 from repro.engine.tables import CompiledVA, DocumentIndex, compile_va
 from repro.engine.vector import batch_accept, batch_index
 from repro.plan import Plan, plan as build_plan
@@ -376,7 +383,8 @@ class CompiledSpanner:
         document: "Document | str",
         start: ExtendedMapping | None = None,
     ) -> Iterator[Mapping]:
-        """Algorithm 2 with node-generated spans and prefix-sharing oracles."""
+        """Algorithm 2 with node-generated spans and prefix-sharing oracles
+        (one :class:`~repro.engine.oracle.SweepShare` per call)."""
         text = as_text(document)
         initial = ExtendedMapping.empty() if start is None else start
         if not self.eval(text, initial):
@@ -388,10 +396,15 @@ class CompiledSpanner:
             for variable in sorted(self._cva.mentioned_variables)
             if variable not in base
         ]
-        yield from self._recurse(text, index, base, remaining)
+        yield from self._recurse(text, index, base, remaining, SweepShare())
 
     def _recurse(
-        self, text: str, index: DocumentIndex, base: dict, remaining: list
+        self,
+        text: str,
+        index: DocumentIndex,
+        base: dict,
+        remaining: list,
+        share: SweepShare,
     ) -> Iterator[Mapping]:
         # Invariant: the oracle has confirmed some completion of `base` is in
         # the semantics, so a node with no remaining variables is an output.
@@ -403,7 +416,7 @@ class CompiledSpanner:
         variable = remaining[0]
         rest = remaining[1:]
         if self._cva.is_sequential:
-            node = FlatNodeSweep(self._cva, text, base, variable, index.classes)
+            node = FlatNodeSweep(self._cva, text, base, variable, index.classes, share)
         else:
             node = GeneralNode(self._cva, text, base, variable)
         opens = index.open_positions(variable)
@@ -411,11 +424,11 @@ class CompiledSpanner:
         for span in node.spans(opens, closes):
             child = dict(base)
             child[variable] = span
-            yield from self._recurse(text, index, child, rest)
+            yield from self._recurse(text, index, child, rest, share)
         if node.accepts_null():
             child = dict(base)
             child[variable] = NULL
-            yield from self._recurse(text, index, child, rest)
+            yield from self._recurse(text, index, child, rest, share)
 
     # -- materialised results --------------------------------------------------------
 

@@ -657,12 +657,21 @@ class FlatDFA:
         return target
 
 
+#: One unrecorded trail slot.  Ids stay below :data:`FLAT_STATE_LIMIT`;
+#: an ``array`` slot costs 4 bytes where a list slot costs 8.
+_ZERO_ID = array("i", [0])
+
+
 class Trail:
     """Per-position state ids one sweep records on a :class:`FlatDFA`.
 
-    ``ids[pos]`` resolves through ``table``, the masks list of the
-    generation it was recorded in, so later flushes (by this sweep or
-    any other on the shared DFA) never invalidate it.  When the DFA
+    The ids cover a window of positions: ``ids[pos - lo]`` is the id
+    recorded at ``pos``.  A forward sweep may grow the window at its top
+    by appending (positions recorded one after another), a backward one
+    at its bottom through :meth:`grow_down`; :meth:`id` reads 0 outside
+    the window.  Ids resolve through ``table``, the masks list of the
+    generation they were recorded in, so later flushes (by this sweep or
+    any other on the shared DFA) never invalidate them.  When the DFA
     flushes *while* the sweep runs, the sweep calls :meth:`sync` with
     its frontier: the ids recorded since the last sync are settled into
     masks through the old list, and the trail adopts the new one.  Id 0
@@ -670,20 +679,30 @@ class Trail:
     needs no resolving.
     """
 
-    __slots__ = ("dfa", "ids", "table", "_mark", "_settled")
+    __slots__ = ("dfa", "ids", "lo", "table", "_mark", "_settled")
 
-    def __init__(self, dfa: FlatDFA, size: int, start: int) -> None:
+    def __init__(self, dfa: FlatDFA, size: int, start: int, lo: int = 0) -> None:
         self.dfa = dfa
-        self.ids = [0] * size
-        self.restart(start)
-
-    def restart(self, start: int) -> None:
-        """Begin a new recording at ``start`` on the DFA's current
-        generation (the caller has zeroed the slots it recorded)."""
-        self.table = self.dfa.masks
-        #: The first position recorded since the last generation change.
+        self.ids = _ZERO_ID * size
+        #: The position of ``ids[0]``.
+        self.lo = lo
+        self.table = dfa.masks
+        #: The first position recorded since the last generation change
+        #: (``start``, the sweep's first, until a flush): ids from here on
+        #: — up, or down on a backward sweep — belong to ``table``.
         self._mark = start
-        self._settled: list[int | None] | None = None
+        self._settled: dict[int, int] | None = None
+
+    @property
+    def hi(self) -> int:
+        """One past the window's top position."""
+        return self.lo + len(self.ids)
+
+    def grow_down(self, pos: int) -> None:
+        """Extend the window down to ``pos`` with unrecorded (0) slots."""
+        if pos < self.lo:
+            self.ids[0:0] = _ZERO_ID * (self.lo - pos)
+            self.lo = pos
 
     def sync(self, frontier: int) -> None:
         """Adopt the DFA's current generation if it flushed.
@@ -698,34 +717,46 @@ class Trail:
             return
         settled = self._settled
         if settled is None:
-            settled = self._settled = [None] * len(self.ids)
-        old, ids, mark = self.table, self.ids, self._mark
+            settled = self._settled = {}
+        old, ids, lo, mark = self.table, self.ids, self.lo, self._mark
         if frontier >= mark:
             positions = range(mark, frontier)
         else:
             positions = range(frontier + 1, mark + 1)
         for pos in positions:
-            settled[pos] = old[ids[pos]]
+            settled[pos] = old[ids[pos - lo]]
         self._mark = frontier
         self.table = table
+
+    def current_from(self) -> int | None:
+        """The first position whose id belongs to the DFA's current
+        generation — ids from there up, on a forward trail — or ``None``
+        once the DFA has flushed since the trail's last sync."""
+        return self._mark if self.table is self.dfa.masks else None
+
+    def id(self, pos: int) -> int:
+        """The id recorded at ``pos`` (0 outside the window)."""
+        at = pos - self.lo
+        ids = self.ids
+        return ids[at] if 0 <= at < len(ids) else 0
 
     def mask(self, pos: int) -> int:
         """The state mask recorded at ``pos``."""
         settled = self._settled
         if settled is not None:
-            mask = settled[pos]
+            mask = settled.get(pos)
             if mask is not None:
                 return mask
-        return self.table[self.ids[pos]]
+        return self.table[self.ids[pos - self.lo]]
 
     def masks(self) -> list[int]:
-        """Every recorded position's state mask."""
+        """Every recorded position's state mask, window order."""
         table, settled = self.table, self._settled
         if settled is None:
             return [table[sid] for sid in self.ids]
         return [
-            table[sid] if mask is None else mask
-            for sid, mask in zip(self.ids, settled)
+            table[sid] if (mask := settled.get(pos)) is None else mask
+            for pos, sid in enumerate(self.ids, self.lo)
         ]
 
 

@@ -1,6 +1,6 @@
 """Compiled, memoised ``Eval`` oracles (Theorems 5.7 / 5.10 on tables).
 
-Two layers:
+Two layers, and what the second shares between its instances:
 
 * :func:`eval_compiled` — a drop-in for
   :func:`repro.evaluation.eval_problem.eval_va` that runs the same position
@@ -25,14 +25,23 @@ Two layers:
   :class:`GeneralNode` is the full-sweep oracle for non-sequential
   automata.
 
-The seed evaluators of :mod:`repro.evaluation` are the reference both
-layers are cross-validated against.
+* :class:`SweepShare` — what sibling *nodes* share within one
+  enumeration call.  Nodes of one sweep context differ only in where
+  their pins sit, so the share keeps, per context, the pin-free forward
+  and backward trails and the latest node that swept past its pins: a
+  node sweeps only from its first pin until it rejoins that sibling's
+  trail, and backward only below its last pin.  Per-node sweeping then
+  follows the pinned stretch, not ``|d|``.
+
+The seed evaluators of :mod:`repro.evaluation` are the reference all of
+this is cross-validated against.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
+from typing import NamedTuple
 
 from repro.engine.kernel import Trail
 from repro.engine.tables import CompiledVA, close_key, open_key
@@ -86,9 +95,10 @@ def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, tra
     walks the interned DFA — two indexed loads per character,
     re-interning the live mask only when re-entering from a counted
     closure.  When ``trail`` is given, the id of the count-0 closed state
-    entering every swept position is recorded into it (id 0 — the dead
-    state — stops the sweep).  A flush of the DFA is caught on the miss
-    branch: the sweep re-reads the rows, syncs its trail and carries on.
+    entering every swept position is appended to it — its window must
+    end at ``start`` — and id 0 (the dead state) stops the sweep.  A
+    flush of the DFA is caught on the miss branch: the sweep re-reads
+    the rows, syncs its trail and carries on.
     Returns the final ``(masks, needed)`` pair, or ``None`` once no run
     survives.
     """
@@ -102,7 +112,7 @@ def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, tra
         points = []
     points.append(end + 1)  # sentinel: a final plain run to ``end``
     explore = fdfa.explore
-    ids = None if trail is None else trail.ids
+    record = None if trail is None else trail.ids.append
     pos = start
     state = fdfa.intern(masks[needed])
     if trail is not None:
@@ -112,7 +122,7 @@ def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, tra
         if pos < limit:
             rows = fdfa.rows
             row = rows[state]
-            if ids is None:
+            if record is None:
                 for class_id in classes[pos - 1 : limit - 1]:
                     target = row[class_id]
                     if target < 0:
@@ -129,7 +139,7 @@ def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, tra
                         target = explore(state, class_id)
                         rows = fdfa.rows
                         trail.sync(ahead)
-                    ids[ahead] = target
+                    record(target)
                     if not target:
                         return None
                     state = target
@@ -142,10 +152,10 @@ def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, tra
         upcoming = required[point]
         seeds = context.letter(fdfa.masks[state], classes[point - 2])
         masks = context.closure_counted([seeds], upcoming) if seeds else None
-        if ids is not None:
+        if record is not None:
             entered = fdfa.intern(masks[0]) if masks else 0
             trail.sync(point)
-            ids[point] = entered
+            record(entered)
         if masks is None:
             return None
         needed = len(upcoming)
@@ -297,6 +307,200 @@ def eval_compiled(cva: CompiledVA, text: str, pinned: ExtendedMapping) -> bool:
     return eval_general_compiled(cva, text, pinned)
 
 
+def _sweep_back(fdfa, context, classes, required, trail, position, state, target):
+    """Extend a backward co-acceptance recording down to ``target``.
+
+    ``position`` is the next slot to record and ``state`` the id (in
+    ``trail.table``'s generation) of the co-acceptance states above it;
+    slot ``j`` ends up holding the states (post-closure at ``j``, all of
+    ``j``'s operations done) from which the suffix ``j..end`` still
+    accepts.  Plain positions walk the reverse flat DFA — one step is the
+    whole letter-then-closure composite, and its id is both the recorded
+    slot and the continuation; the positions of ``required`` run the
+    backward counted closure (op edges traversed target → source).  The
+    masks come out closed under the reverse free moves, which is what
+    makes the forward/backward intersection test exact: a forward-closed
+    live mask meets slot ``j`` iff it meets the raw co-acceptance set.
+    Returns the new ``(position, state)`` frontier (state 0 once nothing
+    co-accepts: every lower slot stays 0).
+    """
+    if position < target or not state:
+        return position, state
+    trail.grow_down(target)
+    if fdfa.masks is not trail.table:
+        # Another sweep flushed the shared DFA since the last extension:
+        # carry the frontier over into the new generation.
+        state = fdfa.intern(trail.table[state])
+        trail.sync(position)
+    ids, lo = trail.ids, trail.lo
+    points = sorted((p for p in required if target <= p <= position), reverse=True)
+    points.append(target - 1)  # sentinel: a final plain run down to target
+    rows, explore = fdfa.rows, fdfa.explore
+    for point in points:
+        row = rows[state]
+        while position > point:
+            class_id = classes[position - 1]
+            step = row[class_id]
+            if step < 0:
+                step = explore(state, class_id)
+                rows = fdfa.rows
+                trail.sync(position)
+            ids[position - lo] = step
+            position -= 1
+            if not step:
+                return position, 0
+            state = step
+            row = rows[step]
+        if point < target:
+            break
+        seeds = context.letter_rev(fdfa.masks[state], classes[point - 1])
+        if not seeds:
+            return position, 0
+        ops = required[point]
+        levels = context.closure_counted_rev([seeds], ops)
+        # Level 0 is the closed co-acceptance slot (a span's own ops fire
+        # forward, in the resume's counted closure); the top level carries
+        # the base ops backward.
+        entered = fdfa.intern(levels[0])
+        trail.sync(point)
+        ids[point - lo] = entered
+        top = levels[len(ops)]
+        state = fdfa.intern(top) if top else 0
+        trail.sync(point - 1)
+        rows = fdfa.rows
+        position = point - 1
+        if not state:
+            break
+    return position, state
+
+
+def _segments(starts, trails, end: int, pos: int) -> list[tuple[int, int, Trail]]:
+    """A base trail from ``pos`` on, as ``(begin, stop, trail)`` pieces:
+    positions ``begin ≤ p < stop`` read ``trail``.  ``trails[k]`` holds
+    the positions from ``starts[k]`` up to the next start (the last one
+    up to ``end``)."""
+    at = bisect_right(starts, pos) - 1
+    stops = starts[at + 1 :] + [end + 1]
+    return [
+        (max(starts[at + offset], pos), stop, trails[at + offset])
+        for offset, stop in enumerate(stops)
+    ]
+
+
+class _Reference(NamedTuple):
+    """What later siblings read of a lane's reference node: its base
+    trail pieces, its last pin and its final state.  Not the node itself,
+    which holds its lane — that cycle would keep a finished call's trails
+    alive until the next full garbage collection."""
+
+    starts: list[int]
+    trails: list[Trail]
+    last: int
+    final_masks: list[int]
+    final_needed: int
+
+
+class _Lane:
+    """One sweep context's shared trails inside a :class:`SweepShare`.
+
+    The forward trail records the pin-free base sweep (every pinned
+    operation forbidden) from position 1, the backward trail the pin-free
+    co-acceptance sweep from ``end``; both are extended on demand only
+    (:meth:`forward_to`, :meth:`backward_to`).  ``reference`` is the
+    :class:`_Reference` of the most recent node of the context whose own
+    sweep ran past its last pin: the trail later siblings try to rejoin.
+    """
+
+    __slots__ = (
+        "reference",
+        "_cva",
+        "_end",
+        "_context",
+        "_fdfa",
+        "_flat",
+        "_classes",
+        "_forward",
+        "_backward",
+        "_back_pos",
+        "_back_state",
+    )
+
+    def __init__(self, node: "FlatNodeSweep") -> None:
+        self._cva = node.cva
+        self._end = node.end
+        self.reference: _Reference | None = None
+        self._context = node._context
+        self._fdfa = node._fdfa
+        self._flat = node._flat
+        self._classes = node._classes
+        self._forward: Trail | None = None
+        self._backward: Trail | None = None
+
+    def forward_to(self, pos: int) -> Trail:
+        """The pin-free forward trail, recorded through ``pos`` (or up to
+        where no run survives)."""
+        fdfa, trail = self._fdfa, self._forward
+        if trail is None:
+            with fdfa.lock:
+                state = fdfa.intern(self._context.close(1 << self._cva.initial))
+                trail = self._forward = Trail(fdfa, 1, 1, 1)
+                trail.ids[0] = state
+        top = trail.hi - 1
+        if top < pos and trail.ids[-1]:
+            with fdfa.lock:
+                masks = [trail.mask(top)]
+                _flat_sweep(
+                    fdfa, self._context, self._classes, top, pos, masks, 0, {}, trail
+                )
+        return trail
+
+    def backward_to(self, pos: int) -> Trail:
+        """The pin-free co-acceptance trail, recorded down to ``pos`` (or
+        down to where nothing co-accepts)."""
+        trail = self._backward
+        if trail is None:
+            fdfa = self._flat.context_rev(self._context)
+            end = self._end
+            with fdfa.lock:
+                state = fdfa.intern(self._context.close_rev(1 << self._cva.final))
+                trail = self._backward = Trail(fdfa, end + 1, end)
+                trail.ids[end] = state
+            self._back_pos, self._back_state = end - 1, state
+        if self._back_pos >= pos and self._back_state:
+            fdfa = trail.dfa
+            with fdfa.lock:
+                frontier = (self._back_pos, self._back_state)
+                self._back_pos, self._back_state = _sweep_back(
+                    fdfa, self._context, self._classes, {}, trail, *frontier, pos
+                )
+        return trail
+
+
+class SweepShare:
+    """The sweeps sibling enumeration nodes share, one lane per
+    :class:`~repro.engine.kernel.SweepContext`.
+
+    One share serves one document: :meth:`CompiledSpanner.enumerate
+    <repro.engine.compiled.CompiledSpanner.enumerate>` makes a fresh one
+    per call and hands it to every :class:`FlatNodeSweep` it builds.  It
+    lives only as long as that call — not on the cached document index,
+    not on the kernel that threads share — so it needs no lock of its
+    own; the trails it holds take their DFA's lock like every sweep.
+    """
+
+    __slots__ = ("_lanes",)
+
+    def __init__(self) -> None:
+        self._lanes: dict[object, _Lane] = {}
+
+    def lane(self, node: "FlatNodeSweep") -> _Lane:
+        """The lane of ``node``'s sweep context (opened by its first node)."""
+        lane = self._lanes.get(node._context)
+        if lane is None:
+            lane = self._lanes[node._context] = _Lane(node)
+        return lane
+
+
 class FlatNodeSweep:
     """Sibling-sharing oracle for one recursion node (sequential automata).
 
@@ -306,31 +510,51 @@ class FlatNodeSweep:
     records the count-0 closed state entering every position, shared
     verbatim by every span branch ``(i, j)``: a branch resumes at ``i``
     with the open/close requirements spliced in (base closure is
-    idempotent, so resuming from the closed state is exact).  Plain
-    positions walk the interned flat DFA, and the sharing goes two
-    levels deeper:
+    idempotent, so resuming from the closed state is exact).
 
-    * for a fixed open position ``i``, one *open sweep* (the open
-      spliced at ``i``) records the states entering every later position,
-      so each sibling close position ``j`` resumes from a recorded state
-      instead of re-sweeping ``i..j``;
-    * one *backward co-acceptance sweep* per node records, for every
-      position ``j``, the states that can still complete the suffix
-      ``j..end`` under the base requirements — so the run from ``j`` to
-      ``end`` collapses to a single mask intersection.  Forward masks
-      are closed under the context's free moves and the backward masks
-      are closed under their reversal, so a non-empty intersection is
-      exactly suffix acceptance.
+    The node's pins confine its own work to a short stretch.  Nodes of
+    one sweep context differ only in where their pins sit, so the
+    context's lane in the :class:`SweepShare` keeps what they have in
+    common:
+
+    * **before the first pin** the base sweep is the context's pin-free
+      forward trail, read as it is (and extended to this node's first
+      pin if no sibling has gone that far);
+    * **from the first pin** the node sweeps itself, and past its last
+      pin it compares its state ids with the lane's reference — the most
+      recent sibling that swept past its own last pin — at every position
+      past both last pins where the reference's ids are of the DFA's
+      current generation.  The first match is a rejoin: from there both
+      runs meet no pin and read the same letters, so the node reads the
+      reference's trail (and final state) instead of sweeping on;
+    * **co-acceptance** — the states from which the suffix ``j..end``
+      still accepts, met with a span's live mask at its close ``j`` —
+      comes above the last pin from the lane's pin-free backward trail;
+      the node sweeps backward itself only from its last pin down to the
+      lowest close it is asked about.
+
+    So beyond what it shares, a node costs its pinned stretch, the
+    distance to its rejoin point and its queried closes — not ``|d|``.
+    The base trail is a list of pieces (:func:`_segments`) of those
+    trails.  The sharing goes two levels deeper inside the node: for a
+    fixed open position ``i``, one *open sweep* (the open spliced at
+    ``i``) records the states entering later positions, so each sibling
+    close ``j`` resumes from a recorded state, and the co-acceptance slot
+    at ``j`` turns the run from ``j`` to ``end`` into one mask
+    intersection.
 
     The node generates its accepted spans itself (:meth:`spans`): it
     passes over the open positions once, skips an ``i`` the base run
     never enters or where no ``x⊢`` can fire, and walks the close
     positions ``j ≥ i`` only until the open sweep's frontier dies.  Each
     surviving pair costs one counted closure plus two table lookups —
-    the same verdict :meth:`accepts_span` gives a single span.  All three
-    recordings are :class:`Trail` s, so they stay valid when any sweep
-    flushes the shared DFAs; the open sweep, which resumes across calls,
-    carries its live state over into the new generation.
+    the same verdict :meth:`accepts_span` gives a single span.  Every
+    recording is a :class:`Trail`, so it stays valid when any sweep
+    flushes the shared DFAs; sweeps that resume across calls carry their
+    frontier over into the new generation.
+
+    ``share`` defaults to a fresh, empty share: a lone node sweeps
+    everything itself, exactly as much as one node of a shared context.
     """
 
     __slots__ = (
@@ -344,18 +568,22 @@ class FlatNodeSweep:
         "_fdfa",
         "_classes",
         "_required",
-        "_base",
-        "_entering",
+        "_lane",
+        "_last",
+        "_starts",
+        "_trails",
+        "_forward",
+        "_backward",
+        "_back_pos",
+        "_back_state",
         "_final_masks",
         "_final_needed",
         "_open_key",
         "_close_key",
         "_open_at",
         "_open",
-        "_open_entering",
         "_open_pos",
         "_open_state",
-        "_coaccept",
     )
 
     def __init__(
@@ -365,6 +593,7 @@ class FlatNodeSweep:
         base,
         variable: Variable,
         classes=None,
+        share: SweepShare | None = None,
     ) -> None:
         self.cva = cva
         self.text = text
@@ -376,7 +605,8 @@ class FlatNodeSweep:
         self._close_key = close_key(variable)
         self._open_at = 0  # position of the cached open sweep (0 = none)
         self._open: Trail | None = None
-        self._coaccept: Trail | None = None
+        self._forward: Trail | None = None
+        self._backward: Trail | None = None
         if not self.valid:
             return
         kernel = cva.kernel
@@ -390,36 +620,113 @@ class FlatNodeSweep:
         )
         self._classes = flat.intern(text) if classes is None else classes
         self._fdfa = flat.context(self._context)
-        self._required = requirements.required
+        required = self._required = requirements.required
+        self._last = max(required, default=0)
+        self._lane = (SweepShare() if share is None else share).lane(self)
         self._run_base()
 
     def _run_base(self) -> None:
-        context, fdfa = self._context, self._fdfa
-        required = self._required
-        initial_mask = 1 << self.cva.initial
-        closed = context.close(initial_mask)
-        first = required.get(1)
-        if first:
-            masks = context.closure_counted([initial_mask], first)
-            needed = len(first)
+        lane, end, last = self._lane, self.end, self._last
+        context, fdfa, required = self._context, self._fdfa, self._required
+        first = min(required, default=end)
+        shared = lane.forward_to(first)
+        self._starts, self._trails = [1], [shared]
+        # Until a sweep reaches the end: no run survives.
+        self._final_masks, self._final_needed = [0], 0
+        if not shared.id(first):
+            return  # no pin-free run reaches the first pin
+        entering = shared.mask(first)
+        ops = required.get(first)
+        if ops:
+            masks, needed = context.closure_counted([entering], ops), len(ops)
         else:
-            masks = [closed]
-            needed = 0
+            masks, needed = [entering], 0
+        if first == end:
+            self._final_masks, self._final_needed = masks, needed
+            return
+        reference = lane.reference
         with fdfa.lock:
-            start = fdfa.intern(closed)
-            trail = self._base = Trail(fdfa, self.end + 1, 1)
-            self._entering = trail.ids
-            trail.ids[1] = start
+            own = self._forward = Trail(fdfa, 0, first + 1, first + 1)
+            self._starts.append(first + 1)
+            self._trails.append(own)
             swept = _flat_sweep(
-                fdfa, context, self._classes, 1, self.end, masks, needed, required, trail
+                fdfa, context, self._classes, first, last, masks, needed, required, own
             )
-        if swept is None:
-            # Some position was unreachable in the base context; every
-            # later slot stays 0 and no branch can accept.
-            self._final_masks = [0]
-            self._final_needed = 0
-        else:
-            self._final_masks, self._final_needed = swept
+            if swept is None:
+                return
+            masks, needed = swept
+            if last == end:
+                self._final_masks, self._final_needed = masks, needed
+                return
+            if not masks[needed]:
+                return
+            reached = self._sweep_tail(masks[needed], reference)
+        if reached:
+            lane.reference = _Reference(
+                self._starts, self._trails, last, self._final_masks, self._final_needed
+            )
+
+    def _sweep_tail(self, live: int, reference: _Reference | None) -> bool:
+        """The plain positions after the last pin, from the live mask
+        there, until the end or a rejoin with ``reference`` (the caller
+        holds the DFA lock).  Returns whether a run survives to the end.
+
+        Ids are compared only past both last pins — from there neither
+        run meets a pin — and only against reference ids of the DFA's
+        current generation: a flush under this sweep ends the comparing.
+        """
+        fdfa, own, end = self._fdfa, self._forward, self.end
+        pos = self._last
+        state = fdfa.intern(live)
+        own.sync(pos + 1)
+        stretches = [(end, None)]
+        if reference is not None:
+            bar = max(pos, reference.last)
+            stretches = [(bar, None)] + [
+                (stop - 1, trail)
+                for _, stop, trail in _segments(reference.starts, reference.trails, end, bar + 1)
+            ]
+        record, classes = own.ids.append, self._classes
+        rows, explore = fdfa.rows, fdfa.explore
+        row = rows[state]
+        for stop, trail in stretches:
+            if pos >= stop:
+                continue
+            # ``mark``: the first position whose reference id is comparable.
+            table, mark, ids, lo = None, end + 1, (), 0
+            if trail is not None and trail.current_from() is not None:
+                table, mark = trail.table, trail.current_from()
+                ids, lo = trail.ids, trail.lo
+            for ahead, class_id in enumerate(classes[pos - 1 : stop - 1], pos + 1):
+                target = row[class_id]
+                if target < 0:
+                    target = explore(state, class_id)
+                    rows = fdfa.rows
+                    own.sync(ahead)
+                    if fdfa.masks is not table:
+                        mark = end + 1
+                record(target)
+                if not target:
+                    return False
+                if ahead >= mark and target == ids[ahead - lo]:
+                    # Rejoined: read the reference from the next position on.
+                    tail = _segments(reference.starts, reference.trails, end, ahead + 1)
+                    for begin, _, shared in tail:
+                        if begin <= end:
+                            self._starts.append(begin)
+                            self._trails.append(shared)
+                    self._final_masks = reference.final_masks
+                    self._final_needed = reference.final_needed
+                    return True
+                state = target
+                row = rows[target]
+            pos = stop
+        self._final_masks, self._final_needed = [fdfa.masks[state]], 0
+        return True
+
+    def _base(self, pos: int) -> Trail:
+        """The trail holding the base sweep's state entering ``pos``."""
+        return self._trails[bisect_right(self._starts, pos) - 1]
 
     def accepts_null(self) -> bool:
         """The verdict for ``µ[x → ⊥]`` — the base sweep's own acceptance."""
@@ -430,9 +737,9 @@ class FlatNodeSweep:
             return False
         return bool((self._final_masks[tail] >> self.cva.final) & 1)
 
-    def _open_sweep(self, i: int, j: int) -> list[int]:
-        """State ids entering positions ``(i, j]`` after splicing the open
-        at ``i`` (resolve them through :attr:`_open`).
+    def _open_sweep(self, i: int, j: int) -> Trail:
+        """The trail of state ids entering positions ``(i, j]`` after
+        splicing the open at ``i``.
 
         One sweep per distinct ``i``, cached and extended *lazily*:
         :meth:`spans` is ``i``-major, so sibling close positions hit the
@@ -445,15 +752,13 @@ class FlatNodeSweep:
         """
         if self._open_at == i:
             pos = self._open_pos
-            if pos >= j:
-                return self._open_entering
             state = self._open_state
-            if not state:
-                return self._open_entering  # a dead frontier leaves 0s
+            if pos >= j or not state:
+                return self._open  # a dead frontier reads 0 past the window
             live = None
         else:
             ops = self._required.get(i, _NO_OPS) | {self._open_key}
-            masks = self._context.closure_counted([self._base.mask(i)], ops)
+            masks = self._context.closure_counted([self._base(i).mask(i)], ops)
             live = masks[len(ops)]
             pos = i
         fdfa = self._fdfa
@@ -462,17 +767,7 @@ class FlatNodeSweep:
         with fdfa.lock:
             if live is not None:  # a fresh open sweep
                 state = fdfa.intern(live) if live else 0
-                trail = self._open
-                if trail is None:
-                    trail = self._open = Trail(fdfa, self.end + 1, i + 1)
-                    self._open_entering = trail.ids
-                else:
-                    # Reuse the slots: zero what the last open sweep recorded.
-                    done = self._open_at
-                    trail.ids[done + 1 : self._open_pos + 1] = [0] * (
-                        self._open_pos - done
-                    )
-                    trail.restart(i + 1)
+                trail = self._open = Trail(fdfa, 0, i + 1, i + 1)
                 self._open_at = i
             else:
                 trail = self._open
@@ -482,7 +777,7 @@ class FlatNodeSweep:
                     # generation.
                     state = fdfa.intern(trail.table[state])
                     trail.sync(pos + 1)
-            ids = trail.ids
+            record = trail.ids.append
             rows, explore = fdfa.rows, fdfa.explore
             while pos < j and state:
                 ahead = pos + 1
@@ -494,7 +789,7 @@ class FlatNodeSweep:
                         target = explore(state, class_id)
                         rows = fdfa.rows
                         trail.sync(ahead)
-                    ids[ahead] = target
+                    record(target)
                     state = target
                 else:
                     seeds = context.letter(fdfa.masks[state], classes[pos - 1])
@@ -503,7 +798,7 @@ class FlatNodeSweep:
                         masks = context.closure_counted([seeds], ops)
                         entered = fdfa.intern(masks[0])
                         trail.sync(ahead)
-                        ids[ahead] = entered
+                        record(entered)
                         live = masks[len(ops)]
                         if live:
                             state = fdfa.intern(live)
@@ -512,78 +807,47 @@ class FlatNodeSweep:
                 pos = ahead
         self._open_pos = pos
         self._open_state = state
-        return ids
-
-    def _coaccepting(self) -> Trail:
-        """Co-acceptance states: slot ``j`` holds the states (post-closure
-        at ``j``, all of ``j``'s operations done) from which the suffix
-        ``j..end`` still accepts under the base requirements.
-
-        One backward sweep per node, computed on the first span query:
-        plain positions walk the reverse flat DFA, required positions
-        run the backward counted closure (op edges traversed target →
-        source).  The masks come out closed under the reverse free
-        moves, which is what makes the forward/backward intersection
-        test exact: a forward-closed live mask meets slot ``j`` iff it
-        meets the raw co-acceptance set.
-        """
-        trail = self._coaccept
-        if trail is not None:
-            return trail
-        context, classes = self._context, self._classes
-        end = self.end
-        required = self._required
-        final_mask = 1 << self.cva.final
-        tail = required.get(end)
-        if tail:
-            current = context.closure_counted_rev([final_mask], tail)[len(tail)]
-        else:
-            current = context.close_rev(final_mask)
-        points = [p for p in sorted(required, reverse=True) if p < end]
-        points.append(0)  # sentinel: a final plain run down to position 1
-        position = end - 1
-        fdfa = self._flat.context_rev(context)
-        with fdfa.lock:
-            state = fdfa.intern(current)
-            trail = Trail(fdfa, end + 1, end - 1)
-            ids = trail.ids
-            rows, explore = fdfa.rows, fdfa.explore
-            for point in points:
-                row = rows[state]
-                while position > point and state:
-                    # Plain position: one reverse-DFA step is the whole
-                    # letter-then-closure composite, and its id is both the
-                    # recorded slot and the continuation.
-                    class_id = classes[position - 1]
-                    target = row[class_id]
-                    if target < 0:
-                        target = explore(state, class_id)
-                        rows = fdfa.rows
-                        trail.sync(position)
-                    ids[position] = target
-                    state = target
-                    row = rows[target]
-                    position -= 1
-                if not state or not point:
-                    break
-                seeds = context.letter_rev(fdfa.masks[state], classes[point - 1])
-                if not seeds:
-                    break
-                ops = required[point]
-                levels = context.closure_counted_rev([seeds], ops)
-                # Level 0 is the closed co-acceptance slot (the span's own
-                # ops fire forward, in the resume's counted closure); the
-                # top level carries the base ops backward.
-                entered = fdfa.intern(levels[0])
-                trail.sync(point)
-                ids[point] = entered
-                top = levels[len(ops)]
-                state = fdfa.intern(top) if top else 0
-                trail.sync(point - 1)
-                rows = fdfa.rows
-                position = point - 1
-        self._coaccept = trail
         return trail
+
+    def _coaccepting(self, j: int) -> int:
+        """The co-acceptance mask at ``j < end`` (0 when nothing
+        co-accepts there) under the base requirements.
+
+        Above the last pin it is the lane's pin-free backward trail.  At
+        or below it, the node's own backward sweep starts from the lane's
+        slot just above the last pin (or from the end's operations when
+        the last pin is ``end``) and is extended lazily down to the
+        lowest ``j`` asked for.
+        """
+        last, end = self._last, self.end
+        if j > last:
+            trail = self._lane.backward_to(j)
+        else:
+            trail = self._backward
+            context = self._context
+            if trail is None:
+                fdfa = self._flat.context_rev(context)
+                final_mask = 1 << self.cva.final
+                if last == end:
+                    tail = self._required[end]
+                    current = context.closure_counted_rev([final_mask], tail)[len(tail)]
+                    position = end - 1
+                else:
+                    above = self._lane.backward_to(last + 1)
+                    current = above.mask(last + 1) if above.id(last + 1) else 0
+                    position = last
+                with fdfa.lock:
+                    state = fdfa.intern(current) if current else 0
+                    trail = self._backward = Trail(fdfa, 0, position, position + 1)
+                self._back_pos, self._back_state = position, state
+            if self._back_pos >= j and self._back_state:
+                fdfa = trail.dfa
+                with fdfa.lock:
+                    frontier = (self._back_pos, self._back_state)
+                    self._back_pos, self._back_state = _sweep_back(
+                        fdfa, context, self._classes, self._required, trail, *frontier, j
+                    )
+        return trail.mask(j) if trail.id(j) else 0
 
     def accepts_span(self, span: Span) -> bool:
         """The verdict for ``µ[x → span]``, resumed from the shared prefix."""
@@ -592,7 +856,7 @@ class FlatNodeSweep:
         i, j = span.begin, span.end
         if i < 1 or j > self.end or self.variable not in self.cva.variables:
             return False
-        if not self._entering[i]:
+        if not self._base(i).id(i):
             return False
         return self._resume(i, j)
 
@@ -611,23 +875,26 @@ class FlatNodeSweep:
         """
         if not self.valid or self.variable not in self.cva.variables:
             return
-        entering, required, base = self._entering, self._required, self._base
+        required = self._required
         sources = 0
         for source_bit, _ in self._context.op_edges(self._open_key):
             sources |= source_bit
         resume = self._resume
         count = len(closes)
-        for i in opens:
-            if not entering[i]:
-                continue
-            if i not in required and not base.mask(i) & sources:
-                continue
-            for at in range(bisect_left(closes, i), count):
-                j = closes[at]
-                if self._open_at == i and not self._open_state and self._open_pos < j:
-                    break  # every slot past the dead frontier is 0
-                if resume(i, j):
-                    yield Span(i, j)
+        for begin, stop, trail in _segments(self._starts, self._trails, self.end, 1):
+            ids, lo = trail.ids, trail.lo
+            size = len(ids)
+            for i in opens[bisect_left(opens, begin) : bisect_left(opens, stop)]:
+                if i - lo >= size or not ids[i - lo]:
+                    continue
+                if i not in required and not trail.mask(i) & sources:
+                    continue
+                for at in range(bisect_left(closes, i), count):
+                    j = closes[at]
+                    if self._open_at == i and not self._open_state and self._open_pos < j:
+                        break  # every slot past the dead frontier is 0
+                    if resume(i, j):
+                        yield Span(i, j)
 
     def _resume(self, i: int, j: int) -> bool:
         """The verdict for ``µ[x → (i, j)]`` once the base run enters ``i``:
@@ -639,22 +906,22 @@ class FlatNodeSweep:
             # Empty span: both operations splice into one position's
             # counted closure, resumed from the base entering state.
             ops = required.get(i, _NO_OPS) | {self._open_key, self._close_key}
-            levels = context.closure_counted([self._base.mask(i)], ops)
+            levels = context.closure_counted([self._base(i).mask(i)], ops)
         else:
-            if not self._open_sweep(i, j)[j]:
+            trail = self._open_sweep(i, j)
+            if not trail.id(j):
                 return False
             # Resume at ``j``: the close joins whatever base operations
             # ``j`` already requires (closure idempotence makes resuming
             # from the recorded closed state exact, as at the node level).
             ops = required.get(j, _NO_OPS) | {self._close_key}
-            levels = context.closure_counted([self._open.mask(j)], ops)
+            levels = context.closure_counted([trail.mask(j)], ops)
         live = levels[len(ops)]
         if not live:
             return False
         if j == self.end:
             return bool((live >> self.cva.final) & 1)
-        coaccept = self._coaccepting()
-        return bool(coaccept.ids[j] and live & coaccept.mask(j))
+        return bool(live & self._coaccepting(j))
 
 
 class GeneralNode:

@@ -16,6 +16,7 @@ defaults low so the tier-1 run stays fast, and the dedicated CI job
 raises it through ``REPRO_DIFFERENTIAL_EXAMPLES``.
 """
 
+import functools
 import os
 import random
 import sys
@@ -34,6 +35,7 @@ from repro.engine.kernel import numpy_or_none
 from repro.engine.oracle import (
     FlatNodeSweep,
     GeneralNode,
+    SweepShare,
     eval_general_compiled,
     eval_sequential_compiled,
 )
@@ -44,8 +46,9 @@ from repro.evaluation.eval_problem import eval_va
 from repro.plan import OPT_LEVELS, plan
 from repro.rgx.parser import parse
 from repro.rgx.semantics import mappings as seed_mappings
-from repro.spans.mapping import NULL, ExtendedMapping
+from repro.spans.mapping import NULL, ExtendedMapping, Mapping
 from repro.spans.span import Span, all_spans
+from repro.workloads import land_registry, server_logs
 from repro.workloads.expressions import seller_like_sequential_rgx
 from tests.engine_checks import FlushTally, flat_limit, reference_index
 from tests.strategies import VARIABLES, documents, rgx_expressions
@@ -91,6 +94,76 @@ def _seed_decoded(automaton, document):
         {v: s.content(document) for v, s in mapping.items()}
         for mapping in enumerate_va_oracle(automaton, document)
     ]
+
+
+def _algorithm2_key(mapping: Mapping, variables) -> tuple:
+    """Algorithm 2's output order as a sort key: variable by variable in
+    sorted order, its spans ``i``-major then ``j``, unassigned (⊥) last."""
+    return tuple(
+        (0, mapping[v].begin, mapping[v].end) if v in mapping else (1, 0, 0)
+        for v in sorted(variables)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _seed_set(expression, document) -> frozenset[Mapping]:
+    return frozenset(seed_mappings(expression, document))
+
+
+def _seed_ordered(expression, document, start=None) -> list[Mapping]:
+    """The seed semantics' mappings extending ``start``, in Algorithm 2's
+    order — the seed enumerator's output without its ``O(|d|²)``
+    candidate loop, so it stays usable on multi-line documents."""
+    pins = dict(start.items()) if start is not None else {}
+    found = [
+        mapping
+        for mapping in _seed_set(expression, document)
+        if all(
+            variable not in mapping if value is NULL else mapping.get(variable) == value
+            for variable, value in pins.items()
+        )
+    ]
+    variables = set(pins).union(*(mapping.domain for mapping in found))
+    return sorted(found, key=lambda mapping: _algorithm2_key(mapping, variables))
+
+
+def _shared_walk(cva, document, start=None) -> tuple[list[Mapping], list[FlatNodeSweep]]:
+    """Algorithm 2's recursion as ``CompiledSpanner.enumerate`` runs it —
+    children built while their parent's span generator is paused — over
+    nodes sharing one :class:`SweepShare`.  Every node is checked against
+    a private twin (its own empty share) on its accepted spans, ``⊥``
+    verdict and every candidate span's verdict.  Returns the outputs in
+    order and the shared nodes in creation order."""
+    index = DocumentIndex(cva, document)
+    share = SweepShare()
+    outputs: list[Mapping] = []
+    nodes: list[FlatNodeSweep] = []
+
+    def walk(base, remaining):
+        if not remaining:
+            outputs.append(Mapping({v: s for v, s in base.items() if isinstance(s, Span)}))
+            return
+        variable, rest = remaining[0], remaining[1:]
+        node = FlatNodeSweep(cva, document, base, variable, index.classes, share)
+        nodes.append(node)
+        positions = (index.open_positions(variable), index.close_positions(variable))
+        accepted = []
+        for span in node.spans(*positions):
+            accepted.append(span)
+            walk({**base, variable: span}, rest)
+        twin = FlatNodeSweep(cva, document, base, variable)
+        assert accepted == list(twin.spans(*positions)), (base, variable)
+        assert node.accepts_null() == twin.accepts_null(), (base, variable)
+        for span in index.candidate_spans(variable):
+            assert node.accepts_span(span) == twin.accepts_span(span), (base, variable, span)
+        if node.accepts_null():
+            walk({**base, variable: NULL}, rest)
+
+    pins = ExtendedMapping.empty() if start is None else start
+    if eval_sequential_compiled(cva, document, pins):
+        base = dict(pins.items())
+        walk(base, [v for v in sorted(cva.mentioned_variables) if v not in base])
+    return outputs, nodes
 
 
 class TestFlatAgainstDictAndSets:
@@ -460,49 +533,272 @@ class TestFlatEdgeCases:
     def test_threads_sharing_an_engine_across_flushes(self):
         """Threads enumerating on one engine flush its shared DFAs under
         each other's sweeps; every sweep segment holds its DFA's lock, so
-        each thread still gets the seed's output."""
-        expression = parse("(a|b)*x{a(a|b)*}(a|b)*b(a|b)(a|b)")
-        automaton = plan(expression, opt_level=1).automaton
+        each thread still gets the seed's output.  The multi-line logs run
+        at a budget of 2 with many sibling nodes per sweep context: every
+        enumeration call keeps its sweep share to itself, so no thread
+        resumes or rejoins another call's trails."""
         rng = random.Random(7)
-        documents = [
+        suffix_documents = [
             "".join(rng.choice("ab") for _ in range(rng.randint(16, 28)))
             for _ in range(8)
         ]
-        expected = [list(enumerate_va_oracle(automaton, text)) for text in documents]
-        assert any(expected)
-        failures = []
-        with flat_limit(3) as probe:
-            engine = compile_spanner(expression, opt_level=1)
+        suffix = parse("(a|b)*x{a(a|b)*}(a|b)*b(a|b)(a|b)")
+        automaton = plan(suffix, opt_level=1).automaton
+        log_documents = [
+            server_logs.render(server_logs.generate_lines(6, seed=seed)) for seed in range(6)
+        ]
+        suffix_expected = [
+            list(enumerate_va_oracle(automaton, text)) for text in suffix_documents
+        ]
+        log_expected = [_seed_ordered(LOGS, text) for text in log_documents]
+        cases = [
+            (3, suffix, suffix_documents, 40, suffix_expected),
+            (2, LOGS, log_documents, 6, log_expected),
+        ]
+        for limit, expression, documents, rounds, expected in cases:
+            assert any(expected)
+            failures = []
+            with flat_limit(limit) as probe:
+                engine = compile_spanner(expression, opt_level=1)
 
-            def work(offset):
+                def work(offset):
+                    try:
+                        for round_ in range(rounds):
+                            for k in range(len(documents)):
+                                index = (k + offset + round_) % len(documents)
+                                got = list(engine.enumerate(documents[index]))
+                                if got != expected[index]:
+                                    failures.append((offset, index))
+                            verdicts = engine.matches_many(documents[offset:])
+                            if verdicts != [bool(out) for out in expected[offset:]]:
+                                failures.append((offset, "matches_many"))
+                    except Exception as error:  # reported below, not swallowed
+                        failures.append(repr(error))
+
+                threads = [
+                    threading.Thread(target=work, args=(offset,)) for offset in range(6)
+                ]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
                 try:
-                    for round_ in range(40):
-                        for k in range(len(documents)):
-                            index = (k + offset + round_) % len(documents)
-                            got = list(engine.enumerate(documents[index]))
-                            if got != expected[index]:
-                                failures.append((offset, index))
-                        verdicts = engine.matches_many(documents[offset:])
-                        if verdicts != [bool(out) for out in expected[offset:]]:
-                            failures.append((offset, "matches_many"))
-                except Exception as error:  # reported below, not swallowed
-                    failures.append(repr(error))
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=120)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert not any(thread.is_alive() for thread in threads)
+            assert failures == [], limit
+            assert probe.flushes > 0
 
-            threads = [
-                threading.Thread(target=work, args=(offset,)) for offset in range(6)
-            ]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=120)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
+
+#: Multi-line documents: each line or row opens a sibling node in most
+#: sweep contexts, so the nodes share prefixes, suffixes and rejoins.
+LOGS = server_logs.access_expression()
+LOGS_DOCUMENT = server_logs.render(server_logs.generate_lines(9, seed=5))
+REGISTRY = land_registry.seller_tax_expression()
+REGISTRY_DOCUMENT = land_registry.generate_document(12, seed=6)
+#: Tail states that keep changing (the last three letters are tracked),
+#: so a sibling's sweep past its pins flushes small DFAs deep into the
+#: stretch it compares.
+SUFFIX = parse("(a|b)*x{a}(a|b)*(y{b}|ε)(a|b)*a(a|b)(a|b)")
+SUFFIX_DOCUMENT = "abbababbaabbabb"
+#: ``x`` sorts first but sits later in the text, with a fixed-length
+#: tail after it: nodes refining ``y`` sweep backward from ``x``'s close
+#: themselves, where no ``.*`` loop blurs a slot taken one position off.
+TAIL = parse("(a|b)*y{a}(a|b)*x{b}(a|b)(a|b)")
+TAIL_DOCUMENT = "abbababbaabbab"
+#: Acceptance needs the footer: a rejoin mid-document must take the
+#: reference's final state, not the state it rejoined in.
+FOOTER = parse(".*x{a+}(,y{b+}|ε);.*!")
+FOOTER_DOCUMENT = "aa,b;a;aa,bb;b;a,b;a;bab;!"
+
+
+def _first_output(expression, document, variable):
+    """A span some output assigns to ``variable`` (an ``enumerate(start=...)`` pin)."""
+    return min(
+        mapping[variable]
+        for mapping in _seed_set(expression, document)
+        if variable in mapping
+    )
+
+
+class TestSharedSweeps:
+    """Sibling nodes sharing a :class:`SweepShare` (pin-free prefix and
+    suffix trails, rejoins with a sibling's trail) answer exactly like
+    private nodes, and enumeration stays the seed's, order included."""
+
+    def test_algorithm2_key_is_the_seed_enumerators_order(self):
+        """The order key the multi-line cases sort the seed semantics by
+        is the seed enumerator's own order (checked where it is fast)."""
+        cases = [
+            (REGISTRY, land_registry.generate_document(3, seed=14)),
+            (parse(".*x{a+}y{b*}.*"), "aabab"),
+        ]
+        for expression, document in cases:
+            automaton = plan(expression, opt_level=1).automaton
+            expected = list(enumerate_va_oracle(automaton, document))
+            assert len(expected) > 1
+            assert _seed_ordered(expression, document) == expected
+
+    @pytest.mark.parametrize(
+        "expression, document, start, rejoins",
+        [
+            pytest.param(LOGS, LOGS_DOCUMENT, None, True, id="logs"),
+            pytest.param(LOGS, LOGS_DOCUMENT, {"ref": NULL}, True, id="logs-null-ref"),
+            pytest.param(LOGS, LOGS_DOCUMENT, {"status": "first"}, False, id="logs-pinned-status"),
+            pytest.param(REGISTRY, REGISTRY_DOCUMENT, None, True, id="registry"),
+            pytest.param(REGISTRY, REGISTRY_DOCUMENT, {"y": NULL}, False, id="registry-null-tax"),
+            pytest.param(
+                REGISTRY, REGISTRY_DOCUMENT, {"x": "first"}, False, id="registry-pinned-name"
+            ),
+            pytest.param(SUFFIX, SUFFIX_DOCUMENT, None, True, id="suffix"),
+            pytest.param(FOOTER, FOOTER_DOCUMENT, None, True, id="footer"),
+            pytest.param(TAIL, TAIL_DOCUMENT, None, False, id="tail"),
+        ],
+    )
+    def test_shared_nodes_match_private_nodes_and_the_seed(
+        self, expression, document, start, rejoins
+    ):
+        """Every budget: each shared node against its private twin, and
+        the enumeration (library and shared walk) against the seed.
+        ``"first"`` stands for the span the first output assigns;
+        ``rejoins`` says whether siblings rejoin at the unbounded budget."""
+        if start is not None:
+            start = ExtendedMapping(
+                {
+                    variable: _first_output(expression, document, variable)
+                    if value == "first"
+                    else value
+                    for variable, value in start.items()
+                }
+            )
+        expected = _seed_ordered(expression, document, start)
+        assert expected
+        tally = FlushTally()
+        rejoined = []
+
+        def run():
+            engine = compile_spanner(expression, opt_level=1)
+            assert list(engine.enumerate(document, start)) == expected
+            outputs, nodes = _shared_walk(engine.tables, document, start)
+            assert outputs == expected
+            rejoined.append(sum(len(node._trails) > 2 for node in nodes))
+
+        tally.run(run)
+        tally.assert_flushed()
+        assert (rejoined[0] > 0) == rejoins, rejoined
+
+    @pytest.mark.parametrize("limit", [2, 3, 20])
+    def test_a_flush_between_the_reference_and_a_rejoin_check(self, limit):
+        """A sibling records the lane's rejoin reference, then a sweep on
+        the same DFA flushes it: the reference's ids now belong to a dead
+        generation, so later siblings must not rejoin on them — they
+        answer like private nodes.  At 2 and 3 states stale ids collide
+        with live ones; at 20 the later sibling's sweep mostly hits cached
+        rows, so its rejoin check really reads the reference's ids."""
+        with flat_limit(limit) as probe:
+            cva = compile_va(plan(LOGS, opt_level=1).automaton)
+            index = DocumentIndex(cva, LOGS_DOCUMENT)
+            share = SweepShare()
+            root = FlatNodeSweep(cva, LOGS_DOCUMENT, {}, "path", index.classes, share)
+            paths = list(
+                root.spans(index.open_positions("path"), index.close_positions("path"))
+            )
+            assert len(paths) > 3
+            positions = (index.open_positions("ref"), index.close_positions("ref"))
+            checked = 0
+            for at, span in enumerate(paths):
+                node = FlatNodeSweep(
+                    cva, LOGS_DOCUMENT, {"path": span}, "ref", index.classes, share
+                )
+                reference = node._lane.reference
+                if reference is None or reference.trails is not node._trails:
+                    continue  # not the lane's reference
+                if at == len(paths) - 1:
+                    continue
+                flushes = node._fdfa.flushes
+                # A private sibling on the same context DFA flushes it.
+                FlatNodeSweep(cva, LOGS_DOCUMENT, {"path": paths[-1]}, "ref")
+                assert node._fdfa.flushes > flushes
+                assert node._forward.current_from() is None
+                later = paths[at + 1]
+                sibling = FlatNodeSweep(
+                    cva, LOGS_DOCUMENT, {"path": later}, "ref", index.classes, share
+                )
+                twin = FlatNodeSweep(cva, LOGS_DOCUMENT, {"path": later}, "ref")
+                assert node._forward not in sibling._trails
+                assert list(sibling.spans(*positions)) == list(twin.spans(*positions))
+                assert sibling.accepts_null() == twin.accepts_null()
+                for candidate in index.candidate_spans("ref"):
+                    assert sibling.accepts_span(candidate) == twin.accepts_span(candidate)
+                checked += 1
+            assert checked
         assert probe.flushes > 0
+
+    @pytest.mark.parametrize("limit", [2, 3, 8])
+    def test_lane_trails_resume_across_flushes(self, limit):
+        """The shared trails grow in steps, and between two steps other
+        sweeps flush their DFAs: every slot still holds the mask one
+        uninterrupted sweep records."""
+        document = LOGS_DOCUMENT
+        end = len(document) + 1
+        with flat_limit(limit) as probe:
+            cva = compile_va(plan(LOGS, opt_level=1).automaton)
+            stepped = FlatNodeSweep(cva, document, {}, "path")._lane
+            whole = FlatNodeSweep(cva, document, {}, "path")._lane
+            step = end // 6
+            for target in range(1, end + 1, step):
+                stepped.forward_to(target)
+                stepped.backward_to(end + 1 - target)
+                flushes = probe.flushes
+                # Private sweeps on the same context DFAs, both directions.
+                other = FlatNodeSweep(cva, document, {}, "path")
+                other._lane.forward_to(end)
+                other._lane.backward_to(1)
+                assert probe.flushes > flushes
+            forward, backward = stepped.forward_to(end), stepped.backward_to(1)
+            expected_forward, expected_backward = whole.forward_to(end), whole.backward_to(1)
+            for pos in range(1, end + 1):
+                assert forward.id(pos) and backward.id(pos), pos
+                assert forward.mask(pos) == expected_forward.mask(pos), pos
+                assert backward.mask(pos) == expected_backward.mask(pos), pos
+
+    def test_siblings_sweep_only_their_pinned_stretch(self, monkeypatch):
+        """On a 160-line log, each sweep context has one node that sweeps
+        to the end — the first whose run survives its pins — and every
+        other node's own windows stay within its pinned line and the
+        distance to its rejoin point: a few hundred positions at most."""
+        nodes = []
+        build = FlatNodeSweep.__init__
+
+        def recording(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            nodes.append(self)
+
+        monkeypatch.setattr(FlatNodeSweep, "__init__", recording)
+        lines = server_logs.generate_lines(160, seed=181)
+        document = server_logs.render(lines)
+        engine = compile_spanner(LOGS, opt_level=1)
+        found = list(engine.enumerate(document))
+        assert server_logs.extraction_tuples(document, found) == (
+            server_logs.expected_tuples(lines)
+        )
+        contexts: dict[object, list[FlatNodeSweep]] = {}
+        for node in nodes:
+            contexts.setdefault(node._context, []).append(node)
+        assert max(len(siblings) for siblings in contexts.values()) >= 100
+        bound = 200
+        for siblings in contexts.values():
+            forward = sorted(
+                0 if node._forward is None else node._forward.hi - node._forward.lo
+                for node in siblings
+            )
+            assert forward[:-1] == [] or forward[-2] <= bound, forward[-3:]
+            for node in siblings:
+                if node._backward is not None:
+                    assert node._backward.hi - node._backward.lo <= bound
+        assert len(document) > 20 * bound
 
 
 #: 300 two-character alternatives over distinct code points: 300 alphabet

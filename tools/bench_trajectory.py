@@ -2,20 +2,30 @@
 
 Every benchmark that runs with ``REPRO_BENCH_JSON`` set writes a
 ``BENCH_<name>.json`` file (see :func:`benchmarks._harness.write_results`)
-carrying its headline series — most importantly ``median_speedup``, a
-mapping of workload family to the measured median speedup, and
-``minimum_speedup``, the bar the benchmark asserts in full mode.  This
-tool collects those files — from the repository root, a CI artifact
+carrying its headline series.  Two headlines are judged against a bar
+the benchmark asserts in full mode:
+
+* ``median_speedup`` — a mapping of workload family to the measured
+  median speedup (or one number) — against ``minimum_speedup``; higher
+  is better;
+* ``slope`` — a log-log growth exponent, e.g. E1b's mean delay per
+  mapping against |d| — against ``maximum_slope``; lower is better.
+
+This tool collects those files — from the repository root, a CI artifact
 directory, or any mix of paths — and renders one table, so the perf
-trajectory across PRs is a single glance instead of N files:
+trajectory across PRs is a single glance instead of N files.  ``margin``
+is how far inside its bar a headline sits: the ratio for a speedup, the
+headroom for a slope (negative once over the bar):
 
     $ python tools/bench_trajectory.py
-    benchmark  family       median  minimum  margin  mode
-    e26        corpus       3.86    2.00     1.93x   full
-    e27        cluster      1.72    1.50     1.15x   full
+    benchmark     family   headline  value  bar   margin  mode
+    e01_compiled  overall  slope     0.07   0.40  0.33    full
+    e26           corpus   speedup   3.86   2.00  1.93x   full
+    e27           cluster  speedup   1.72   1.50  1.15x   full
 
 ``--json OUT`` additionally writes the merged records for dashboards.
-Exit status is 2 when any full-mode benchmark is under its bar (quick
+Exit status is 2 when any full-mode headline is on the wrong side of its
+bar — a speedup under its minimum or a slope over its maximum (quick
 runs are reported but never judged — CI smoke numbers are not
 measurements).
 """
@@ -49,8 +59,15 @@ def collect(paths: list[str]) -> list[str]:
     return unique
 
 
+#: The judged headlines: (name, value key, bar key, which side is better).
+HEADLINES = (
+    ("speedup", "median_speedup", "minimum_speedup", "higher"),
+    ("slope", "slope", "maximum_slope", "lower"),
+)
+
+
 def trajectory_rows(paths: list[str]) -> tuple[list[dict], list[str]]:
-    """One record per (benchmark, family) headline, plus parse problems."""
+    """One record per (benchmark, headline, family), plus parse problems."""
     rows: list[dict] = []
     problems: list[str] = []
     for path in paths:
@@ -62,34 +79,46 @@ def trajectory_rows(paths: list[str]) -> tuple[list[dict], list[str]]:
             continue
         name = payload.get("benchmark") or os.path.basename(path)
         quick = bool(payload.get("quick"))
-        minimum = payload.get("minimum_speedup")
-        medians = payload.get("median_speedup")
-        if not isinstance(medians, dict):
-            medians = {"overall": medians} if medians is not None else {}
-        if not medians:
+        found = False
+        for headline, value_key, bar_key, better in HEADLINES:
+            if value_key not in payload and bar_key not in payload:
+                continue
+            found = True
+            values = payload.get(value_key)
+            if not isinstance(values, dict):
+                values = {"overall": values}
+            for family, value in sorted(values.items()):
+                rows.append(
+                    {
+                        "benchmark": name,
+                        "family": family,
+                        "headline": headline,
+                        "value": value,
+                        "bar": payload.get(bar_key),
+                        "better": better,
+                        "quick": quick,
+                        "path": path,
+                    }
+                )
+        if not found:
             rows.append(
                 {
                     "benchmark": name,
                     "family": "-",
-                    "median_speedup": None,
-                    "minimum_speedup": minimum,
+                    "headline": "-",
+                    "value": None,
+                    "bar": None,
+                    "better": None,
                     "quick": quick,
                     "path": path,
                 }
             )
-        for family, median in sorted(medians.items()):
-            rows.append(
-                {
-                    "benchmark": name,
-                    "family": family,
-                    "median_speedup": median,
-                    "minimum_speedup": minimum,
-                    "quick": quick,
-                    "path": path,
-                }
-            )
-    rows.sort(key=lambda row: (row["benchmark"], row["family"]))
+    rows.sort(key=lambda row: (row["benchmark"], row["headline"], row["family"]))
     return rows, problems
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _fmt(value) -> str:
@@ -100,29 +129,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _margin(row: dict) -> str:
+    value, bar = row["value"], row["bar"]
+    if not (_number(value) and _number(bar)):
+        return "-"
+    if row["better"] == "lower":
+        return f"{bar - value:.2f}"
+    return f"{value / bar:.2f}x" if bar else "-"
+
+
+def off_bar(row: dict) -> bool:
+    """Whether a full-mode headline is on the wrong side of its bar."""
+    value, bar = row["value"], row["bar"]
+    if row["quick"] or not (_number(value) and _number(bar)):
+        return False
+    if row["better"] == "lower":
+        return value > bar
+    return value < bar
+
+
 def render(rows: list[dict]) -> str:
-    headers = ["benchmark", "family", "median", "minimum", "margin", "mode"]
-    table = []
-    for row in rows:
-        median = row["median_speedup"]
-        minimum = row["minimum_speedup"]
-        margin = (
-            f"{median / minimum:.2f}x"
-            if isinstance(median, (int, float))
-            and isinstance(minimum, (int, float))
-            and minimum
-            else "-"
-        )
-        table.append(
-            [
-                row["benchmark"],
-                row["family"],
-                _fmt(median),
-                _fmt(minimum),
-                margin,
-                "quick" if row["quick"] else "full",
-            ]
-        )
+    headers = ["benchmark", "family", "headline", "value", "bar", "margin", "mode"]
+    table = [
+        [
+            row["benchmark"],
+            row["family"],
+            row["headline"],
+            _fmt(row["value"]),
+            _fmt(row["bar"]),
+            _margin(row),
+            "quick" if row["quick"] else "full",
+        ]
+        for row in rows
+    ]
     widths = [
         max(len(headers[i]), *(len(line[i]) for line in table))
         if table
@@ -132,7 +171,7 @@ def render(rows: list[dict]) -> str:
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
     for line in table:
         lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(line)))
-    return "\n".join(lines)
+    return "\n".join(line.rstrip() for line in lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -167,21 +206,15 @@ def main(argv: list[str] | None = None) -> int:
         else:
             with open(arguments.json, "w", encoding="utf-8") as handle:
                 handle.write(merged + "\n")
-    under = [
-        row
-        for row in rows
-        if not row["quick"]
-        and isinstance(row["median_speedup"], (int, float))
-        and isinstance(row["minimum_speedup"], (int, float))
-        and row["median_speedup"] < row["minimum_speedup"]
-    ]
-    for row in under:
+    failing = [row for row in rows if off_bar(row)]
+    for row in failing:
+        side, sign = ("OVER", ">") if row["better"] == "lower" else ("UNDER", "<")
         print(
-            f"UNDER BAR: {row['benchmark']}/{row['family']} "
-            f"{row['median_speedup']:.2f} < {row['minimum_speedup']:.2f}",
+            f"{side} BAR: {row['benchmark']}/{row['family']} {row['headline']} "
+            f"{row['value']:.2f} {sign} {row['bar']:.2f}",
             file=sys.stderr,
         )
-    return 2 if under else 0
+    return 2 if failing else 0
 
 
 if __name__ == "__main__":
