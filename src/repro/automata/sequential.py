@@ -104,8 +104,9 @@ def make_sequential(
 
     The product is worst-case ``|Q| · 4^k`` states; ``max_states`` aborts
     with :class:`~repro.util.errors.BudgetExceededError` instead of
-    exhausting memory (the planner's sequentialisation pass relies on
-    this to fall back to the general evaluation path).
+    exhausting memory (the planner's sequentialisation pass and
+    :func:`~repro.engine.tables.compile_va` report it as a compile
+    error: the engine sweeps only sequential automata).
     """
     variables = tuple(sorted(va.mentioned_variables))
     index = {variable: i for i, variable in enumerate(variables)}

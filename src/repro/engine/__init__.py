@@ -12,11 +12,7 @@ import warnings as _warnings
 
 from repro.engine.compiled import CompiledSpanner
 from repro.engine.kernel import AlphabetClasses, FlatTables, Kernel
-from repro.engine.oracle import (
-    eval_compiled,
-    eval_general_compiled,
-    eval_sequential_compiled,
-)
+from repro.engine.oracle import eval_compiled
 from repro.engine.tables import CompiledVA, DocumentIndex, compile_va
 
 __all__ = [
@@ -29,8 +25,6 @@ __all__ = [
     "compile_spanner",
     "compile_va",
     "eval_compiled",
-    "eval_general_compiled",
-    "eval_sequential_compiled",
 ]
 
 

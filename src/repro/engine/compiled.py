@@ -17,8 +17,9 @@ Enumeration follows Algorithm 2 exactly, with three engine upgrades:
 
 * each recursion node is a per-node oracle — a
   :class:`~repro.engine.oracle.FlatNodeSweep` that shares sweep prefixes
-  across sibling branches on the kernel's flat lazy DFA (sequential
-  automata), or a compiled full sweep otherwise;
+  across sibling branches on the kernel's flat lazy DFA (the engine's
+  automaton is always sequential: :func:`~repro.engine.tables.compile_va`
+  applies Proposition 5.6 to any input that is not);
 * sibling nodes share sweeps too: every :meth:`CompiledSpanner.enumerate`
   call makes one :class:`~repro.engine.oracle.SweepShare` and hands it
   down the recursion, so per sweep context the pin-free prefix and
@@ -41,8 +42,9 @@ from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.automata.fingerprint import va_fingerprint
+from repro.automata.sequential import is_sequential
 from repro.automata.va import VA
-from repro.engine.oracle import FlatNodeSweep, GeneralNode, SweepShare, eval_compiled
+from repro.engine.oracle import FlatNodeSweep, SweepShare, eval_compiled
 from repro.engine.tables import CompiledVA, DocumentIndex, compile_va
 from repro.engine.vector import batch_accept, batch_index
 from repro.plan import Plan, plan as build_plan
@@ -191,15 +193,15 @@ class CompiledSpanner:
     def is_sequential(self) -> bool:
         """Fragment membership of the *source* (Theorem 5.7's condition).
 
-        Planning may have sequentialised the automaton the engine sweeps
-        (so a ``False`` here can still enjoy the polynomial sweep); the
-        running automaton's property is ``tables.is_sequential``.
+        The engine always sweeps a sequential automaton — planning or
+        :func:`~repro.engine.tables.compile_va` sequentialised it — so a
+        ``False`` here still enjoys the polynomial sweep.
         """
         if self._plan is not None:
             return self._plan.source_sequential
-        if self._source_sequential is not None:
-            return self._source_sequential
-        return self._cva.is_sequential
+        if self._source_sequential is None:
+            self._source_sequential = is_sequential(self._va)
+        return self._source_sequential
 
     # -- per-document infrastructure --------------------------------------------
 
@@ -236,10 +238,10 @@ class CompiledSpanner:
         and misses count identically, misses land in the same LRU — but
         misses are swept together through
         :func:`repro.engine.vector.batch_index` when the vector layer is
-        available (falling back to per-document builds when not).  On
-        sequential automata the batch sweep's final states additionally
-        pre-warm the NonEmp verdict cache, so a following
-        :meth:`enumerate` pays no extra eval sweep.
+        available (falling back to per-document builds when not).  The
+        batch sweep's final states additionally pre-warm the NonEmp
+        verdict cache, so a following :meth:`enumerate` pays no extra
+        eval sweep.
         """
         texts = [as_text(document) for document in documents]
         out: list[DocumentIndex | None] = [None] * len(texts)
@@ -261,7 +263,6 @@ class CompiledSpanner:
         if built is None:
             built = [DocumentIndex(self._cva, text) for text in miss_texts]
         empty_key = frozenset()
-        sequential = self._cva.is_sequential
         final = self._cva.final
         with self._lock:
             for text, index in zip(miss_texts, built):
@@ -274,16 +275,15 @@ class CompiledSpanner:
                     if current is None and len(self._indexes) >= _DOCUMENT_CACHE_LIMIT:
                         self._indexes.popitem(last=False)
                     self._indexes[key] = index
-                if sequential:
-                    # The forward sweep's last state already answers NonEmp
-                    # (the unpinned sequential eval walks the same DFA).
-                    verdict_key = (len(text), hash(text), empty_key)
-                    if verdict_key not in self._verdicts:
-                        if len(self._verdicts) >= _VERDICT_CACHE_LIMIT:
-                            self._verdicts.popitem(last=False)
-                        self._verdicts[verdict_key] = bool(
-                            (index._reach_masks[-1] >> final) & 1
-                        )
+                # The forward sweep's last state already answers NonEmp
+                # (the unpinned eval walks the same DFA).
+                verdict_key = (len(text), hash(text), empty_key)
+                if verdict_key not in self._verdicts:
+                    if len(self._verdicts) >= _VERDICT_CACHE_LIMIT:
+                        self._verdicts.popitem(last=False)
+                    self._verdicts[verdict_key] = bool(
+                        (index._reach_masks[-1] >> final) & 1
+                    )
                 for position in pending[text]:
                     out[position] = index
         return out
@@ -327,8 +327,8 @@ class CompiledSpanner:
         """NonEmp verdicts for a batch of documents.
 
         Identical to ``[self.matches(d) for d in documents]`` — same
-        verdicts, same cache discipline — but verdict-cache misses on
-        sequential automata resolve through one lockstep forward sweep
+        verdicts, same cache discipline — but verdict-cache misses
+        resolve through one lockstep forward sweep
         (:func:`repro.engine.vector.batch_accept`) instead of one python
         sweep per document.  This is the server ``/evaluate`` hot path.
 
@@ -415,10 +415,7 @@ class CompiledSpanner:
             return
         variable = remaining[0]
         rest = remaining[1:]
-        if self._cva.is_sequential:
-            node = FlatNodeSweep(self._cva, text, base, variable, index.classes, share)
-        else:
-            node = GeneralNode(self._cva, text, base, variable)
+        node = FlatNodeSweep(self._cva, text, base, variable, index.classes, share)
         opens = index.open_positions(variable)
         closes = index.close_positions(variable)
         for span in node.spans(opens, closes):
@@ -464,8 +461,8 @@ class CompiledSpanner:
     ) -> list[set[Mapping]]:
         """``⟦A⟧_d`` for every document, sharing all compiled state.
 
-        The transition tables, step cache, and sequentiality verdict are
-        computed once for the whole batch; per-document indexes are cached,
+        The transition tables and step cache are computed once for the
+        whole batch; per-document indexes are cached,
         so repeated documents are almost free.  For corpus-scale batches
         with worker-pool sharding and error isolation, see
         :func:`repro.service.evaluate.evaluate_corpus`.
@@ -519,11 +516,8 @@ class CompiledSpanner:
         return [self.extract(document, spans=spans) for document in documents]
 
     def __repr__(self) -> str:
-        # The kind describes the sweep the engine actually runs (the
-        # planned automaton's property), not the source classification.
-        kind = "sequential" if self._cva.is_sequential else "general"
         return (
-            f"CompiledSpanner({self._cva.num_states} states, {kind}, "
+            f"CompiledSpanner({self._cva.num_states} states, "
             f"variables {sorted(self.variables)})"
         )
 

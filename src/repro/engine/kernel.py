@@ -46,10 +46,12 @@ fire where required, closes of ⊥-pinned variables never fire — and a
 flat DFA of its own.  Contexts are cached per kernel, so sibling
 recursion nodes and repeated oracle calls share closures and tables.
 
-The general FPT sweep (Theorem 5.10) does not use the kernel: its states
-carry performed-sets and status vectors that do not pack into per-state
-bits.  The seed evaluators of :mod:`repro.evaluation` are the reference
-the kernel is cross-validated against.
+Every automaton the kernel sees is sequential:
+:func:`~repro.engine.tables.compile_va` replaces a non-sequential input
+by its Proposition 5.6 product, whose status vectors live in the product
+states and so pack into per-state bits like any other.  The seed
+evaluators of :mod:`repro.evaluation` — Theorem 5.10's general sweep
+included — are the reference the kernel is cross-validated against.
 """
 
 from __future__ import annotations

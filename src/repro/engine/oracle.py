@@ -1,29 +1,24 @@
-"""Compiled, memoised ``Eval`` oracles (Theorems 5.7 / 5.10 on tables).
+"""Compiled, memoised ``Eval`` oracles (Theorem 5.7 on tables).
 
-Two layers, and what the second shares between its instances:
+Every engine automaton is sequential — :func:`~repro.engine.tables.compile_va`
+applies Proposition 5.6 to any input that is not — so one sweep serves
+them all.  Two layers, and what the second shares between its instances:
 
 * :func:`eval_compiled` — a drop-in for
-  :func:`repro.evaluation.eval_problem.eval_va` that runs the same position
-  sweeps over :class:`~repro.engine.tables.CompiledVA` tables.  Sequentiality
-  is decided once at compile time instead of per oracle call.  Sequential
-  automata run Theorem 5.7's sweep on the kernel's flat lazy DFA
-  (:mod:`repro.engine.kernel`): state sets are interned bitmasks, a
-  position without required operations is one table load, and the ≤ 2k
-  positions with required operations run a counted closure over
-  per-count masks.  Non-sequential automata run Theorem 5.10's FPT sweep
-  over set-based states — its performed-sets and status vectors do not
-  pack into per-state bits.
+  :func:`repro.evaluation.eval_problem.eval_va` that runs Theorem 5.7's
+  sweep on the kernel's flat lazy DFA (:mod:`repro.engine.kernel`):
+  state sets are interned bitmasks, a position without required
+  operations is one table load, and the ≤ 2k positions with required
+  operations run a counted closure over per-count masks.
 
 * :class:`FlatNodeSweep` — the enumeration-time oracle for one recursion
-  node of Algorithm 2 on sequential automata.  A node fixes a base
-  extended mapping ``µ`` and refines one variable ``x``; its sibling
-  branches ``µ[x → (i, j)]`` share the entire sweep prefix below position
-  ``i``, so the node runs that prefix once and answers each sibling from
-  the recorded state — turning the seed's ``O(|d|)`` sweep per candidate
-  into a few table lookups — and generates its accepted spans from its
-  own sweeps instead of being asked about every candidate pair.
-  :class:`GeneralNode` is the full-sweep oracle for non-sequential
-  automata.
+  node of Algorithm 2.  A node fixes a base extended mapping ``µ`` and
+  refines one variable ``x``; its sibling branches ``µ[x → (i, j)]``
+  share the entire sweep prefix below position ``i``, so the node runs
+  that prefix once and answers each sibling from the recorded state —
+  turning the seed's ``O(|d|)`` sweep per candidate into a few table
+  lookups — and generates its accepted spans from its own sweeps
+  instead of being asked about every candidate pair.
 
 * :class:`SweepShare` — what sibling *nodes* share within one
   enumeration call.  Nodes of one sweep context differ only in where
@@ -33,8 +28,9 @@ Two layers, and what the second shares between its instances:
   trail, and backward only below its last pin.  Per-node sweeping then
   follows the pinned stretch, not ``|d|``.
 
-The seed evaluators of :mod:`repro.evaluation` are the reference all of
-this is cross-validated against.
+The seed evaluators of :mod:`repro.evaluation` — Theorem 5.10's general
+sweep included — are the reference all of this is cross-validated
+against.
 """
 
 from __future__ import annotations
@@ -49,8 +45,6 @@ from repro.spans.mapping import NULL, ExtendedMapping, Variable
 from repro.spans.span import Span
 
 _NO_OPS: frozenset = frozenset()
-
-_FRESH, _OPEN, _DONE = range(3)
 
 
 class Requirements:
@@ -171,8 +165,21 @@ def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, tra
     raise AssertionError("unreachable: the sentinel point always returns")
 
 
-def eval_sequential_compiled(cva: CompiledVA, text: str, pinned) -> bool:
-    """Theorem 5.7's sweep over the kernel's flat tables."""
+def eval_compiled(cva: CompiledVA, text: str, pinned: ExtendedMapping) -> bool:
+    """``Eval[VA]``: Theorem 5.7's sweep over the kernel's flat tables.
+
+    ``pinned`` constrains the output mapping: a span value pins the
+    assignment, ``⊥`` (:data:`~repro.spans.mapping.NULL`) pins the
+    variable *unassigned*, absence leaves it unconstrained.
+
+    >>> from repro.engine.tables import compile_va
+    >>> from repro.spanner import Spanner
+    >>> cva = compile_va(Spanner.compile("x{a}(y{b}|ε)c*").automaton)
+    >>> eval_compiled(cva, "ac", ExtendedMapping({"y": NULL}))
+    True
+    >>> eval_compiled(cva, "ab", ExtendedMapping({"y": NULL}))
+    False
+    """
     end = len(text) + 1
     requirements = Requirements(cva, end, pinned)
     if not requirements.valid:
@@ -199,112 +206,6 @@ def eval_sequential_compiled(cva: CompiledVA, text: str, pinned) -> bool:
         return False
     masks, needed = swept
     return bool((masks[needed] >> cva.final) & 1)
-
-
-def _general_closure(cva: CompiledVA, seeds, required: frozenset, pinned, nulls, index):
-    """Theorem 5.10's closure: performed-set plus free-variable statuses."""
-    out = set(seeds)
-    frontier = list(out)
-    eps, opens, closes = cva.eps, cva.opens, cva.closes
-    while frontier:
-        state, done, statuses = frontier.pop()
-        for target in eps[state]:
-            nxt = (target, done, statuses)
-            if nxt not in out:
-                out.add(nxt)
-                frontier.append(nxt)
-        for kind, table, before, after in (
-            ("o", opens, _FRESH, _OPEN),
-            ("c", closes, _OPEN, _DONE),
-        ):
-            for variable, target in table[state]:
-                if variable in nulls and kind == "c":
-                    # ⊥-pin: the close would assign the variable; the open
-                    # stays available and is status-tracked like a free one.
-                    continue
-                if variable in pinned:
-                    key = (kind, variable)
-                    if key in done or key not in required:
-                        continue
-                    if (
-                        kind == "c"
-                        and ("o", variable) in required
-                        and ("o", variable) not in done
-                    ):
-                        # Empty pinned span: the open must precede the close
-                        # within this position for the run to be valid.
-                        continue
-                    nxt = (target, done | {key}, statuses)
-                else:
-                    i = index[variable]
-                    if statuses[i] != before:
-                        continue
-                    nxt = (
-                        target,
-                        done,
-                        statuses[:i] + (after,) + statuses[i + 1 :],
-                    )
-                if nxt not in out:
-                    out.add(nxt)
-                    frontier.append(nxt)
-    return out
-
-
-def eval_general_compiled(cva: CompiledVA, text: str, pinned) -> bool:
-    """Theorem 5.10's FPT sweep over compiled tables."""
-    end = len(text) + 1
-    requirements = Requirements(cva, end, pinned)
-    if not requirements.valid:
-        return False
-    pinned_set, nulls = requirements.pinned, requirements.nulls
-    # ⊥-pinned variables stay status-tracked (opens may fire at most once on
-    # a run); only span-pinned variables leave the status vector.
-    free_variables = tuple(sorted(cva.mentioned_variables - pinned_set))
-    index = {variable: i for i, variable in enumerate(free_variables)}
-    initial = (cva.initial, _NO_OPS, (_FRESH,) * len(free_variables))
-    current = _general_closure(
-        cva, {initial}, requirements.at(1), pinned_set, nulls, index
-    )
-    for pos in range(1, end):
-        required = requirements.at(pos)
-        letter = text[pos - 1]
-        seeds = set()
-        step = cva.step
-        for state, done, statuses in current:
-            if done != required:
-                continue
-            for target in step(state, letter):
-                seeds.add((target, _NO_OPS, statuses))
-        if not seeds:
-            return False
-        current = _general_closure(
-            cva, seeds, requirements.at(pos + 1), pinned_set, nulls, index
-        )
-    required = requirements.at(end)
-    final = cva.final
-    return any(
-        state == final and done == required for state, done, _ in current
-    )
-
-
-def eval_compiled(cva: CompiledVA, text: str, pinned: ExtendedMapping) -> bool:
-    """``Eval[VA]`` on compiled tables (sequentiality decided at compile time).
-
-    ``pinned`` constrains the output mapping: a span value pins the
-    assignment, ``⊥`` (:data:`~repro.spans.mapping.NULL`) pins the
-    variable *unassigned*, absence leaves it unconstrained.
-
-    >>> from repro.engine.tables import compile_va
-    >>> from repro.spanner import Spanner
-    >>> cva = compile_va(Spanner.compile("x{a}(y{b}|ε)c*").automaton)
-    >>> eval_compiled(cva, "ac", ExtendedMapping({"y": NULL}))
-    True
-    >>> eval_compiled(cva, "ab", ExtendedMapping({"y": NULL}))
-    False
-    """
-    if cva.is_sequential:
-        return eval_sequential_compiled(cva, text, pinned)
-    return eval_general_compiled(cva, text, pinned)
 
 
 def _sweep_back(fdfa, context, classes, required, trail, position, state, target):
@@ -922,35 +823,3 @@ class FlatNodeSweep:
         if j == self.end:
             return bool((live >> self.cva.final) & 1)
         return bool(live & self._coaccepting(j))
-
-
-class GeneralNode:
-    """Per-node oracle for non-sequential automata (full sweep per branch)."""
-
-    __slots__ = ("cva", "text", "base", "variable")
-
-    def __init__(self, cva: CompiledVA, text: str, base, variable: Variable) -> None:
-        self.cva = cva
-        self.text = text
-        self.base = base
-        self.variable = variable
-
-    def accepts_null(self) -> bool:
-        pinned = dict(self.base)
-        pinned[self.variable] = NULL
-        return eval_general_compiled(self.cva, self.text, pinned)
-
-    def accepts_span(self, span: Span) -> bool:
-        pinned = dict(self.base)
-        pinned[self.variable] = span
-        return eval_general_compiled(self.cva, self.text, pinned)
-
-    def spans(self, opens: Sequence[int], closes: Sequence[int]) -> Iterator[Span]:
-        """The accepted spans of the ``opens × closes`` product (``i ≤ j``),
-        ``i``-major — one full sweep per pair."""
-        count = len(closes)
-        for i in opens:
-            for at in range(bisect_left(closes, i), count):
-                span = Span(i, closes[at])
-                if self.accepts_span(span):
-                    yield span

@@ -33,10 +33,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.automata.labels import Close, Eps, Open, Sym
-from repro.automata.sequential import is_sequential
+from repro.automata.sequential import is_sequential, make_sequential
 from repro.automata.va import VA
 from repro.engine.kernel import Kernel, Trail, iter_bits
 from repro.engine.vector import op_positions_np
+from repro.plan import planner
 from repro.spans.mapping import Variable
 from repro.spans.span import Span
 
@@ -70,7 +71,6 @@ class CompiledVA:
         "closes_by_variable",
         "variables",
         "mentioned_variables",
-        "is_sequential",
         "_single",
         "_residual",
         "_step_cache",
@@ -149,7 +149,6 @@ class CompiledVA:
         self._free_reversed = tuple(tuple(edges) for edges in reversed_free)
         self.variables = va.variables
         self.mentioned_variables = va.mentioned_variables
-        self.is_sequential = is_sequential(va)
 
     # -- the bitmask kernel ----------------------------------------------------
 
@@ -191,15 +190,26 @@ class CompiledVA:
 def compile_va(va: VA) -> CompiledVA:
     """Compile (and cache) the transition tables of an automaton.
 
+    Every engine sweeps a *sequential* automaton (Theorem 5.7): a
+    non-sequential input is replaced here by its Proposition 5.6 product
+    under the planner's ``DEFAULT_SEQUENTIALIZE_BUDGET``, and a product
+    above that budget raises
+    :class:`~repro.util.errors.BudgetExceededError`.  The tables'
+    ``va`` is then the product, not the input.
+
     The cache keys on VA equality; for *structural* sharing across
     independently built automata (and across processes) use
     :class:`repro.service.cache.SpannerCache` instead.
 
     >>> from repro.spanner import Spanner
-    >>> cva = compile_va(Spanner.compile("x{a}b").automaton)
-    >>> cva.is_sequential, sorted(cva.variables)
+    >>> cva = compile_va(Spanner.compile("(x{a})*").automaton)
+    >>> is_sequential(cva.va), sorted(cva.variables)
     (True, ['x'])
     """
+    if not is_sequential(va):
+        va = make_sequential(
+            va, prune=True, max_states=planner.DEFAULT_SEQUENTIALIZE_BUDGET
+        )
     return CompiledVA(va)
 
 

@@ -19,9 +19,9 @@ Three helpers sit on top of the lockstep sweep:
   so candidate-span filtering in
   :meth:`~repro.engine.tables.DocumentIndex.open_positions` is one
   vectorized bitwise pass instead of a per-position python loop);
-* :func:`batch_accept` — NonEmp verdicts for a batch on sequential
-  automata, straight off the forward reach sweep (the state walked is
-  exactly the one the unpinned sequential ``Eval`` sweep walks, so the
+* :func:`batch_accept` — NonEmp verdicts for a batch, straight off the
+  forward reach sweep (the state walked is exactly the one the unpinned
+  ``Eval`` sweep walks on the engine's sequential automaton, so the
   verdicts are identical by construction);
 * :func:`op_positions_np` — the vectorized per-variable open/close
   position filter over precomputed reach/coreach mask arrays.
@@ -296,15 +296,13 @@ def _batch_sweeps(cva, flat, texts, backward: bool):
 def batch_accept(cva, texts):
     """NonEmp verdicts for a batch of documents, or ``None``.
 
-    Only valid on sequential automata (``cva.is_sequential``): the
-    forward reach sweep then walks exactly the DFA the unpinned
-    :func:`~repro.engine.oracle.eval_sequential_compiled` walks, so the
+    The engine's automaton is sequential, so the forward reach sweep
+    walks exactly the DFA the unpinned
+    :func:`~repro.engine.oracle.eval_compiled` walks, and the
     final-state bit at document end *is* the verdict.  Verdict
     extraction never materialises per-document sweep rows — one gather
     pulls every lane's final sid.
     """
-    if not cva.is_sequential:
-        return None
     flat = _flat_or_none(cva)
     if flat is None:
         return None

@@ -190,7 +190,7 @@ def eval_general_va(
     # at this position, statuses of free variables).
     initial = (va.initial, frozenset(), (_FRESH,) * len(free_variables))
     current: set[tuple] = set()
-    _general_closure(va, {initial}, current, requirements, index, 1)
+    _status_closure(va, {initial}, current, requirements, index, 1)
     for pos in range(1, end):
         required = requirements.required_at(pos)
         letter = text[pos - 1]
@@ -202,7 +202,7 @@ def eval_general_va(
                 if isinstance(label, Sym) and label.charset.contains(letter):
                     seeds.add((target, frozenset(), statuses))
         current = set()
-        _general_closure(va, seeds, current, requirements, index, pos + 1)
+        _status_closure(va, seeds, current, requirements, index, pos + 1)
         if not current:
             return False
     required = requirements.required_at(end)
@@ -211,7 +211,7 @@ def eval_general_va(
     )
 
 
-def _general_closure(
+def _status_closure(
     va: VA,
     seeds: set[tuple],
     out: set[tuple],

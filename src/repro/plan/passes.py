@@ -18,9 +18,9 @@ in the plan log) or a new :class:`~repro.automata.va.VA`:
 * :func:`fuse_predicates` — merge parallel letter transitions between the
   same state pair into one :class:`~repro.alphabet.CharSet` predicate and
   deduplicate transitions;
-* :func:`sequentialize` — Proposition 5.6's product, budgeted, so the
-  engine can run the polynomial Theorem-5.7 sweep instead of the
-  ``O(2^{2k}·3^k)`` general sweep;
+* :func:`sequentialize` — Proposition 5.6's product, budgeted: the
+  engine only runs the polynomial Theorem-5.7 sweep, so a product over
+  budget is a compile error rather than a slower engine;
 * :func:`determinize_budgeted` — Proposition 6.5's subset construction,
   budgeted, behind opt level 2.
 """
@@ -185,13 +185,13 @@ def fuse_predicates(va: VA) -> VA:
 
 
 def sequentialize(va: VA, max_states: int | None = None) -> VA:
-    """An equivalent *sequential* VA (Proposition 5.6), budget permitting.
+    """An equivalent *sequential* VA (Proposition 5.6).
 
-    Sequentiality is the paper's tractability switch: the engine's sweep
-    drops from the ``O(2^{2k}·3^k)``-state general algorithm (Theorem
-    5.10) to the polynomial counter sweep of Theorem 5.7.  Already
-    sequential automata pass through untouched; a blown budget keeps the
-    input (the plan records the back-off).
+    Sequentiality is the paper's tractability switch: the engine runs
+    only the polynomial counter sweep of Theorem 5.7, never the
+    ``O(2^{2k}·3^k)``-state general algorithm of Theorem 5.10.  Already
+    sequential automata pass through untouched; a product above
+    ``max_states`` raises :class:`~repro.util.errors.BudgetExceededError`.
     """
     return sequentialize_verbose(va, max_states)[0]
 
@@ -202,12 +202,7 @@ def sequentialize_verbose(
     """:func:`sequentialize` plus a note for the plan's pass log."""
     if is_sequential(va):
         return va, "already sequential"
-    try:
-        rewritten = make_sequential(va, prune=True, max_states=max_states)
-    except BudgetExceededError:
-        return va, (
-            f"budget {max_states} exceeded; keeping the general sweep"
-        )
+    rewritten = make_sequential(va, prune=True, max_states=max_states)
     return rewritten, f"Proposition 5.6 product (budget {max_states})"
 
 

@@ -21,10 +21,16 @@ opt   passes
 ====  =======================================================
 
 Every pass preserves ``⟦·⟧_d`` exactly (property-tested against the
-unplanned engine at every opt level), so downstream consumers — the
+seed evaluators at every opt level), so downstream consumers — the
 compiled engine, the corpus service, the cache — treat
 :attr:`Plan.automaton` as a drop-in replacement whose
 :attr:`Plan.fingerprint` is the canonical cache key.
+
+Sequentialisation is not optional: the engine sweeps only sequential
+automata, so at opt level 0 :func:`~repro.engine.tables.compile_va`
+applies the same Proposition 5.6 product the ``sequentialize`` pass
+does.  Both use :data:`DEFAULT_SEQUENTIALIZE_BUDGET` and raise
+:class:`~repro.util.errors.BudgetExceededError` above it.
 
 >>> p = plan(".*x{a+}.*")
 >>> [record.name for record in p.passes]
@@ -72,8 +78,11 @@ DEFAULT_OPT_LEVEL = 1
 
 OPT_LEVELS = (0, 1, 2)
 
-#: Default state budget for the sequentialisation product (|Q|·4^k worst
-#: case) — generous, since sequentiality is the big asymptotic win.
+#: State budget for the sequentialisation product (|Q|·4^k worst case),
+#: shared by the ``sequentialize`` pass, join operands and
+#: :func:`~repro.engine.tables.compile_va` — generous, since the engine
+#: sweeps only sequential automata and a product over budget is a
+#: compile error.
 DEFAULT_SEQUENTIALIZE_BUDGET = 20_000
 
 #: Default subset budget for opt-level-2 determinisation (worst-case
@@ -201,7 +210,7 @@ class Plan:
         lines.append(
             f"  result: {self.automaton.num_states} states, "
             f"{len(self.automaton.transitions)} transitions, "
-            f"sequential sweep={is_sequential(self.automaton)}, "
+            f"sequential={is_sequential(self.automaton)}, "
             f"fingerprint {self.fingerprint[:12]}"
         )
         return "\n".join(lines)
@@ -274,7 +283,6 @@ def plan(
     opt_level: int | None = None,
     *,
     rule_budget: int = DEFAULT_RULE_BUDGET,
-    sequentialize_budget: int = DEFAULT_SEQUENTIALIZE_BUDGET,
     determinize_budget: int = DEFAULT_DETERMINIZE_BUDGET,
 ) -> Plan:
     """Plan the compilation of any formalism down to one optimised VA.
@@ -285,6 +293,8 @@ def plan(
     :class:`~repro.automata.va.VA`, a :class:`~repro.spanner.Spanner`, a
     :class:`~repro.engine.compiled.CompiledSpanner`, or an existing
     :class:`Plan` (re-planned only when the requested level differs).
+    A Proposition 5.6 product above :data:`DEFAULT_SEQUENTIALIZE_BUDGET`
+    raises :class:`~repro.util.errors.BudgetExceededError`.
 
     >>> plan("x{a}b", opt_level=0).passes
     ()
@@ -305,13 +315,12 @@ def plan(
             source.source,
             level,
             rule_budget=rule_budget,
-            sequentialize_budget=sequentialize_budget,
             determinize_budget=determinize_budget,
         )
 
     records: list[PassRecord] = []
     kind, source_expression, working_expression, raw, working = _front_end(
-        source, level, rule_budget, sequentialize_budget, records
+        source, level, rule_budget, records
     )
 
     if level >= 1:
@@ -322,7 +331,9 @@ def plan(
         working = _record("fuse-predicates", fuse_predicates, working, records)
         working = _record(
             "sequentialize",
-            lambda va: sequentialize_verbose(va, max_states=sequentialize_budget),
+            lambda va: sequentialize_verbose(
+                va, max_states=DEFAULT_SEQUENTIALIZE_BUDGET
+            ),
             working,
             records,
         )
@@ -349,13 +360,7 @@ def plan(
     )
 
 
-def _front_end(
-    source,
-    level: int,
-    rule_budget: int,
-    sequentialize_budget: int,
-    records: list[PassRecord],
-):
+def _front_end(source, level: int, rule_budget: int, records: list[PassRecord]):
     """Normalise a source to ``(kind, source_rgx, rgx, raw_va, working_va)``.
 
     The returned ``working_va`` is where the VA pass pipeline starts: the
@@ -378,9 +383,7 @@ def _front_end(
     if isinstance(source, VA):
         return "va", None, None, source, source
     if isinstance(source, QueryExpr):
-        return _query_front_end(
-            source, rule_budget, sequentialize_budget, records
-        )
+        return _query_front_end(source, rule_budget, records)
     if isinstance(source, Spanner):
         if source.expression is not None:
             return _expression_front_end(
@@ -393,10 +396,7 @@ def _front_end(
 
 
 def _query_front_end(
-    expression: QueryExpr,
-    rule_budget: int,
-    sequentialize_budget: int,
-    records: list[PassRecord],
+    expression: QueryExpr, rule_budget: int, records: list[PassRecord]
 ):
     """Lower an algebra query expression through Theorem 4.5's constructions.
 
@@ -405,15 +405,14 @@ def _query_front_end(
     pipeline then runs over the combined automaton.  Join operands are
     sequentialised up front under the planner's budget (Proposition 5.6
     is a semantic precondition of the join product, not an optimisation),
-    so a non-sequential operand whose product would explode raises a
-    :class:`~repro.util.errors.SpannerError` instead of exhausting memory.
+    so a non-sequential operand whose product would explode raises
+    :class:`~repro.util.errors.BudgetExceededError` instead of exhausting
+    memory.
     """
     started = time.perf_counter()
     counts = {"atoms": 0, "union": 0, "project": 0, "join": 0}
     notes: list[str] = []
-    raw = _query_to_va(
-        expression, rule_budget, sequentialize_budget, counts, notes
-    )
+    raw = _query_to_va(expression, rule_budget, counts, notes)
     elapsed = time.perf_counter() - started
     note = " ".join(f"{name}={count}" for name, count in counts.items() if count)
     if notes:
@@ -452,23 +451,20 @@ def _query_leaf_va(source, rule_budget: int) -> VA:
     )
 
 
-def _sequential_join_operand(
-    va: VA, sequentialize_budget: int, notes: list[str]
-) -> VA:
+def _sequential_join_operand(va: VA, notes: list[str]) -> VA:
     if is_sequential(va):
         return va
+    budget = DEFAULT_SEQUENTIALIZE_BUDGET
     try:
-        rewritten = make_sequential(va, max_states=sequentialize_budget)
+        rewritten = make_sequential(va, max_states=budget)
     except BudgetExceededError:
-        raise SpannerError(
-            f"join operand is not sequential and its Proposition 5.6 "
-            f"product exceeds the budget of {sequentialize_budget} states; "
-            f"raise sequentialize_budget or rewrite the operand"
+        raise BudgetExceededError(
+            "join operand is not sequential and its Proposition 5.6 product",
+            budget,
         ) from None
     notes.append(
         f"sequentialised join operand "
-        f"({va.num_states} -> {rewritten.num_states} states, "
-        f"budget {sequentialize_budget})"
+        f"({va.num_states} -> {rewritten.num_states} states, budget {budget})"
     )
     return rewritten
 
@@ -476,7 +472,6 @@ def _sequential_join_operand(
 def _query_to_va(
     expression: QueryExpr,
     rule_budget: int,
-    sequentialize_budget: int,
     counts: dict[str, int],
     notes: list[str],
 ) -> VA:
@@ -491,7 +486,7 @@ def _query_to_va(
             f"expression through a QuerySet (or call .resolve() first)"
         )
     parts = [
-        _query_to_va(child, rule_budget, sequentialize_budget, counts, notes)
+        _query_to_va(child, rule_budget, counts, notes)
         for child in expression.children()
     ]
     if isinstance(expression, UnionExpr):
@@ -505,14 +500,9 @@ def _query_to_va(
         return project_va(parts[0], expression.keep)
     if isinstance(expression, JoinExpr):
         counts["join"] += 1
-        combined = _sequential_join_operand(
-            parts[0], sequentialize_budget, notes
-        )
+        combined = _sequential_join_operand(parts[0], notes)
         for part in parts[1:]:
-            combined = join_va(
-                combined,
-                _sequential_join_operand(part, sequentialize_budget, notes),
-            )
+            combined = join_va(combined, _sequential_join_operand(part, notes))
         return combined
     raise TypeError(
         f"cannot lower {type(expression).__name__} into an automaton"

@@ -19,6 +19,8 @@ from repro.engine.artifact import (
     serialize_engine,
 )
 from repro.engine.compiled import compile_spanner
+from repro.engine.tables import compile_va
+from repro.evaluation.enumerate import enumerate_va_oracle
 
 pytestmark = pytest.mark.kernel
 
@@ -80,6 +82,21 @@ class TestRoundtrip:
         restored = deserialize_engine(wide)
         document = "a" * 70
         assert restored.mappings(document) == engine.mappings(document)
+
+    def test_non_sequential_source_roundtrips(self):
+        # The artifact keeps the opt-0 automaton; loading re-derives the
+        # same Proposition 5.6 product the stored kernel tables index.
+        engine = compile_spanner("(x{a}|y{b})*", opt_level=0)
+        assert not engine.is_sequential
+        blob = serialize_engine(engine, opt_level=0)
+        compile_va.cache_clear()
+        restored = deserialize_engine(blob)
+        assert not restored.is_sequential
+        assert restored.tables.num_states == engine.tables.num_states
+        for document in ("", "ab", "ba", "aab"):
+            assert list(restored.enumerate(document)) == list(
+                enumerate_va_oracle(engine.automaton, document)
+            )
 
     def test_expected_fingerprint_accepts_the_right_key(self, blob):
         engine = compile_spanner(PATTERN)

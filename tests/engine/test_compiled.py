@@ -3,6 +3,7 @@
 import pytest
 
 from repro.automata.labels import EPS, Close, Open, Sym
+from repro.automata.sequential import is_sequential
 from repro.automata.simulate import evaluate_va
 from repro.automata.thompson import to_va
 from repro.automata.va import VABuilder
@@ -10,10 +11,12 @@ from repro.alphabet import CharSet
 from repro.engine import CompiledSpanner, compile_va
 from repro.engine.compiled import compile_spanner
 from repro.evaluation.enumerate import enumerate_va_oracle
+from repro.plan import planner
 from repro.rgx.parser import parse
 from repro.spanner import Spanner
 from repro.spans.mapping import NULL, ExtendedMapping, Mapping
 from repro.spans.span import Span, all_spans
+from repro.util.errors import BudgetExceededError
 
 
 def build_mixed_va():
@@ -62,8 +65,21 @@ class TestCompiledTables:
         assert compile_va(va) is compile_va(va)
 
     def test_sequentiality_precomputed(self):
-        assert compile_va(to_va(parse("x{a*}y{b*}"))).is_sequential
-        assert not compile_va(to_va(parse("(x{a})*"))).is_sequential
+        # Sequentiality is settled at compile time: a sequential input is
+        # compiled as is, a non-sequential one as its Proposition 5.6 product.
+        sequential = to_va(parse("x{a*}y{b*}"))
+        assert compile_va(sequential).va is sequential
+        looping = to_va(parse("(x{a})*"))
+        assert not is_sequential(looping)
+        assert is_sequential(compile_va(looping).va)
+
+    def test_product_over_budget_is_a_compile_error(self, monkeypatch):
+        monkeypatch.setattr(planner, "DEFAULT_SEQUENTIALIZE_BUDGET", 3)
+        compile_va.cache_clear()  # an equal automaton may be cached already
+        with pytest.raises(BudgetExceededError):
+            compile_va(to_va(parse("(x{a}|y{b}|z{a})*")))
+        with pytest.raises(BudgetExceededError):
+            CompiledSpanner(to_va(parse("(x{a}|y{b})*")))
 
 
 class TestSpanPruning:

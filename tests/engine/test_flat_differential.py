@@ -26,19 +26,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.automata.labels import Open
+from repro.automata.labels import Open, sym
+from repro.automata.sequential import is_sequential
 from repro.automata.thompson import to_va
-from repro.automata.va import VA
+from repro.automata.va import VA, VABuilder
 from repro.engine import compile_va
-from repro.engine.compiled import compile_spanner
+from repro.engine.compiled import CompiledSpanner, compile_spanner
 from repro.engine.kernel import numpy_or_none
-from repro.engine.oracle import (
-    FlatNodeSweep,
-    GeneralNode,
-    SweepShare,
-    eval_general_compiled,
-    eval_sequential_compiled,
-)
+from repro.engine.oracle import FlatNodeSweep, SweepShare, eval_compiled
 from repro.engine.tables import DocumentIndex
 from repro.engine.vector import batch_index
 from repro.evaluation.enumerate import enumerate_va_oracle
@@ -49,7 +44,7 @@ from repro.rgx.semantics import mappings as seed_mappings
 from repro.spans.mapping import NULL, ExtendedMapping, Mapping
 from repro.spans.span import Span, all_spans
 from repro.workloads import land_registry, server_logs
-from repro.workloads.expressions import seller_like_sequential_rgx
+from repro.workloads.expressions import random_va, seller_like_sequential_rgx
 from tests.engine_checks import FlushTally, flat_limit, reference_index
 from tests.strategies import VARIABLES, documents, rgx_expressions
 
@@ -70,6 +65,14 @@ EXAMPLES = _examples()
 #: (the classic ``(a|b)*a(a|b)^3`` blow-up), so every small budget flushes.
 HEAVY = parse("(a|b)*a(a|b)(a|b)(a|b)x{(a|b)*}")
 HEAVY_DOCUMENT = "abbababbabab"
+
+
+def _non_sequential_csv_va(field_count: int) -> VA:
+    """E21's non-sequential automaton: the seller-like CSV chain plus a
+    ``v0⊢`` self-loop on the final state that no valid run can take."""
+    base = to_va(seller_like_sequential_rgx(field_count))
+    looped = base.transitions + ((base.final, Open("v0"), base.final),)
+    return VA(base.num_states, base.initial, base.final, looped)
 
 
 @st.composite
@@ -160,7 +163,7 @@ def _shared_walk(cva, document, start=None) -> tuple[list[Mapping], list[FlatNod
             walk({**base, variable: NULL}, rest)
 
     pins = ExtendedMapping.empty() if start is None else start
-    if eval_sequential_compiled(cva, document, pins):
+    if eval_compiled(cva, document, pins):
         base = dict(pins.items())
         walk(base, [v for v in sorted(cva.mentioned_variables) if v not in base])
     return outputs, nodes
@@ -200,8 +203,9 @@ class TestFlatAgainstDictAndSets:
         tally.assert_flushed()
 
     def test_sequential_eval_three_ways(self):
-        """Theorem 5.7 on the flat DFA, Theorem 5.10's FPT sweep and the
-        seed ``eval_va`` agree on every pin."""
+        """Theorem 5.7 on the flat DFA, the seed ``eval_va`` on the planned
+        automaton, and the seed on the raw translation (Theorem 5.10's
+        FPT sweep whenever that is not sequential) agree on every pin."""
         tally = FlushTally()
 
         @given(
@@ -219,11 +223,9 @@ class TestFlatAgainstDictAndSets:
             def run():
                 automaton = plan(expression, opt_level=1).automaton
                 cva = compile_va(automaton)
-                if not cva.is_sequential:
-                    return
-                verdict = eval_sequential_compiled(cva, document, pinned)
-                assert verdict == eval_general_compiled(cva, document, pinned)
+                verdict = eval_compiled(cva, document, pinned)
                 assert verdict == eval_va(automaton, document, pinned)
+                assert verdict == eval_va(to_va(expression), document, pinned)
 
             tally.run(run)
 
@@ -246,23 +248,21 @@ class TestFlatAgainstDictAndSets:
         def check(expression, document):
             def run():
                 automaton = plan(expression, opt_level=1).automaton
+                raw = to_va(expression)
                 cva = compile_va(automaton)
-                if not cva.is_sequential or not cva.mentioned_variables:
+                if not cva.mentioned_variables:
                     return
                 for variable in sorted(cva.mentioned_variables):
                     node = FlatNodeSweep(cva, document, {}, variable)
-                    general = GeneralNode(cva, document, {}, variable)
+                    pin = ExtendedMapping({variable: NULL})
                     verdict = node.accepts_null()
-                    assert verdict == general.accepts_null()
-                    assert verdict == eval_va(
-                        automaton, document, ExtendedMapping({variable: NULL})
-                    )
+                    assert verdict == eval_va(automaton, document, pin)
+                    assert verdict == eval_va(raw, document, pin)
                     for span in all_spans(len(document)):
+                        pin = ExtendedMapping({variable: span})
                         verdict = node.accepts_span(span)
-                        assert verdict == general.accepts_span(span), span
-                        assert verdict == eval_va(
-                            automaton, document, ExtendedMapping({variable: span})
-                        ), span
+                        assert verdict == eval_va(automaton, document, pin), span
+                        assert verdict == eval_va(raw, document, pin), span
                     # Node-generated spans: the candidate product filtered
                     # by accepts_span, order included.
                     index = DocumentIndex(cva, document)
@@ -277,7 +277,6 @@ class TestFlatAgainstDictAndSets:
                     ]
                     spans = FlatNodeSweep(cva, document, {}, variable).spans(*positions)
                     assert list(spans) == expected
-                    assert list(general.spans(*positions)) == expected
 
             tally.run(run)
 
@@ -313,7 +312,6 @@ class TestFlatAgainstDictAndSets:
         def run():
             nonlocal accepted
             cva = compile_va(automaton)
-            assert cva.is_sequential
             index = DocumentIndex(cva, document)
             for variable, base in cases:
                 positions = (
@@ -335,8 +333,6 @@ class TestFlatAgainstDictAndSets:
                 ]
                 node = FlatNodeSweep(cva, document, base, variable)
                 assert list(node.spans(*positions)) == filtered == truth, base
-                general = GeneralNode(cva, document, base, variable)
-                assert list(general.spans(*positions)) == truth, base
                 accepted += len(truth)
 
         tally.run(run)
@@ -434,9 +430,7 @@ class TestFlatEdgeCases:
         # The e21 trick: a bogus unusable open makes the source fail the
         # sequentiality check; planning sequentialises it and the flat
         # sweep must agree with the seed enumerator on the result.
-        base = to_va(seller_like_sequential_rgx(2))
-        looped = base.transitions + ((base.final, Open("v0"), base.final),)
-        automaton = VA(base.num_states, base.initial, base.final, looped)
+        automaton = _non_sequential_csv_va(2)
         document = "f0=ab;f1=cd;"
         expected = _seed_decoded(automaton, document)
         assert expected
@@ -444,7 +438,7 @@ class TestFlatEdgeCases:
 
         def run():
             engine = compile_spanner(automaton, opt_level=1)
-            assert engine.tables.is_sequential
+            assert is_sequential(engine.tables.va)
             decoded = [
                 {v: s.content(document) for v, s in mapping.items()}
                 for mapping in engine.enumerate(document)
@@ -472,7 +466,7 @@ class TestFlatEdgeCases:
 
         def run():
             cva = compile_va(automaton)
-            verdicts = [eval_sequential_compiled(cva, document, pin) for pin in pins]
+            verdicts = [eval_compiled(cva, document, pin) for pin in pins]
             assert verdicts == expected
 
         tally.run(run)
@@ -849,3 +843,114 @@ class TestWideAlphabet:
 
         tally.run(run)
         tally.assert_flushed()
+
+
+def _dangling_open_va() -> VA:
+    """``docs/semantics.md``'s automaton: every accepting run traverses
+    ``x⊢`` and never closes it."""
+    builder = VABuilder()
+    q0, q1, q2 = builder.add_states(3)
+    builder.add(q0, Open("x"), q1)
+    builder.add(q1, sym("a"), q2)
+    return builder.build(initial=q0, final=q2)
+
+
+def _pins(variables, document) -> list[ExtendedMapping]:
+    """The empty pin, every single-variable pin (``⊥`` and every span),
+    and ``⊥`` on one variable next to every span of another."""
+    values = [NULL, *all_spans(len(document))]
+    pins = [ExtendedMapping.empty()]
+    pins += [ExtendedMapping({v: value}) for v in variables for value in values]
+    pins += [
+        ExtendedMapping({v: NULL, w: value})
+        for v in variables
+        for w in variables
+        if v != w
+        for value in values[1:]
+    ]
+    return pins
+
+
+def _check_non_sequential(source, documents) -> FlushTally:
+    """The unplanned engine and the engines of every opt level against the
+    seed on a non-sequential ``source`` (an RGX or a VA), at every state
+    budget: enumeration output and order, ``eval`` under span and ``⊥``
+    pins, and the batch verdicts and indexes of ``matches_many`` /
+    ``index_many``."""
+    raw = source if isinstance(source, VA) else to_va(source)
+    assert not is_sequential(raw)
+    variables = sorted(raw.mentioned_variables)
+    expected = [list(enumerate_va_oracle(raw, document)) for document in documents]
+    if not isinstance(source, VA):
+        for document, outputs in zip(documents, expected):
+            assert set(outputs) == seed_mappings(source, document), document
+    nonempty = [bool(outputs) for outputs in expected]
+    pins = [_pins(variables, document) for document in documents]
+    verdicts = [
+        [eval_va(raw, document, pin) for pin in document_pins]
+        for document, document_pins in zip(documents, pins)
+    ]
+    makers = [lambda: CompiledSpanner(raw)] + [
+        functools.partial(compile_spanner, source, opt_level=level)
+        for level in OPT_LEVELS
+    ]
+    tally = FlushTally()
+
+    def run():
+        for arm, make in enumerate(makers):
+            assert make().matches_many(documents) == nonempty, arm
+            engine = make()
+            assert is_sequential(engine.tables.va)
+            for document, index in zip(documents, engine.index_many(documents)):
+                reach, coreach, _ = reference_index(engine.tables, document)
+                assert (index.reach, index.coreach) == (reach, coreach), arm
+            assert [engine.matches(document) for document in documents] == nonempty
+            for document, outputs, document_pins, truth in zip(
+                documents, expected, pins, verdicts
+            ):
+                assert list(engine.enumerate(document)) == outputs, (arm, document)
+                assert [engine.eval(document, pin) for pin in document_pins] == truth
+
+    tally.run(run)
+    return tally
+
+
+class TestNonSequentialInputs:
+    """Non-sequential automata reach the engine only as their Proposition
+    5.6 product (``compile_va`` builds it when the planner did not), so the
+    one sequential sweep answers for them — unplanned and at every opt
+    level — exactly like the seed's general (Theorem 5.10) evaluator."""
+
+    @pytest.mark.parametrize(
+        "source, documents",
+        [
+            pytest.param(
+                _non_sequential_csv_va(2),
+                ["f0=ab;f1=cd;", "f0=;f1=x;", "f0=a;", ""],
+                id="e21-csv",
+            ),
+            pytest.param(parse("(x{a})*"), ["", "a", "aa", "aab"], id="star"),
+            pytest.param(
+                parse("(x{a}|y{b}|z{a})*"),
+                ["", "ab", "aba", "bb"],
+                id="star-of-unions",
+            ),
+            pytest.param(_dangling_open_va(), ["", "a", "aa"], id="dangling-open"),
+        ],
+    )
+    def test_fixed_cases_match_the_seed(self, source, documents):
+        _check_non_sequential(source, documents).assert_flushed(limits=(2,))
+
+    def test_random_non_sequential_vas_match_the_seed(self):
+        @given(
+            seed=st.integers(min_value=0, max_value=5_000),
+            document=documents(max_length=4),
+        )
+        @settings(max_examples=EXAMPLES, deadline=None)
+        def check(seed, document):
+            automaton = random_va(6, seed=seed)
+            if is_sequential(automaton):
+                return
+            _check_non_sequential(automaton, [document, document + "a"])
+
+        check()

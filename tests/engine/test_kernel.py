@@ -20,14 +20,15 @@ from hypothesis import strategies as st
 
 from repro.alphabet import CharSet
 from repro.automata.labels import Open
+from repro.automata.sequential import is_sequential
 from repro.automata.thompson import to_va
 from repro.automata.va import VA
 from repro.engine import compile_va
 from repro.engine import compiled as compiled_module
 from repro.engine import kernel as kernel_module
-from repro.engine.compiled import compile_spanner
+from repro.engine.compiled import CompiledSpanner, compile_spanner
 from repro.engine.kernel import AlphabetClasses, FlatDFA, Trail, iter_bits
-from repro.engine.oracle import FlatNodeSweep, eval_sequential_compiled
+from repro.engine.oracle import FlatNodeSweep, eval_compiled
 from repro.engine.tables import DocumentIndex
 from repro.evaluation.enumerate import enumerate_va_oracle
 from repro.evaluation.eval_problem import eval_va
@@ -260,11 +261,12 @@ class TestKernelAgainstSets:
         def check(expression, document, pinned):
             def run():
                 automaton = plan(expression, opt_level=1).automaton
-                cva = compile_va(automaton)
-                if cva.is_sequential:
-                    assert eval_sequential_compiled(
-                        cva, document, pinned
-                    ) == eval_va(automaton, document, pinned)
+                verdict = eval_compiled(compile_va(automaton), document, pinned)
+                assert verdict == eval_va(automaton, document, pinned)
+                # Unplanned: compile_va sequentialises the raw translation.
+                raw = to_va(expression)
+                assert eval_compiled(compile_va(raw), document, pinned) == verdict
+                assert eval_va(raw, document, pinned) == verdict
 
             tally.run(run)
 
@@ -281,7 +283,7 @@ class TestKernelAgainstSets:
             def run():
                 automaton = plan(expression, opt_level=1).automaton
                 cva = compile_va(automaton)
-                if not cva.is_sequential or not cva.mentioned_variables:
+                if not cva.mentioned_variables:
                     return
                 variable = sorted(cva.mentioned_variables)[0]
                 node = FlatNodeSweep(cva, document, {}, variable)
@@ -319,8 +321,9 @@ class TestKernelAgainstSets:
 
     def test_sequentialised_non_sequential_source(self):
         # The e21 trick: a bogus unusable open makes the source fail the
-        # sequentiality check; planning sequentialises it, and the kernel
-        # then runs the Theorem-5.7 sweep on the planned automaton.
+        # sequentiality check; planning (or, unplanned and at opt 0,
+        # compile_va) sequentialises it, and the kernel then runs the
+        # Theorem-5.7 sweep on the product.
         base = to_va(seller_like_sequential_rgx(2))
         looped = base.transitions + ((base.final, Open("v0"), base.final),)
         automaton = VA(base.num_states, base.initial, base.final, looped)
@@ -330,9 +333,13 @@ class TestKernelAgainstSets:
         tally = FlushTally()
 
         def run():
-            engine = compile_spanner(automaton, opt_level=1)
-            assert engine.tables.is_sequential  # the plan sequentialised it
-            assert engine.mappings(document) == expected
+            for engine in (
+                CompiledSpanner(automaton),
+                compile_spanner(automaton, opt_level=0),
+                compile_spanner(automaton, opt_level=1),
+            ):
+                assert is_sequential(engine.tables.va)
+                assert engine.mappings(document) == expected
 
         tally.run(run)
         tally.assert_flushed()

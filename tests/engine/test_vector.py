@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.automata.labels import Open
+from repro.automata.sequential import is_sequential
 from repro.automata.thompson import to_va
 from repro.automata.va import VA
 from repro.engine import compile_va
@@ -28,6 +29,7 @@ from repro.engine.compiled import compile_spanner
 from repro.engine.kernel import FlatTables, numpy_or_none
 from repro.engine.tables import DocumentIndex
 from repro.engine.vector import _DfaMirror, batch_accept, batch_index
+from repro.evaluation.eval_problem import non_empty_va
 from repro.plan import OPT_LEVELS, plan
 from repro.rgx.parser import parse
 from repro.rgx.semantics import mappings as seed_mappings
@@ -94,13 +96,19 @@ class TestGates:
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         assert batch_accept(cva, BATCH) is None
         assert batch_index(cva, BATCH) is None
-        monkeypatch.delenv("REPRO_NO_NUMPY")
-        # Batch verdicts need the sequential sweep.
+
+    @requires_numpy
+    def test_batch_accept_on_a_non_sequential_source(self):
+        """``compile_va`` sequentialises a non-sequential automaton, so its
+        batch verdicts take the lockstep sweep and match the seed."""
         base = to_va(seller_like_sequential_rgx(1))
         looped = base.transitions + ((base.final, Open("v0"), base.final),)
-        general = compile_va(VA(base.num_states, base.initial, base.final, looped))
-        assert not general.is_sequential
-        assert batch_accept(general, BATCH) is None
+        automaton = VA(base.num_states, base.initial, base.final, looped)
+        assert not is_sequential(automaton)
+        texts = [*BATCH, "f0=ab;", "f0=;", "f0=a;f0=b;", "xf0=a;"]
+        expected = [non_empty_va(automaton, text) for text in texts]
+        assert any(expected) and not all(expected)
+        assert batch_accept(compile_va(automaton), texts) == expected
 
     @requires_numpy
     def test_completion_stops_short_of_the_budget(self):

@@ -131,10 +131,13 @@ class TestSequentialize:
         va = to_va(parse("x{a}b"))
         assert sequentialize(va) is va
 
-    def test_budget_falls_back_to_input(self):
+    def test_budget_raises(self):
+        # The engine sweeps only sequential automata, so there is no
+        # fallback to keep the input for.
         va = to_va(parse("(x{a}|y{b}|z{a})*"))
         assert not is_sequential(va)
-        assert sequentialize(va, max_states=3) is va
+        with pytest.raises(BudgetExceededError):
+            sequentialize(va, max_states=3)
 
     def test_budget_error_from_make_sequential(self):
         va = to_va(parse("(x{a}|y{b}|z{a})*"))

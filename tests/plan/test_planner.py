@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.automata.sequential import is_sequential
 from repro.automata.thompson import to_va
 from repro.automata.simulate import evaluate_va
 from repro.engine.compiled import compile_spanner
@@ -10,11 +11,13 @@ from repro.plan import (
     OPT_LEVELS,
     Plan,
     plan,
+    planner,
 )
 from repro.rgx.ast import ANY_STAR, char, concat, var as bare
 from repro.rgx.parser import parse
 from repro.rules.rule import Rule
 from repro.spanner import Spanner
+from repro.util.errors import BudgetExceededError
 
 
 class TestFrontEnds:
@@ -97,8 +100,6 @@ class TestPipeline:
 
     def test_opt1_sequentializes(self):
         p = plan("(x{a})*")
-        from repro.automata.sequential import is_sequential
-
         assert not p.source_sequential
         assert is_sequential(p.automaton)
 
@@ -109,11 +110,11 @@ class TestPipeline:
     def test_structural_sharing_across_sources(self):
         assert plan("x{a}|x{a}").fingerprint == plan("x{a}").fingerprint
 
-    def test_sequentialize_budget_falls_back(self):
-        p = plan("(x{a}|y{b}|z{a})*", sequentialize_budget=3)
-        record = next(r for r in p.passes if r.name == "sequentialize")
-        assert not record.changed
-        assert not p.source_sequential
+    def test_sequentialize_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(planner, "DEFAULT_SEQUENTIALIZE_BUDGET", 3)
+        with pytest.raises(BudgetExceededError):
+            plan("(x{a}|y{b}|z{a})*")
+        assert plan("x{a}b").opt_level == 1  # sequential sources need no product
 
     def test_replanning_planned_automaton_is_stable(self):
         # The cache re-plans already-planned automata; the pipeline must
@@ -175,7 +176,7 @@ class TestEngineIntegration:
     def test_source_classification_preserved(self):
         engine = compile_spanner("(x{a})*")
         assert not engine.is_sequential  # the source's fragment membership
-        assert engine.tables.is_sequential  # but the engine sweeps sequentially
+        assert is_sequential(engine.tables.va)  # but the engine sweeps sequentially
 
     def test_spanner_keeps_raw_automaton(self):
         spanner = Spanner.compile("(x{a})*")

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 
 from repro.algebra import query
 from repro.engine.compiled import CompiledSpanner
-from repro.plan import plan as build_plan
+from repro.plan import plan as build_plan, planner
 from repro.rgx.parser import parse
 from repro.rgx.semantics import mappings
 from repro.spans.mapping import join as semantic_join
-from repro.util.errors import SpannerError
+from repro.util.errors import BudgetExceededError
 from tests.strategies import documents, rgx_expressions
 
 DOCS = ["", "a", "b", "ab", "ba", "aab", "abb"]
@@ -130,13 +130,14 @@ class TestJoinPath:
             for engine in _engines(expression):
                 assert engine.mappings(document) == expected
 
-    def test_non_sequential_operand_respects_budget(self):
+    def test_non_sequential_operand_respects_budget(self, monkeypatch):
         # (x{a})* is not sequential; join operands are sequentialised up
         # front under the planner's state budget, so a tiny budget must
         # surface as a planner error, not an exponential compile.
+        monkeypatch.setattr(planner, "DEFAULT_SEQUENTIALIZE_BUDGET", 1)
         expression = query("(x{a})*").join(query(".*x{a}.*"))
-        with pytest.raises(SpannerError):
-            build_plan(expression, opt_level=1, sequentialize_budget=1)
+        with pytest.raises(BudgetExceededError):
+            build_plan(expression, opt_level=1)
 
     def test_non_sequential_operand_within_budget(self):
         expression = query("(x{a})*").join(query(".*x{a}.*"))

@@ -10,7 +10,9 @@ import time
 import pytest
 
 from repro.engine.compiled import compile_spanner
+from repro.plan import planner
 from repro.server import (
+    RetryLaterError,
     ServerClient,
     ServerConfig,
     ServerResponseError,
@@ -117,6 +119,33 @@ class TestCompileBreaker:
             assert caught.value.status == 422
             # A different pattern has its own (closed) breaker.
             reply = client.enumerate(".*y{b+}.*", ["abb"])
+            assert reply["results"][0]["mappings"]
+            client.close()
+
+    def test_pattern_over_the_sequentialisation_budget(self, monkeypatch):
+        """A non-sequential pattern whose Proposition 5.6 product exceeds
+        the budget is a typed compile error: 400 "bad pattern" until the
+        breaker opens, then 422 with ``Retry-After``; the server stays
+        healthy and keeps serving other patterns."""
+        monkeypatch.setattr(planner, "DEFAULT_SEQUENTIALIZE_BUDGET", 3)
+        over_budget = "(x{a}|y{b}|z{a})*"
+        config = ServerConfig(port=0, breaker_threshold=2, breaker_reset=30.0)
+        with ServerThread(config) as server:
+            client = ServerClient(*server.address)
+            for _ in range(2):
+                with pytest.raises(ServerResponseError) as caught:
+                    client.enumerate(over_budget, ["ab"])
+                assert caught.value.status == 400
+                assert "bad pattern" in caught.value.message
+                assert "budget 3 exceeded" in caught.value.message
+            with pytest.raises(RetryLaterError) as caught:
+                client.enumerate(over_budget, ["ab"])
+            assert caught.value.status == 422
+            assert caught.value.retry_after >= 1
+            health = client.healthz()
+            assert health["status"] == "ok"
+            assert health["breakers"]["open"] == 1
+            reply = client.enumerate(PATTERN, ["baa"])
             assert reply["results"][0]["mappings"]
             client.close()
 
