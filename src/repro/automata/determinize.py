@@ -145,9 +145,9 @@ def is_complete_deterministic(va: VA) -> bool:
         initial=va.initial,
         final=va.final,
         transitions=tuple(
-            (s, l, t)
-            for s, l, t in va.transitions
-            if not (isinstance(l, Eps) and t == va.final)
+            (s, label, t)
+            for s, label, t in va.transitions
+            if not (isinstance(label, Eps) and t == va.final)
         ),
     )
     return is_deterministic(glue_free)

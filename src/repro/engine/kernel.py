@@ -39,6 +39,13 @@ variable-set automata:
   with them (:class:`Trail`), so a powerset-heavy automaton costs
   re-exploration, never an error and never unbounded memory.
 
+* **Two recorded sweeps** — :func:`_flat_sweep` (forward, with counted
+  closures where a ``required`` dict asks) and :func:`_sweep_back`
+  (backward) keep that flush contract for the document index, the
+  ``Eval`` oracle and enumeration nodes.  Their frontiers are masks, so
+  a recording extended across calls re-interns it in the current
+  generation.
+
 Pinned sweeps (the ``Eval`` oracle and enumeration nodes) run over a
 :class:`SweepContext`: the same machinery with the closure graph
 restricted by the pin context — operations of span-pinned variables only
@@ -760,6 +767,154 @@ class Trail:
             table[sid] if (mask := settled.get(pos)) is None else mask
             for pos, sid in enumerate(self.ids, self.lo)
         ]
+
+
+def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, trail=None):
+    """Advance per-count masks from ``start`` to ``end`` on the flat DFA.
+
+    ``masks``/``needed`` are the closure at ``start`` (``masks[needed]``
+    is the live set).  Positions with required operations (the sorted
+    keys of the ``required`` dict in ``(start, end]``) take a raw letter
+    step and a counted closure; every run of plain positions between them
+    walks the interned DFA — two indexed loads per character,
+    re-interning the live mask only when re-entering from a counted
+    closure.  When ``trail`` is given, the id of the count-0 closed state
+    entering every swept position is appended to it — its window must
+    end at ``start`` — and id 0 (the dead state) stops the sweep.  A
+    flush of the DFA is caught on the miss branch: the sweep re-reads
+    the rows, syncs its trail and carries on.  The caller holds
+    ``fdfa.lock``.  Returns the final ``(masks, needed)`` pair — plain
+    masks, a frontier any later extension can resume from — or ``None``
+    once no run survives.
+    """
+    if start >= end:
+        return masks, needed
+    if not masks[needed]:
+        return None
+    points = sorted([pos for pos in required if start < pos <= end])
+    points.append(end + 1)  # sentinel: a final plain run to ``end``
+    explore = fdfa.explore
+    record = None if trail is None else trail.ids.append
+    pos = start
+    state = fdfa.intern(masks[needed])
+    if trail is not None:
+        trail.sync(start + 1)
+    for point in points:
+        limit = point - 1 if point <= end else end
+        if pos < limit:
+            rows = fdfa.rows
+            row = rows[state]
+            if record is None:
+                for class_id in classes[pos - 1 : limit - 1]:
+                    target = row[class_id]
+                    if target < 0:
+                        target = explore(state, class_id)
+                        rows = fdfa.rows
+                    if not target:
+                        return None
+                    state = target
+                    row = rows[target]
+            else:
+                for ahead, class_id in enumerate(classes[pos - 1 : limit - 1], pos + 1):
+                    target = row[class_id]
+                    if target < 0:
+                        target = explore(state, class_id)
+                        rows = fdfa.rows
+                        trail.sync(ahead)
+                    record(target)
+                    if not target:
+                        return None
+                    state = target
+                    row = rows[target]
+            pos = limit
+        if point > end:
+            return [fdfa.masks[state]], 0
+        # Counted landing at ``point``: raw letter step off the live mask,
+        # then the requirement-tracking closure.
+        upcoming = required[point]
+        seeds = context.letter(fdfa.masks[state], classes[point - 2])
+        masks = context.closure_counted([seeds], upcoming) if seeds else None
+        if record is not None:
+            entered = fdfa.intern(masks[0]) if masks else 0
+            trail.sync(point)
+            record(entered)
+        if masks is None:
+            return None
+        needed = len(upcoming)
+        if point == end:
+            return masks, needed
+        pos = point
+        live = masks[needed]
+        if not live:
+            return None
+        state = fdfa.intern(live)
+        if trail is not None:
+            trail.sync(point + 1)
+    raise AssertionError("unreachable: the sentinel point always returns")
+
+
+def _sweep_back(fdfa, context, classes, required, trail, position, live, target):
+    """Extend a backward co-acceptance recording down to ``target``.
+
+    ``position`` is the next slot to record and ``live`` the mask of the
+    co-acceptance states above it (0 once nothing co-accepts); slot ``j``
+    ends up holding the states (post-closure at ``j``, all of ``j``'s
+    operations done) from which the suffix ``j..end`` still accepts.
+    Plain positions walk the reverse flat DFA — one step is the whole
+    letter-then-closure composite, and its id is both the recorded slot
+    and the continuation; the positions of ``required`` run the backward
+    counted closure (op edges traversed target → source).  The masks
+    come out closed under the reverse free moves, which is what makes the
+    forward/backward intersection test exact: a forward-closed live mask
+    meets slot ``j`` iff it meets the raw co-acceptance set.  The caller
+    holds ``fdfa.lock``.  Returns the new ``(position, live)`` frontier
+    (live 0 once nothing co-accepts: every lower slot stays 0).
+    """
+    if position < target or not live:
+        return position, live
+    trail.grow_down(target)
+    state = fdfa.intern(live)
+    trail.sync(position)
+    ids, lo = trail.ids, trail.lo
+    points = sorted((p for p in required if target <= p <= position), reverse=True)
+    points.append(target - 1)  # sentinel: a final plain run down to target
+    rows, explore = fdfa.rows, fdfa.explore
+    for point in points:
+        row = rows[state]
+        while position > point:
+            class_id = classes[position - 1]
+            step = row[class_id]
+            if step < 0:
+                step = explore(state, class_id)
+                rows = fdfa.rows
+                trail.sync(position)
+            ids[position - lo] = step
+            position -= 1
+            if not step:
+                return position, 0
+            state = step
+            row = rows[step]
+        if point < target:
+            break
+        seeds = context.letter_rev(fdfa.masks[state], classes[point - 1])
+        if not seeds:
+            return position, 0
+        ops = required[point]
+        levels = context.closure_counted_rev([seeds], ops)
+        # Level 0 is the closed co-acceptance slot (a span's own ops fire
+        # forward, in the resume's counted closure); the top level carries
+        # the base ops backward.
+        entered = fdfa.intern(levels[0])
+        trail.sync(point)
+        ids[point - lo] = entered
+        position = point - 1
+        live = levels[len(ops)]
+        if not live:
+            return position, 0
+        state = fdfa.intern(live)
+        trail.sync(position)
+        rows = fdfa.rows
+    return position, fdfa.masks[state]
 
 
 class FlatTables:

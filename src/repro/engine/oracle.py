@@ -6,8 +6,8 @@ them all.  Two layers, and what the second shares between its instances:
 
 * :func:`eval_compiled` — a drop-in for
   :func:`repro.evaluation.eval_problem.eval_va` that runs Theorem 5.7's
-  sweep on the kernel's flat lazy DFA (:mod:`repro.engine.kernel`):
-  state sets are interned bitmasks, a position without required
+  sweep (:func:`~repro.engine.kernel._flat_sweep`) on the kernel's flat
+  lazy DFA: state sets are interned bitmasks, a position without required
   operations is one table load, and the ≤ 2k positions with required
   operations run a counted closure over per-count masks.
 
@@ -28,6 +28,10 @@ them all.  Two layers, and what the second shares between its instances:
   trail, and backward only below its last pin.  Per-node sweeping then
   follows the pinned stretch, not ``|d|``.
 
+Every recording here is one of the kernel's two recorded sweeps; only
+:meth:`FlatNodeSweep._sweep_tail`, which compares ids with a sibling's
+trail as it goes, walks the DFA rows itself.
+
 The seed evaluators of :mod:`repro.evaluation` — Theorem 5.10's general
 sweep included — are the reference all of this is cross-validated
 against.
@@ -39,7 +43,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
-from repro.engine.kernel import Trail
+from repro.engine.kernel import Trail, _flat_sweep, _sweep_back
 from repro.engine.tables import CompiledVA, close_key, open_key
 from repro.spans.mapping import NULL, ExtendedMapping, Variable
 from repro.spans.span import Span
@@ -79,92 +83,6 @@ class Requirements:
         return self.required.get(pos, _NO_OPS)
 
 
-def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, trail=None):
-    """Advance per-count masks from ``start`` to ``end`` on the flat DFA.
-
-    ``masks``/``needed`` are the closure at ``start`` (``masks[needed]``
-    is the live set).  Positions with required operations (the sorted
-    keys of the ``required`` dict in ``(start, end]``) take a raw letter
-    step and a counted closure; every run of plain positions between them
-    walks the interned DFA — two indexed loads per character,
-    re-interning the live mask only when re-entering from a counted
-    closure.  When ``trail`` is given, the id of the count-0 closed state
-    entering every swept position is appended to it — its window must
-    end at ``start`` — and id 0 (the dead state) stops the sweep.  A
-    flush of the DFA is caught on the miss branch: the sweep re-reads
-    the rows, syncs its trail and carries on.
-    Returns the final ``(masks, needed)`` pair, or ``None`` once no run
-    survives.
-    """
-    if start >= end:
-        return masks, needed
-    if not masks[needed]:
-        return None
-    if required:
-        points = sorted(pos for pos in required if start < pos <= end)
-    else:
-        points = []
-    points.append(end + 1)  # sentinel: a final plain run to ``end``
-    explore = fdfa.explore
-    record = None if trail is None else trail.ids.append
-    pos = start
-    state = fdfa.intern(masks[needed])
-    if trail is not None:
-        trail.sync(start + 1)
-    for point in points:
-        limit = point - 1 if point <= end else end
-        if pos < limit:
-            rows = fdfa.rows
-            row = rows[state]
-            if record is None:
-                for class_id in classes[pos - 1 : limit - 1]:
-                    target = row[class_id]
-                    if target < 0:
-                        target = explore(state, class_id)
-                        rows = fdfa.rows
-                    if not target:
-                        return None
-                    state = target
-                    row = rows[target]
-            else:
-                for ahead, class_id in enumerate(classes[pos - 1 : limit - 1], pos + 1):
-                    target = row[class_id]
-                    if target < 0:
-                        target = explore(state, class_id)
-                        rows = fdfa.rows
-                        trail.sync(ahead)
-                    record(target)
-                    if not target:
-                        return None
-                    state = target
-                    row = rows[target]
-            pos = limit
-        if point > end:
-            return [fdfa.masks[state]], 0
-        # Counted landing at ``point``: raw letter step off the live mask,
-        # then the requirement-tracking closure.
-        upcoming = required[point]
-        seeds = context.letter(fdfa.masks[state], classes[point - 2])
-        masks = context.closure_counted([seeds], upcoming) if seeds else None
-        if record is not None:
-            entered = fdfa.intern(masks[0]) if masks else 0
-            trail.sync(point)
-            record(entered)
-        if masks is None:
-            return None
-        needed = len(upcoming)
-        if point == end:
-            return masks, needed
-        pos = point
-        live = masks[needed]
-        if not live:
-            return None
-        state = fdfa.intern(live)
-        if trail is not None:
-            trail.sync(point + 1)
-    raise AssertionError("unreachable: the sentinel point always returns")
-
-
 def eval_compiled(cva: CompiledVA, text: str, pinned: ExtendedMapping) -> bool:
     """``Eval[VA]``: Theorem 5.7's sweep over the kernel's flat tables.
 
@@ -192,87 +110,14 @@ def eval_compiled(cva: CompiledVA, text: str, pinned: ExtendedMapping) -> bool:
     classes = flat.intern(text)
     fdfa = flat.context(context)
     required = requirements.required
-    first = required.get(1)
-    initial_mask = 1 << cva.initial
-    if first:
-        masks = context.closure_counted([initial_mask], first)
-        needed = len(first)
-    else:
-        masks = [context.close(initial_mask)]
-        needed = 0
+    first = required.get(1, _NO_OPS)
+    masks, needed = context.closure_counted([1 << cva.initial], first), len(first)
     with fdfa.lock:
         swept = _flat_sweep(fdfa, context, classes, 1, end, masks, needed, required)
     if swept is None:
         return False
     masks, needed = swept
     return bool((masks[needed] >> cva.final) & 1)
-
-
-def _sweep_back(fdfa, context, classes, required, trail, position, state, target):
-    """Extend a backward co-acceptance recording down to ``target``.
-
-    ``position`` is the next slot to record and ``state`` the id (in
-    ``trail.table``'s generation) of the co-acceptance states above it;
-    slot ``j`` ends up holding the states (post-closure at ``j``, all of
-    ``j``'s operations done) from which the suffix ``j..end`` still
-    accepts.  Plain positions walk the reverse flat DFA — one step is the
-    whole letter-then-closure composite, and its id is both the recorded
-    slot and the continuation; the positions of ``required`` run the
-    backward counted closure (op edges traversed target → source).  The
-    masks come out closed under the reverse free moves, which is what
-    makes the forward/backward intersection test exact: a forward-closed
-    live mask meets slot ``j`` iff it meets the raw co-acceptance set.
-    Returns the new ``(position, state)`` frontier (state 0 once nothing
-    co-accepts: every lower slot stays 0).
-    """
-    if position < target or not state:
-        return position, state
-    trail.grow_down(target)
-    if fdfa.masks is not trail.table:
-        # Another sweep flushed the shared DFA since the last extension:
-        # carry the frontier over into the new generation.
-        state = fdfa.intern(trail.table[state])
-        trail.sync(position)
-    ids, lo = trail.ids, trail.lo
-    points = sorted((p for p in required if target <= p <= position), reverse=True)
-    points.append(target - 1)  # sentinel: a final plain run down to target
-    rows, explore = fdfa.rows, fdfa.explore
-    for point in points:
-        row = rows[state]
-        while position > point:
-            class_id = classes[position - 1]
-            step = row[class_id]
-            if step < 0:
-                step = explore(state, class_id)
-                rows = fdfa.rows
-                trail.sync(position)
-            ids[position - lo] = step
-            position -= 1
-            if not step:
-                return position, 0
-            state = step
-            row = rows[step]
-        if point < target:
-            break
-        seeds = context.letter_rev(fdfa.masks[state], classes[point - 1])
-        if not seeds:
-            return position, 0
-        ops = required[point]
-        levels = context.closure_counted_rev([seeds], ops)
-        # Level 0 is the closed co-acceptance slot (a span's own ops fire
-        # forward, in the resume's counted closure); the top level carries
-        # the base ops backward.
-        entered = fdfa.intern(levels[0])
-        trail.sync(point)
-        ids[point - lo] = entered
-        top = levels[len(ops)]
-        state = fdfa.intern(top) if top else 0
-        trail.sync(point - 1)
-        rows = fdfa.rows
-        position = point - 1
-        if not state:
-            break
-    return position, state
 
 
 def _segments(starts, trails, end: int, pos: int) -> list[tuple[int, int, Trail]]:
@@ -323,7 +168,7 @@ class _Lane:
         "_forward",
         "_backward",
         "_back_pos",
-        "_back_state",
+        "_back_mask",
     )
 
     def __init__(self, node: "FlatNodeSweep") -> None:
@@ -350,9 +195,7 @@ class _Lane:
         if top < pos and trail.ids[-1]:
             with fdfa.lock:
                 masks = [trail.mask(top)]
-                _flat_sweep(
-                    fdfa, self._context, self._classes, top, pos, masks, 0, {}, trail
-                )
+                _flat_sweep(fdfa, self._context, self._classes, top, pos, masks, 0, {}, trail)
         return trail
 
     def backward_to(self, pos: int) -> Trail:
@@ -362,16 +205,17 @@ class _Lane:
         if trail is None:
             fdfa = self._flat.context_rev(self._context)
             end = self._end
+            live = self._context.close_rev(1 << self._cva.final)
             with fdfa.lock:
-                state = fdfa.intern(self._context.close_rev(1 << self._cva.final))
+                state = fdfa.intern(live)
                 trail = self._backward = Trail(fdfa, end + 1, end)
                 trail.ids[end] = state
-            self._back_pos, self._back_state = end - 1, state
-        if self._back_pos >= pos and self._back_state:
+            self._back_pos, self._back_mask = end - 1, live
+        if self._back_pos >= pos and self._back_mask:
             fdfa = trail.dfa
             with fdfa.lock:
-                frontier = (self._back_pos, self._back_state)
-                self._back_pos, self._back_state = _sweep_back(
+                frontier = (self._back_pos, self._back_mask)
+                self._back_pos, self._back_mask = _sweep_back(
                     fdfa, self._context, self._classes, {}, trail, *frontier, pos
                 )
         return trail
@@ -451,8 +295,10 @@ class FlatNodeSweep:
     surviving pair costs one counted closure plus two table lookups —
     the same verdict :meth:`accepts_span` gives a single span.  Every
     recording is a :class:`Trail`, so it stays valid when any sweep
-    flushes the shared DFAs; sweeps that resume across calls carry their
-    frontier over into the new generation.
+    flushes the shared DFAs.  A recording that resumes across calls (the
+    open sweep, the backward sweeps) keeps its frontier as masks, not as
+    a state id, and the next extension re-interns it in whatever
+    generation the DFA has reached.
 
     ``share`` defaults to a fresh, empty share: a lone node sweeps
     everything itself, exactly as much as one node of a shared context.
@@ -476,15 +322,14 @@ class FlatNodeSweep:
         "_forward",
         "_backward",
         "_back_pos",
-        "_back_state",
+        "_back_mask",
         "_final_masks",
         "_final_needed",
         "_open_key",
         "_close_key",
         "_open_at",
         "_open",
-        "_open_pos",
-        "_open_state",
+        "_open_frontier",
     )
 
     def __init__(
@@ -536,12 +381,8 @@ class FlatNodeSweep:
         self._final_masks, self._final_needed = [0], 0
         if not shared.id(first):
             return  # no pin-free run reaches the first pin
-        entering = shared.mask(first)
-        ops = required.get(first)
-        if ops:
-            masks, needed = context.closure_counted([entering], ops), len(ops)
-        else:
-            masks, needed = [entering], 0
+        ops = required.get(first, _NO_OPS)
+        masks, needed = context.closure_counted([shared.mask(first)], ops), len(ops)
         if first == end:
             self._final_masks, self._final_needed = masks, needed
             return
@@ -649,65 +490,23 @@ class FlatNodeSweep:
         from ``end``.  Slot ``j`` holds the id of the count-0 closed
         state entering ``j`` for runs that satisfied the base
         requirements *and* opened ``x`` at ``i`` (0 = no such run, so the
-        span ``(i, j)`` is rejected for free).
+        span ``(i, j)`` is rejected for free).  The frontier at the
+        window's top is :func:`_flat_sweep`'s ``(masks, needed)``
+        (``None`` once dead: the window ends where the sweep died).
         """
-        if self._open_at == i:
-            pos = self._open_pos
-            state = self._open_state
-            if pos >= j or not state:
-                return self._open  # a dead frontier reads 0 past the window
-            live = None
-        else:
+        fdfa, trail = self._fdfa, self._open
+        if self._open_at != i:
             ops = self._required.get(i, _NO_OPS) | {self._open_key}
             masks = self._context.closure_counted([self._base(i).mask(i)], ops)
-            live = masks[len(ops)]
-            pos = i
-        fdfa = self._fdfa
-        context, classes = self._context, self._classes
-        required = self._required
-        with fdfa.lock:
-            if live is not None:  # a fresh open sweep
-                state = fdfa.intern(live) if live else 0
-                trail = self._open = Trail(fdfa, 0, i + 1, i + 1)
-                self._open_at = i
-            else:
-                trail = self._open
-                if fdfa.masks is not trail.table:
-                    # Another sweep flushed the shared DFA since the last
-                    # call: carry the live state over into the new
-                    # generation.
-                    state = fdfa.intern(trail.table[state])
-                    trail.sync(pos + 1)
-            record = trail.ids.append
-            rows, explore = fdfa.rows, fdfa.explore
-            while pos < j and state:
-                ahead = pos + 1
-                ops = required.get(ahead)
-                if ops is None:
-                    class_id = classes[pos - 1]
-                    target = rows[state][class_id]
-                    if target < 0:
-                        target = explore(state, class_id)
-                        rows = fdfa.rows
-                        trail.sync(ahead)
-                    record(target)
-                    state = target
-                else:
-                    seeds = context.letter(fdfa.masks[state], classes[pos - 1])
-                    state = 0
-                    if seeds:
-                        masks = context.closure_counted([seeds], ops)
-                        entered = fdfa.intern(masks[0])
-                        trail.sync(ahead)
-                        record(entered)
-                        live = masks[len(ops)]
-                        if live:
-                            state = fdfa.intern(live)
-                            trail.sync(ahead + 1)
-                        rows = fdfa.rows
-                pos = ahead
-        self._open_pos = pos
-        self._open_state = state
+            trail = self._open = Trail(fdfa, 0, i + 1, i + 1)
+            self._open_at, self._open_frontier = i, (masks, len(ops))
+        frontier, top = self._open_frontier, trail.hi - 1
+        if frontier is not None and top < j:
+            context, classes, required = self._context, self._classes, self._required
+            with fdfa.lock:
+                self._open_frontier = _flat_sweep(
+                    fdfa, context, classes, top, j, *frontier, required, trail
+                )
         return trail
 
     def _coaccepting(self, j: int) -> int:
@@ -737,15 +536,13 @@ class FlatNodeSweep:
                     above = self._lane.backward_to(last + 1)
                     current = above.mask(last + 1) if above.id(last + 1) else 0
                     position = last
-                with fdfa.lock:
-                    state = fdfa.intern(current) if current else 0
-                    trail = self._backward = Trail(fdfa, 0, position, position + 1)
-                self._back_pos, self._back_state = position, state
-            if self._back_pos >= j and self._back_state:
+                trail = self._backward = Trail(fdfa, 0, position, position + 1)
+                self._back_pos, self._back_mask = position, current
+            if self._back_pos >= j and self._back_mask:
                 fdfa = trail.dfa
                 with fdfa.lock:
-                    frontier = (self._back_pos, self._back_state)
-                    self._back_pos, self._back_state = _sweep_back(
+                    frontier = (self._back_pos, self._back_mask)
+                    self._back_pos, self._back_mask = _sweep_back(
                         fdfa, context, self._classes, self._required, trail, *frontier, j
                     )
         return trail.mask(j) if trail.id(j) else 0
@@ -792,8 +589,8 @@ class FlatNodeSweep:
                     continue
                 for at in range(bisect_left(closes, i), count):
                     j = closes[at]
-                    if self._open_at == i and not self._open_state and self._open_pos < j:
-                        break  # every slot past the dead frontier is 0
+                    if self._open_at == i and self._open_frontier is None and self._open.hi <= j:
+                        break  # every slot past the dead sweep's window is 0
                     if resume(i, j):
                         yield Span(i, j)
 

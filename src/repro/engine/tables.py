@@ -35,7 +35,7 @@ from functools import lru_cache
 from repro.automata.labels import Close, Eps, Open, Sym
 from repro.automata.sequential import is_sequential, make_sequential
 from repro.automata.va import VA
-from repro.engine.kernel import Kernel, Trail, iter_bits
+from repro.engine.kernel import Kernel, Trail, _flat_sweep, _sweep_back, iter_bits
 from repro.engine.vector import op_positions_np
 from repro.plan import planner
 from repro.spans.mapping import Variable
@@ -88,8 +88,10 @@ class CompiledVA:
         self.eps: list[tuple[int, ...]] = [() for _ in range(count)]
         self.opens: list[tuple[tuple[Variable, int], ...]] = [() for _ in range(count)]
         self.closes: list[tuple[tuple[Variable, int], ...]] = [() for _ in range(count)]
-        #: Every letter transition as ``(source, charset, target)`` — used by
-        #: the backward reachability pass of :class:`DocumentIndex`.
+        #: Every letter transition as ``(source, charset, target)`` — the
+        #: predicates :class:`~repro.engine.kernel.AlphabetClasses` partitions
+        #: the alphabet by, whose class representatives seed the kernel's
+        #: forward and reverse step tables.
         self.sym_edges: list[tuple[int, object, int]] = []
         single: list[dict[str, list[int]]] = [{} for _ in range(count)]
         residual: list[list[tuple[object, int]]] = [[] for _ in range(count)]
@@ -225,10 +227,12 @@ class DocumentIndex:
     those position sets is unreachable and safely skipped.
 
     Both sweeps run over the kernel's flat tables: the document is
-    interned once into alphabet-class ids, and each pass walks an
-    interned flat DFA — two indexed loads per position
-    (:class:`~repro.engine.kernel.FlatDFA`), with the backward pass on
-    the precomputed *reverse* class-step table.
+    interned once into alphabet-class ids, and each pass is one of the
+    kernel's two recorded sweeps on the pin-free sweep context —
+    :func:`~repro.engine.kernel._flat_sweep` forward and
+    :func:`~repro.engine.kernel._sweep_back` backward, on the reverse
+    class-step table — two indexed loads per position
+    (:class:`~repro.engine.kernel.FlatDFA`).
 
     >>> from repro.spanner import Spanner
     >>> cva = compile_va(Spanner.compile(".*x{a}.*").automaton)
@@ -243,13 +247,28 @@ class DocumentIndex:
         kernel = cva.kernel
         flat = kernel.flat
         #: Interned class ids — ``bytes``, or a tuple past 256 classes.
-        self.classes = flat.intern(text)
-        self._reach_masks = _free_sweep(
-            flat.dfa, self.classes, kernel.free[cva.initial], 1
-        )
-        self._coreach_masks = _free_sweep(
-            flat.dfa_rev, self.classes, kernel.free_rev[cva.final], self.end
-        )
+        classes = self.classes = flat.intern(text)
+        end = self.end
+        # Each trail is made after its first id is interned: the id must
+        # belong to the generation the trail captures.
+        free = kernel.context(frozenset(), frozenset())
+        dfa = flat.context(free)
+        start = kernel.free[cva.initial]
+        with dfa.lock:
+            state = dfa.intern(start)
+            reach = Trail(dfa, 2, 1)
+            reach.ids[1] = state
+            _flat_sweep(dfa, free, classes, 1, end, [start], 0, {}, reach)
+            masks = reach.masks()
+        self._reach_masks = masks + [0] * (end + 1 - len(masks))
+        dfa = flat.context_rev(free)
+        final = kernel.free_rev[cva.final]
+        with dfa.lock:
+            state = dfa.intern(final)
+            coreach = Trail(dfa, end + 1, end)
+            coreach.ids[end] = state
+            _sweep_back(dfa, free, classes, {}, coreach, end - 1, final, 1)
+            self._coreach_masks = coreach.masks()
         self._reach_sets: list[frozenset[int]] | None = None
         self._coreach_sets: list[frozenset[int]] | None = None
         #: Per-position masks as ``uint64`` numpy arrays — set only by
@@ -366,39 +385,3 @@ class DocumentIndex:
             Span(i, j) for i in self.open_positions(variable) for j in closes if i <= j
         )
 
-
-def _free_sweep(dfa, classes, start_mask: int, first: int) -> list[int]:
-    """Per-position state masks of one operation-free sweep on ``dfa``.
-
-    Slot ``first`` holds the closed start mask; the sweep then steps one
-    character at a time toward the other end of the document — forward
-    from position 1 (slot ``p`` is the state after character ``p - 1``)
-    or backward from ``end`` (slot ``p`` is the state before character
-    ``p``).  Slot 0, and every slot past a dead state, stays 0.
-    """
-    size = len(classes) + 2
-    if first == 1:
-        positions, shift = range(2, size), 2
-    else:
-        positions, shift = range(first - 1, 0, -1), 1
-    with dfa.lock:
-        state = dfa.intern(start_mask)
-        trail = Trail(dfa, size, first)
-        ids = trail.ids
-        ids[first] = state
-        rows = dfa.rows
-        explore = dfa.explore
-        row = rows[state]
-        for pos in positions:
-            class_id = classes[pos - shift]
-            target = row[class_id]
-            if target < 0:
-                target = explore(state, class_id)
-                rows = dfa.rows
-                trail.sync(pos)
-            if not target:
-                break
-            ids[pos] = target
-            state = target
-            row = rows[target]
-        return trail.masks()

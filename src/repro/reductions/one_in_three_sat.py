@@ -86,20 +86,20 @@ def _conflicts(instance: OneInThreeInstance) -> dict[tuple[int, int], list[Varia
     for i in range(len(clauses)):
         for k in range(i + 1, len(clauses)):
             for j in range(3):
-                for l in range(3):
+                for ell in range(3):
                     in_conflict = False
                     # ∃m: p_{i,j} = p_{k,m} and m ≠ l
                     for m in range(3):
-                        if clauses[i][j] == clauses[k][m] and m != l:
+                        if clauses[i][j] == clauses[k][m] and m != ell:
                             in_conflict = True
                     # ∃m: p_{i,m} = p_{k,l} and m ≠ j
                     for m in range(3):
-                        if clauses[i][m] == clauses[k][l] and m != j:
+                        if clauses[i][m] == clauses[k][ell] and m != j:
                             in_conflict = True
                     if in_conflict:
-                        name = f"y_{i}_{j}_{k}_{l}"
+                        name = f"y_{i}_{j}_{k}_{ell}"
                         table[(i, j)].append(name)
-                        table[(k, l)].append(name)
+                        table[(k, ell)].append(name)
     return table
 
 

@@ -174,7 +174,7 @@ def extract_batch(documents) -> list[set[tuple[str, str, str | None, str | None]
 
 
 def expected_tuples(lines: list[LogLine]) -> set[tuple[str, str, str | None, str | None]]:
-    return {(l.path, l.status, l.user, l.referrer) for l in lines}
+    return {(line.path, line.status, line.user, line.referrer) for line in lines}
 
 
 def extraction_tuples(document: str, mappings) -> set[tuple[str, str, str | None, str | None]]:

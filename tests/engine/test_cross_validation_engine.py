@@ -9,7 +9,6 @@ returns the seed verdict on arbitrary extended-mapping pins.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.simulate import evaluate_va
 from repro.automata.thompson import to_va
 from repro.engine import compile_va
 from repro.engine.compiled import compile_spanner

@@ -475,30 +475,39 @@ class TestFlatEdgeCases:
     @pytest.mark.parametrize("limit", [2, 3])
     def test_interleaved_nodes_survive_each_others_flushes(self, limit):
         """Node sweeps on one pin context share a DFA.  Between two span
-        queries of one node, a fresh node's base sweep flushes that DFA
-        under the first node's paused open sweep, which must carry its
-        live state over into the new generation."""
-        expression = parse("(a|b)*x{a(a|b)*}(a|b)*b(a|b)(a|b)")
-        automaton = plan(expression, opt_level=1).automaton
-        document = HEAVY_DOCUMENT
-        spans = list(all_spans(len(document)))
-        expected = [
-            eval_va(automaton, document, ExtendedMapping({"x": span}))
-            for span in spans
+        queries of one node, a fresh node's sweeps flush that DFA under
+        the first node's paused recordings: its open sweep and its lane's
+        trails, and with a pinned base also its own backward sweep below
+        the last pin.  Each keeps its frontier as masks, which the next
+        extension re-interns in the new generation.  Open positions run
+        from the last down, so every query reaches one close lower than
+        the one before and resumes a paused backward sweep."""
+        cases = [
+            ("(a|b)*x{a(a|b)*}(a|b)*b(a|b)(a|b)", {}),
+            ("(a|b)*x{a(a|b)*}(a|b)*y{b}(a|b)(a|b)", {"y": Span(10, 11)}),
         ]
-        assert any(expected) and not all(expected)
-        null_verdict = eval_va(automaton, document, ExtendedMapping({"x": NULL}))
-        with flat_limit(limit) as probe:
-            cva = compile_va(automaton)
-            node = FlatNodeSweep(cva, document, {}, "x")
-            verdicts = []
-            for span in spans:
-                verdicts.append(node.accepts_span(span))
-                other = FlatNodeSweep(cva, document, {}, "x")
-                assert other._fdfa is node._fdfa
-                assert other.accepts_null() == null_verdict
-        assert verdicts == expected
-        assert probe.flushes > 0
+        document = HEAVY_DOCUMENT
+        spans = sorted(all_spans(len(document)), key=lambda span: (-span.begin, span.end))
+        for pattern, base in cases:
+            automaton = plan(parse(pattern), opt_level=1).automaton
+            expected = [
+                eval_va(automaton, document, ExtendedMapping({**base, "x": span}))
+                for span in spans
+            ]
+            assert any(expected) and not all(expected)
+            null_verdict = eval_va(automaton, document, ExtendedMapping({**base, "x": NULL}))
+            with flat_limit(limit) as probe:
+                cva = compile_va(automaton)
+                node = FlatNodeSweep(cva, document, base, "x")
+                verdicts = []
+                for span, verdict in zip(spans, expected):
+                    verdicts.append(node.accepts_span(span))
+                    other = FlatNodeSweep(cva, document, base, "x")
+                    assert other._fdfa is node._fdfa
+                    assert other.accepts_null() == null_verdict
+                    assert other.accepts_span(span) == verdict
+            assert verdicts == expected
+            assert probe.flushes > 0
 
     @pytest.mark.parametrize("limit", [2, 3])
     def test_interleaved_span_generation_survives_flushes(self, limit):

@@ -10,7 +10,7 @@ import pytest
 from repro.alphabet import CharSet
 from repro.automata.determinize import determinize, is_complete_deterministic
 from repro.automata.fingerprint import va_fingerprint
-from repro.automata.labels import EPS, Close, Open, Sym
+from repro.automata.labels import Close, Open, Sym
 from repro.automata.sequential import is_sequential, make_sequential
 from repro.automata.simulate import evaluate_va
 from repro.automata.thompson import to_va

@@ -8,7 +8,6 @@ worker-death acceptance run.
 
 import os
 import signal
-import time
 import warnings
 
 import pytest

@@ -21,7 +21,6 @@ temporary directory, deleted afterwards).
 """
 
 import json
-import os
 import shutil
 import signal
 import subprocess
