@@ -14,10 +14,10 @@ variable-set automata:
 
 * **Bitmask state sets** (:class:`Kernel`) — a state set is a Python int
   with bit ``q`` for state ``q``.  Free closure (ε and variable
-  operations treated as free moves) is precomputed per state as a mask,
-  so closing a set is an OR-fold instead of a worklist loop; the letter
-  step is a per-class per-state target-mask table (plus its transpose,
-  used by the backward co-reachability sweep).
+  operations treated as free moves, :func:`_free_moves`) is precomputed
+  per state as a mask, in each direction, so closing a set is an OR-fold
+  instead of a worklist loop; the letter step is a per-class per-state
+  target-mask table, with its transpose for backward sweeps.
 
 * **A flat lazy DFA** (:class:`FlatTables` / :class:`FlatDFA`) — each
   distinct state mask is interned to a small integer id, and the
@@ -46,12 +46,15 @@ variable-set automata:
   a recording extended across calls re-interns it in the current
   generation.
 
-Pinned sweeps (the ``Eval`` oracle and enumeration nodes) run over a
-:class:`SweepContext`: the same machinery with the closure graph
-restricted by the pin context — operations of span-pinned variables only
-fire where required, closes of ⊥-pinned variables never fire — and a
-flat DFA of its own.  Contexts are cached per kernel, so sibling
-recursion nodes and repeated oracle calls share closures and tables.
+Every sweep runs over a :class:`SweepContext`: the same machinery with
+the closure graph restricted by a pin partition — operations of
+span-pinned variables only fire where required, closes of ⊥-pinned
+variables never fire — and a flat DFA of its own.  A context sweeps
+forward; its :attr:`~SweepContext.reverse` is the same partition swept
+backward, one set of primitives over reversed tables (as RE2 runs its
+backward search on a reversed program).  Contexts are cached per
+kernel, so sibling recursion nodes and repeated oracle calls share
+closures and tables.
 
 Every automaton the kernel sees is sequential:
 :func:`~repro.engine.tables.compile_va` replaces a non-sequential input
@@ -202,6 +205,31 @@ class AlphabetClasses:
         return tuple(class_of.get(char, residual) for char in text)
 
 
+def _free_moves(
+    cva: "CompiledVA", pinned: frozenset, nulls: frozenset, backward: bool = False
+) -> list[list[int]]:
+    """The free-move adjacency of one pin partition, forward or reversed.
+
+    ε edges and operations of unconstrained variables are free; so are
+    opens of ⊥-pinned variables (a dangling open leaves the variable
+    unused, run-DAG semantics), but not their closes.  Operations of
+    span-pinned variables are never free.  ``adjacency[q]`` lists the
+    states one free move leads to from ``q`` — or, ``backward``, comes
+    from.
+    """
+    adjacency: list[list[int]] = [[] for _ in range(cva.num_states)]
+    for state in range(cva.num_states):
+        moves = list(cva.eps[state])
+        moves += [t for v, t in cva.opens[state] if v not in pinned]
+        moves += [t for v, t in cva.closes[state] if v not in pinned and v not in nulls]
+        if backward:
+            for target in moves:
+                adjacency[target].append(state)
+        else:
+            adjacency[state] = moves
+    return adjacency
+
+
 def _closure_masks(count: int, adjacency) -> tuple[int, ...]:
     """Per-state reachability masks over a free-move adjacency.
 
@@ -246,8 +274,9 @@ class Kernel:
         self.classes = AlphabetClasses(
             charset for _, charset, _ in cva.sym_edges
         )
-        self.free = _closure_masks(count, cva.free_adjacency)
-        self.free_rev = _closure_masks(count, cva.free_adjacency_reversed)
+        none = frozenset()
+        self.free = _closure_masks(count, _free_moves(cva, none, none))
+        self.free_rev = _closure_masks(count, _free_moves(cva, none, none, True))
         step: list[tuple[int, ...]] = []
         step_rev: list[list[int]] = []
         for representative in self.classes.representatives:
@@ -326,7 +355,7 @@ class Kernel:
 
         ``flat_states`` and ``flushes`` sum over every distinct
         :class:`FlatDFA` the kernel reaches: the document-index pair and
-        both directions of every cached sweep context.
+        those of every cached sweep context and its reverse.
         """
         flat = self._flat
         dfas: dict[int, FlatDFA] = {}
@@ -358,72 +387,61 @@ class SweepContext:
     :class:`~repro.engine.oracle.Requirements` demands them (see
     :meth:`closure_counted`).  With no pins the context degenerates to
     the kernel's own free closure and shares its flat DFAs.
+
+    A context sweeps forward; :attr:`reverse` is the same partition swept
+    backward — reversed free moves, the reverse letter table, op edges
+    traversed target → source — through the very same primitives.
     """
 
     __slots__ = (
         "kernel",
         "pinned",
         "nulls",
+        "backward",
         "closure",
-        "closure_rev",
+        "step",
         "flat_dfa",
-        "flat_dfa_rev",
+        "_reverse",
         "_op_edges",
     )
 
-    def __init__(self, kernel: Kernel, pinned: frozenset, nulls: frozenset) -> None:
+    def __init__(
+        self, kernel: Kernel, pinned: frozenset, nulls: frozenset, _mirror=None
+    ) -> None:
+        """``_mirror``: the context this one reverses (set by :attr:`reverse`)."""
         self.kernel = kernel
         self.pinned = pinned
         self.nulls = nulls
-        count = kernel.cva.num_states
+        backward = self.backward = _mirror is not None
+        self._reverse = _mirror
         self._op_edges: dict[tuple[str, str], tuple[tuple[int, int], ...]] = {}
-        #: The interned flat DFAs over this context's closure (forward and
-        #: reverse), attached lazily by :meth:`FlatTables.context` /
-        #: :meth:`FlatTables.context_rev` (``None`` until first use).
+        #: The interned flat DFA over this context's closure, attached
+        #: lazily by :meth:`FlatTables.context` (``None`` until first use).
         self.flat_dfa: FlatDFA | None = None
-        self.flat_dfa_rev: FlatDFA | None = None
-        #: Reverse restricted closure — built lazily by
-        #: :meth:`closure_rev_masks` (only backward co-acceptance sweeps
-        #: need it).
-        self.closure_rev: tuple[int, ...] | None = None
+        #: The letter table :meth:`letter` reads.
+        self.step = kernel.step_rev if backward else kernel.step
         if not pinned and not nulls:
             # No pins: the base closure IS the free closure, so share the
             # kernel's masks — and through them the document-index DFAs.
-            self.closure = kernel.free
-            self.closure_rev = kernel.free_rev
-            return
-        self.closure = _closure_masks(count, self._adjacency())
+            self.closure = kernel.free_rev if backward else kernel.free
+        else:
+            moves = _free_moves(kernel.cva, pinned, nulls, backward)
+            self.closure = _closure_masks(kernel.num_states, moves)
 
-    def _adjacency(self) -> list[list[int]]:
-        """The restricted free-move adjacency of this pin partition."""
-        cva = self.kernel.cva
-        pinned, nulls = self.pinned, self.nulls
-        adjacency: list[list[int]] = [[] for _ in range(cva.num_states)]
-        for state in range(cva.num_states):
-            targets = adjacency[state]
-            targets.extend(cva.eps[state])
-            for variable, target in cva.opens[state]:
-                if variable not in pinned:
-                    # ⊥-pinned opens stay free: a dangling open leaves
-                    # the variable unused (run-DAG semantics).
-                    targets.append(target)
-            for variable, target in cva.closes[state]:
-                if variable not in pinned and variable not in nulls:
-                    targets.append(target)
-        return adjacency
+    @property
+    def reverse(self) -> "SweepContext":
+        """This partition swept the other way (built on first use;
+        ``context.reverse.reverse is context``)."""
+        mirror = self._reverse
+        if mirror is None:
+            mirror = self._reverse = SweepContext(self.kernel, self.pinned, self.nulls, self)
+        return mirror
 
-    def closure_rev_masks(self) -> tuple[int, ...]:
-        """Per-state *reverse* restricted closure masks (built lazily)."""
-        masks = self.closure_rev
-        if masks is None:
-            adjacency = self._adjacency()
-            reversed_adjacency: list[list[int]] = [[] for _ in adjacency]
-            for source, targets in enumerate(adjacency):
-                for target in targets:
-                    reversed_adjacency[target].append(source)
-            masks = _closure_masks(len(adjacency), reversed_adjacency)
-            self.closure_rev = masks
-        return masks
+    @property
+    def flat_dfa_rev(self) -> "FlatDFA | None":
+        """The flat DFA of :attr:`reverse` (``None`` until first use)."""
+        mirror = self._reverse
+        return None if mirror is None else mirror.flat_dfa
 
     # -- primitive steps ---------------------------------------------------------
 
@@ -438,7 +456,7 @@ class SweepContext:
 
     def letter(self, mask: int, class_id: int) -> int:
         """The raw letter step (no closure) — used before a counted closure."""
-        table = self.kernel.step[class_id]
+        table = self.step[class_id]
         seeds = 0
         while mask:
             low = mask & -mask
@@ -449,7 +467,8 @@ class SweepContext:
     # -- counted closures (positions with required operations) -------------------
 
     def op_edges(self, key: tuple[str, str]) -> tuple[tuple[int, int], ...]:
-        """``(source_bit, target_bit)`` pairs for one required op key."""
+        """``(from_bit, to_bit)`` pairs for one required op key, in sweep
+        direction: source → target forward, target → source backward."""
         cached = self._op_edges.get(key)
         if cached is None:
             kind, variable = key
@@ -458,7 +477,8 @@ class SweepContext:
                 cva.opens_by_variable if kind == "o" else cva.closes_by_variable
             )
             cached = tuple(
-                (1 << source, 1 << target)
+                (1 << target, 1 << source) if self.backward
+                else (1 << source, 1 << target)
                 for source, target in table.get(variable, ())
             )
             self._op_edges[key] = cached
@@ -473,6 +493,12 @@ class SweepContext:
         ``(state, count)`` closure of the seed's Theorem 5.7 sweep, one
         mask per count.  Required ops fire level by level — counts only
         grow — so one pass over ``0..total`` suffices.
+
+        On a :attr:`reverse` context ``seeds[c]`` holds states with ``c``
+        required operations of a *suffix* run behind them, so a state at
+        the top count can fire them all here and then complete:
+        intersecting that level with a forward mask answers "can any of
+        these states finish the document?".
         """
         total = len(required)
         edges = [edge for key in required for edge in self.op_edges(key)]
@@ -487,60 +513,9 @@ class SweepContext:
             out[count] = closed
             if count < total:
                 carry = 0
-                for source_bit, target_bit in edges:
-                    if closed & source_bit:
-                        carry |= target_bit
-        return out
-
-    # -- reverse primitives (backward co-acceptance sweeps) ----------------------
-
-    def close_rev(self, mask: int) -> int:
-        """Reverse restricted closure fold (mirror of :meth:`close`)."""
-        out = 0
-        closure = self.closure_rev or self.closure_rev_masks()
-        while mask:
-            low = mask & -mask
-            out |= closure[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    def letter_rev(self, mask: int, class_id: int) -> int:
-        """The raw reverse letter step: sources that step into ``mask``."""
-        table = self.kernel.step_rev[class_id]
-        seeds = 0
-        while mask:
-            low = mask & -mask
-            seeds |= table[low.bit_length() - 1]
-            mask ^= low
-        return seeds
-
-    def closure_counted_rev(self, seeds: list[int], required: frozenset) -> list[int]:
-        """Backward counted closure — :meth:`closure_counted` mirrored.
-
-        ``seeds[c]`` holds states from which a *suffix* run has ``c``
-        required operations behind it; op edges are traversed backwards
-        (target → source) under the reverse restricted closure.  A
-        reversed path from a seed back to a state at the top count is
-        exactly a forward path firing all required ops, so intersecting
-        the top level with a forward mask answers "can any of these
-        states fire the ops here and then complete?".
-        """
-        total = len(required)
-        edges = [edge for key in required for edge in self.op_edges(key)]
-        out = [0] * (total + 1)
-        carry = 0
-        for count in range(total + 1):
-            mask = carry | (seeds[count] if count < len(seeds) else 0)
-            if not mask:
-                carry = 0
-                continue
-            closed = self.close_rev(mask)
-            out[count] = closed
-            if count < total:
-                carry = 0
-                for source_bit, target_bit in edges:
-                    if closed & target_bit:  # reversed traversal
-                        carry |= source_bit
+                for from_bit, to_bit in edges:
+                    if closed & from_bit:
+                        carry |= to_bit
         return out
 
 
@@ -856,19 +831,21 @@ def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, tra
 def _sweep_back(fdfa, context, classes, required, trail, position, live, target):
     """Extend a backward co-acceptance recording down to ``target``.
 
-    ``position`` is the next slot to record and ``live`` the mask of the
-    co-acceptance states above it (0 once nothing co-accepts); slot ``j``
-    ends up holding the states (post-closure at ``j``, all of ``j``'s
-    operations done) from which the suffix ``j..end`` still accepts.
-    Plain positions walk the reverse flat DFA — one step is the whole
+    ``context`` is a :attr:`SweepContext.reverse` and ``fdfa`` its flat
+    DFA.  ``position`` is the next slot to record and ``live`` the mask
+    of the co-acceptance states above it (0 once nothing co-accepts);
+    slot ``j`` ends up holding the states (post-closure at ``j``, all of
+    ``j``'s operations done) from which the suffix ``j..end`` still
+    accepts.  Plain positions walk the DFA — one step is the whole
     letter-then-closure composite, and its id is both the recorded slot
-    and the continuation; the positions of ``required`` run the backward
-    counted closure (op edges traversed target → source).  The masks
-    come out closed under the reverse free moves, which is what makes the
-    forward/backward intersection test exact: a forward-closed live mask
-    meets slot ``j`` iff it meets the raw co-acceptance set.  The caller
-    holds ``fdfa.lock``.  Returns the new ``(position, live)`` frontier
-    (live 0 once nothing co-accepts: every lower slot stays 0).
+    and the continuation; the positions of ``required`` run the
+    context's counted closure, whose op edges already lead target →
+    source.  The masks come out closed under the reverse free moves,
+    which is what makes the forward/backward intersection test exact: a
+    forward-closed live mask meets slot ``j`` iff it meets the raw
+    co-acceptance set.  The caller holds ``fdfa.lock``.  Returns the new
+    ``(position, live)`` frontier (live 0 once nothing co-accepts: every
+    lower slot stays 0).
     """
     if position < target or not live:
         return position, live
@@ -896,11 +873,11 @@ def _sweep_back(fdfa, context, classes, required, trail, position, live, target)
             row = rows[step]
         if point < target:
             break
-        seeds = context.letter_rev(fdfa.masks[state], classes[point - 1])
+        seeds = context.letter(fdfa.masks[state], classes[point - 1])
         if not seeds:
             return position, 0
         ops = required[point]
-        levels = context.closure_counted_rev([seeds], ops)
+        levels = context.closure_counted([seeds], ops)
         # Level 0 is the closed co-acceptance slot (a span's own ops fire
         # forward, in the resume's counted closure); the top level carries
         # the base ops backward.
@@ -1035,42 +1012,25 @@ class FlatTables:
     def context(self, context: SweepContext) -> FlatDFA:
         """The flat DFA of one sweep context (built on first use).
 
-        The no-pin context shares the forward document-index DFA — the
-        reachability sweep and the unpinned eval sweep warm the same
-        interned states.
+        A forward context steps on the letter table, a
+        :attr:`~SweepContext.reverse` one on its transpose.  The no-pin
+        context and its reverse share the document-index pair — the
+        index's sweeps and the unpinned oracle and node sweeps warm the
+        same interned states.
         """
         dfa = context.flat_dfa
         if dfa is None:
-            if context.closure is self.kernel.free:
+            kernel = self.kernel
+            if context.closure is kernel.free:
                 dfa = self.dfa
+            elif context.closure is kernel.free_rev:
+                dfa = self.dfa_rev
             else:
                 dfa = FlatDFA(
                     context.closure,
-                    self.step_flat,
+                    self.step_rev_flat if context.backward else self.step_flat,
                     self.num_states,
                     self.num_classes,
                 )
             context.flat_dfa = dfa
-        return dfa
-
-    def context_rev(self, context: SweepContext) -> FlatDFA:
-        """The *reverse* flat DFA of one sweep context (built on first use).
-
-        Drives the backward co-acceptance sweep of
-        :class:`~repro.engine.oracle.FlatNodeSweep`; the no-pin context
-        shares the document-index coreach DFA.
-        """
-        dfa = context.flat_dfa_rev
-        if dfa is None:
-            closure_rev = context.closure_rev_masks()
-            if closure_rev is self.kernel.free_rev:
-                dfa = self.dfa_rev
-            else:
-                dfa = FlatDFA(
-                    closure_rev,
-                    self.step_rev_flat,
-                    self.num_states,
-                    self.num_classes,
-                )
-            context.flat_dfa_rev = dfa
         return dfa

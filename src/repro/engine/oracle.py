@@ -162,6 +162,7 @@ class _Lane:
         "_cva",
         "_end",
         "_context",
+        "_reverse",
         "_fdfa",
         "_flat",
         "_classes",
@@ -203,9 +204,10 @@ class _Lane:
         down to where nothing co-accepts)."""
         trail = self._backward
         if trail is None:
-            fdfa = self._flat.context_rev(self._context)
+            reverse = self._reverse = self._context.reverse
+            fdfa = self._flat.context(reverse)
             end = self._end
-            live = self._context.close_rev(1 << self._cva.final)
+            live = reverse.close(1 << self._cva.final)
             with fdfa.lock:
                 state = fdfa.intern(live)
                 trail = self._backward = Trail(fdfa, end + 1, end)
@@ -216,7 +218,7 @@ class _Lane:
             with fdfa.lock:
                 frontier = (self._back_pos, self._back_mask)
                 self._back_pos, self._back_mask = _sweep_back(
-                    fdfa, self._context, self._classes, {}, trail, *frontier, pos
+                    fdfa, self._reverse, self._classes, {}, trail, *frontier, pos
                 )
         return trail
 
@@ -311,6 +313,7 @@ class FlatNodeSweep:
         "variable",
         "valid",
         "_context",
+        "_reverse",
         "_flat",
         "_fdfa",
         "_classes",
@@ -524,13 +527,13 @@ class FlatNodeSweep:
             trail = self._lane.backward_to(j)
         else:
             trail = self._backward
-            context = self._context
             if trail is None:
-                fdfa = self._flat.context_rev(context)
+                reverse = self._reverse = self._context.reverse
+                fdfa = self._flat.context(reverse)
                 final_mask = 1 << self.cva.final
                 if last == end:
                     tail = self._required[end]
-                    current = context.closure_counted_rev([final_mask], tail)[len(tail)]
+                    current = reverse.closure_counted([final_mask], tail)[len(tail)]
                     position = end - 1
                 else:
                     above = self._lane.backward_to(last + 1)
@@ -543,7 +546,7 @@ class FlatNodeSweep:
                 with fdfa.lock:
                     frontier = (self._back_pos, self._back_mask)
                     self._back_pos, self._back_mask = _sweep_back(
-                        fdfa, context, self._classes, self._required, trail, *frontier, j
+                        fdfa, self._reverse, self._classes, self._required, trail, *frontier, j
                     )
         return trail.mask(j) if trail.id(j) else 0
 

@@ -9,13 +9,13 @@ once into indexed buckets:
   operations, separated so sweeps never touch labels they cannot use;
 * a letter-step table: positive finite charsets are exploded into a
   per-state ``char → targets`` dict, cofinite predicates stay as a short
-  residual list, and resolved ``(state, char)`` steps are memoised;
-* ``free`` / ``free_reversed`` adjacency — ε and variable operations
-  collapsed into plain edges, the over-approximation used by the
-  reachability index below.
+  residual list, and resolved ``(state, char)`` steps are memoised.
 
 The sweeps themselves run on the bitmask kernel these tables seed
-(:mod:`repro.engine.kernel`), built lazily per automaton.
+(:mod:`repro.engine.kernel`), built lazily per automaton.  The kernel
+reads its free moves — ε and variable operations collapsed into plain
+edges, the over-approximation the reachability index below uses —
+straight from the ``eps``/``opens``/``closes`` buckets.
 
 :class:`DocumentIndex` pairs a compiled automaton with one document and
 precomputes, per position, which states any run prefix can occupy
@@ -74,8 +74,6 @@ class CompiledVA:
         "_single",
         "_residual",
         "_step_cache",
-        "_free",
-        "_free_reversed",
         "_kernel",
     )
 
@@ -136,32 +134,10 @@ class CompiledVA:
         self._single = single
         self._residual = [tuple(edges) for edges in residual]
         self._step_cache: dict[tuple[int, str], tuple[int, ...]] = {}
-        self._free = tuple(
-            tuple(
-                list(self.eps[state])
-                + [t for _, t in self.opens[state]]
-                + [t for _, t in self.closes[state]]
-            )
-            for state in range(count)
-        )
-        reversed_free: list[list[int]] = [[] for _ in range(count)]
-        for state in range(count):
-            for target in self._free[state]:
-                reversed_free[target].append(state)
-        self._free_reversed = tuple(tuple(edges) for edges in reversed_free)
         self.variables = va.variables
         self.mentioned_variables = va.mentioned_variables
 
     # -- the bitmask kernel ----------------------------------------------------
-
-    @property
-    def free_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """ε and variable operations collapsed into plain edges."""
-        return self._free
-
-    @property
-    def free_adjacency_reversed(self) -> tuple[tuple[int, ...], ...]:
-        return self._free_reversed
 
     @property
     def kernel(self) -> Kernel:
@@ -228,11 +204,11 @@ class DocumentIndex:
 
     Both sweeps run over the kernel's flat tables: the document is
     interned once into alphabet-class ids, and each pass is one of the
-    kernel's two recorded sweeps on the pin-free sweep context —
-    :func:`~repro.engine.kernel._flat_sweep` forward and
-    :func:`~repro.engine.kernel._sweep_back` backward, on the reverse
-    class-step table — two indexed loads per position
-    (:class:`~repro.engine.kernel.FlatDFA`).
+    kernel's two recorded sweeps —
+    :func:`~repro.engine.kernel._flat_sweep` forward on the pin-free
+    sweep context and :func:`~repro.engine.kernel._sweep_back` backward
+    on its :attr:`~repro.engine.kernel.SweepContext.reverse` — two
+    indexed loads per position (:class:`~repro.engine.kernel.FlatDFA`).
 
     >>> from repro.spanner import Spanner
     >>> cva = compile_va(Spanner.compile(".*x{a}.*").automaton)
@@ -261,13 +237,14 @@ class DocumentIndex:
             _flat_sweep(dfa, free, classes, 1, end, [start], 0, {}, reach)
             masks = reach.masks()
         self._reach_masks = masks + [0] * (end + 1 - len(masks))
-        dfa = flat.context_rev(free)
-        final = kernel.free_rev[cva.final]
+        back = free.reverse
+        dfa = flat.context(back)
+        final = back.closure[cva.final]
         with dfa.lock:
             state = dfa.intern(final)
             coreach = Trail(dfa, end + 1, end)
             coreach.ids[end] = state
-            _sweep_back(dfa, free, classes, {}, coreach, end - 1, final, 1)
+            _sweep_back(dfa, back, classes, {}, coreach, end - 1, final, 1)
             self._coreach_masks = coreach.masks()
         self._reach_sets: list[frozenset[int]] | None = None
         self._coreach_sets: list[frozenset[int]] | None = None

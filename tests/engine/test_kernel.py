@@ -10,6 +10,7 @@ carry the ``kernel`` marker, so ``pytest -m kernel`` is the fast loop for
 engine work.
 """
 
+import itertools
 import random
 import sys
 import threading
@@ -38,7 +39,7 @@ from repro.rgx.semantics import mappings as seed_mappings
 from repro.spans.mapping import NULL, ExtendedMapping
 from repro.spans.span import Span, all_spans
 from repro.workloads.expressions import seller_like_sequential_rgx
-from tests.engine_checks import FlushTally, reference_index, set_closure
+from tests.engine_checks import FlushTally, _set_closure, reference_index, set_closure
 from tests.strategies import VARIABLES, documents, rgx_expressions
 
 pytestmark = pytest.mark.kernel
@@ -115,6 +116,49 @@ class TestKernelTables:
             assert frozenset(iter_bits(cva.kernel.free[state])) == expected
             expected_rev = set_closure(cva, {state}, reverse=True)
             assert frozenset(iter_bits(cva.kernel.free_rev[state])) == expected_rev
+
+    def test_context_closures_match_set_closure_both_directions(self):
+        """Every pin partition's closure, forward and reverse, is the set
+        closure over its restricted free moves; the reverse context
+        mirrors the forward one and, with no pins, is the kernel's own."""
+        base = to_va(seller_like_sequential_rgx(2))
+        looped = base.transitions + ((base.final, Open("v0"), base.final),)
+        non_sequential = VA(base.num_states, base.initial, base.final, looped)
+        for cva in (compile_va(to_va(parse(".*x{a+}y{b*}.*"))), compile_va(non_sequential)):
+            kernel = cva.kernel
+            variables = sorted(cva.variables)
+            for roles in itertools.product("pnf", repeat=len(variables)):
+                pinned = frozenset(v for v, r in zip(variables, roles) if r == "p")
+                nulls = frozenset(v for v, r in zip(variables, roles) if r == "n")
+                forward = [[] for _ in range(cva.num_states)]
+                backward = [[] for _ in range(cva.num_states)]
+                for source in range(cva.num_states):
+                    targets = list(cva.eps[source])
+                    targets += [t for v, t in cva.opens[source] if v not in pinned]
+                    targets += [
+                        t for v, t in cva.closes[source] if v not in pinned | nulls
+                    ]
+                    for target in targets:
+                        forward[source].append(target)
+                        backward[target].append(source)
+                context = kernel.context(pinned, nulls)
+                reverse = context.reverse
+                for state in range(cva.num_states):
+                    assert frozenset(iter_bits(context.closure[state])) == (
+                        _set_closure(forward, {state})
+                    )
+                    assert frozenset(iter_bits(reverse.closure[state])) == (
+                        _set_closure(backward, {state})
+                    )
+                assert reverse.reverse is context
+                for variable in variables:
+                    for key in (("o", variable), ("c", variable)):
+                        swapped = tuple((t, s) for s, t in context.op_edges(key))
+                        assert reverse.op_edges(key) == swapped
+            free = kernel.context(frozenset(), frozenset())
+            assert free.reverse.closure is kernel.free_rev
+            assert kernel.flat.context(free.reverse) is kernel.flat.dfa_rev
+            assert free.flat_dfa_rev is kernel.flat.dfa_rev
 
     def test_class_step_masks_match_step(self):
         cva = compile_va(to_va(seller_like_sequential_rgx(2)))

@@ -116,8 +116,20 @@ def _set_closure(adjacency, states) -> frozenset[int]:
 
 
 def set_closure(cva: CompiledVA, states, reverse: bool = False) -> frozenset[int]:
-    """Closure of ``states`` under ε and variable operations as free moves."""
-    adjacency = cva.free_adjacency_reversed if reverse else cva.free_adjacency
+    """Closure of ``states`` under ε and variable operations as free moves.
+
+    The adjacency is built here from the compiled edge buckets, so the
+    reference shares no code with the kernel's free-move builder.
+    """
+    adjacency: list[list[int]] = [[] for _ in range(cva.num_states)]
+    for source in range(cva.num_states):
+        targets = [*cva.eps[source], *(t for _, t in cva.opens[source])]
+        targets += [t for _, t in cva.closes[source]]
+        for target in targets:
+            if reverse:
+                adjacency[target].append(source)
+            else:
+                adjacency[source].append(target)
     return _set_closure(adjacency, states)
 
 
