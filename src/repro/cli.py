@@ -33,15 +33,6 @@ Serving mode — ``repro serve`` starts the long-running HTTP server
 See ``repro serve --help`` for the batching/backpressure flags and
 ``docs/server.md`` for the endpoints.
 
-Cluster mode — ``repro coordinate`` runs the front door that shards work
-across rack worker nodes, and ``repro worker --join URL`` runs one such
-node (a full server that registers and heartbeats)::
-
-    $ repro coordinate --port 8080 &
-    $ repro worker --join http://127.0.0.1:8080 --workers 2 &
-
-See ``docs/cluster.md`` for the topology and failure model.
-
 Multi-query mode — ``repro query`` evaluates a *set* of named queries
 (algebra expressions over RGX and named sub-queries) through one shared
 compiled engine, so every document is scanned once for all queries::
@@ -350,17 +341,24 @@ def _run_cache(argv: list[str]) -> int:
     return 0
 
 
-def _add_serve_flags(
-    parser: argparse.ArgumentParser, default_port: int = 8080
-) -> None:
-    """The flags shared by ``serve``, ``worker``, and ``coordinate``
-    (mirrors :class:`repro.server.ServerConfig`)."""
+def build_serve_parser() -> argparse.ArgumentParser:
+    """The ``repro serve`` flags (mirrors :class:`repro.server.ServerConfig`)."""
+    parser = argparse.ArgumentParser(
+        prog="repro serve",
+        description=(
+            "Serve spanner evaluation over HTTP: POST /evaluate, "
+            "POST /enumerate, GET /healthz, GET /metrics.  Concurrent "
+            "requests for one pattern share a compile; documents from "
+            "many requests are micro-batched onto shared workers; "
+            "SIGTERM drains gracefully.  See docs/server.md."
+        ),
+    )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
         "--port",
         type=int,
-        default=default_port,
-        help=f"bind port (0 picks a free one; default {default_port})",
+        default=8080,
+        help="bind port (0 picks a free one; default 8080)",
     )
     parser.add_argument(
         "--workers",
@@ -446,111 +444,6 @@ def _add_serve_flags(
             "(defaults to $REPRO_ARTIFACT_DIR when set)"
         ),
     )
-
-
-def build_serve_parser() -> argparse.ArgumentParser:
-    """The ``repro serve`` flags (mirrors :class:`repro.server.ServerConfig`)."""
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description=(
-            "Serve spanner evaluation over HTTP: POST /evaluate, "
-            "POST /enumerate, GET /healthz, GET /metrics.  Concurrent "
-            "requests for one pattern share a compile; documents from "
-            "many requests are micro-batched onto shared workers; "
-            "SIGTERM drains gracefully.  See docs/server.md."
-        ),
-    )
-    _add_serve_flags(parser)
-    return parser
-
-
-def build_worker_parser() -> argparse.ArgumentParser:
-    """The ``repro worker`` flags (a serve instance that joins a cluster)."""
-    parser = argparse.ArgumentParser(
-        prog="repro worker",
-        description=(
-            "Run a rack worker node: a full spanner server (all the "
-            "'repro serve' endpoints and flags) that registers with a "
-            "cluster coordinator, heartbeats, and advertises its warm "
-            "engine fingerprints so the coordinator can route with cache "
-            "affinity.  See docs/cluster.md."
-        ),
-    )
-    parser.add_argument(
-        "--join",
-        required=True,
-        metavar="URL",
-        help="coordinator to register with, e.g. http://127.0.0.1:8080",
-    )
-    parser.add_argument(
-        "--advertise",
-        default=None,
-        metavar="URL",
-        help=(
-            "URL the coordinator should reach this node at (default: the "
-            "bound http://host:port; set this behind NAT or 0.0.0.0 binds)"
-        ),
-    )
-    # Workers default to a free port so several fit on one host.
-    _add_serve_flags(parser, default_port=0)
-    return parser
-
-
-def build_coordinate_parser() -> argparse.ArgumentParser:
-    """The ``repro coordinate`` flags (serve flags + cluster cadence)."""
-    parser = argparse.ArgumentParser(
-        prog="repro coordinate",
-        description=(
-            "Run a cluster coordinator: the front door that shards "
-            "corpus jobs across registered worker nodes with "
-            "fingerprint-affinity routing, requeues shards from dead "
-            "nodes, degrades to local execution when the cluster is "
-            "empty, and aggregates cluster-wide /metrics.  See "
-            "docs/cluster.md."
-        ),
-    )
-    parser.add_argument(
-        "--heartbeat-interval",
-        type=_positive_float,
-        default=2.0,
-        metavar="SECONDS",
-        help="heartbeat cadence dictated to worker nodes (default 2)",
-    )
-    parser.add_argument(
-        "--heartbeat-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "evict a node after this long without a beat "
-            "(default: 3x the interval)"
-        ),
-    )
-    parser.add_argument(
-        "--node-timeout",
-        type=_positive_float,
-        default=30.0,
-        metavar="SECONDS",
-        help="per-request socket timeout talking to a node (default 30)",
-    )
-    parser.add_argument(
-        "--node-retries",
-        type=_nonnegative_int,
-        default=2,
-        metavar="N",
-        help=(
-            "extra requeue attempts per batch beyond one try per known "
-            "node (default 2)"
-        ),
-    )
-    parser.add_argument(
-        "--cluster-threads",
-        type=_positive_int,
-        default=16,
-        metavar="N",
-        help="concurrent remote batches kept in flight (default 16)",
-    )
-    _add_serve_flags(parser)
     return parser
 
 
@@ -782,97 +675,36 @@ def _run_query(argv: list[str], stdin: str | None = None) -> int:
     return code
 
 
-def _server_config_kwargs(arguments) -> dict | None:
-    """ServerConfig keyword arguments from parsed serve-family flags
-    (None after printing an error when validation fails)."""
-    if arguments.workers < 0:
-        print("error: --workers must be >= 0", file=sys.stderr)
-        return None
-    if arguments.port < 0 or arguments.port > 65535:
-        print("error: --port must be in 0..65535", file=sys.stderr)
-        return None
+def _run_serve(argv: list[str]) -> int:
     import os
 
-    artifact_dir = arguments.artifact_dir or os.environ.get(
-        "REPRO_ARTIFACT_DIR"
-    )
-    return dict(
-        host=arguments.host,
-        port=arguments.port,
-        workers=arguments.workers,
-        batch_max_size=arguments.batch_size,
-        batch_max_delay=arguments.batch_delay,
-        max_pending=arguments.max_pending,
-        drain_grace=arguments.drain_grace,
-        artifact_dir=artifact_dir,
-        task_timeout=arguments.task_timeout,
-        max_rebuilds=arguments.max_rebuilds,
-        degraded_reset=arguments.degraded_reset,
-    )
-
-
-def _run_serve(argv: list[str]) -> int:
     from repro.server import ServerConfig, serve
 
     arguments = build_serve_parser().parse_args(argv)
-    kwargs = _server_config_kwargs(arguments)
-    if kwargs is None:
+    if arguments.workers < 0:
+        print("error: --workers must be >= 0", file=sys.stderr)
         return 2
-    return serve(ServerConfig(**kwargs))
-
-
-def _run_worker(argv: list[str]) -> int:
-    from repro.cluster import run_worker
-    from repro.cluster.protocol import split_url
-    from repro.server import ServerConfig
-
-    arguments = build_worker_parser().parse_args(argv)
-    kwargs = _server_config_kwargs(arguments)
-    if kwargs is None:
+    if arguments.port < 0 or arguments.port > 65535:
+        print("error: --port must be in 0..65535", file=sys.stderr)
         return 2
-    for flag, url in (
-        ("--join", arguments.join),
-        ("--advertise", arguments.advertise),
-    ):
-        if url is None:
-            continue
-        try:
-            split_url(url)
-        except ValueError as error:
-            print(f"error: {flag}: {error}", file=sys.stderr)
-            return 2
-    return run_worker(
-        ServerConfig(**kwargs),
-        join_url=arguments.join,
-        advertise_url=arguments.advertise,
+    artifact_dir = arguments.artifact_dir or os.environ.get(
+        "REPRO_ARTIFACT_DIR"
     )
-
-
-def _run_coordinate(argv: list[str]) -> int:
-    from repro.cluster import CoordinatorConfig, coordinate
-
-    arguments = build_coordinate_parser().parse_args(argv)
-    kwargs = _server_config_kwargs(arguments)
-    if kwargs is None:
-        return 2
-    if (
-        arguments.heartbeat_timeout is not None
-        and arguments.heartbeat_timeout <= arguments.heartbeat_interval
-    ):
-        print(
-            "error: --heartbeat-timeout must exceed --heartbeat-interval",
-            file=sys.stderr,
+    return serve(
+        ServerConfig(
+            host=arguments.host,
+            port=arguments.port,
+            workers=arguments.workers,
+            batch_max_size=arguments.batch_size,
+            batch_max_delay=arguments.batch_delay,
+            max_pending=arguments.max_pending,
+            drain_grace=arguments.drain_grace,
+            artifact_dir=artifact_dir,
+            task_timeout=arguments.task_timeout,
+            max_rebuilds=arguments.max_rebuilds,
+            degraded_reset=arguments.degraded_reset,
         )
-        return 2
-    config = CoordinatorConfig(
-        **kwargs,
-        heartbeat_interval=arguments.heartbeat_interval,
-        heartbeat_timeout=arguments.heartbeat_timeout,
-        node_timeout=arguments.node_timeout,
-        node_retries=arguments.node_retries,
-        cluster_threads=arguments.cluster_threads,
     )
-    return coordinate(config)
 
 
 def _extract(spanner: Spanner, document: str, engine: str, spans: bool):
@@ -1080,10 +912,6 @@ def run(argv: list[str] | None = None, stdin: str | None = None) -> int:
     raw_arguments = sys.argv[1:] if argv is None else argv
     if raw_arguments and raw_arguments[0] == "serve":
         return _run_serve(raw_arguments[1:])
-    if raw_arguments and raw_arguments[0] == "worker":
-        return _run_worker(raw_arguments[1:])
-    if raw_arguments and raw_arguments[0] == "coordinate":
-        return _run_coordinate(raw_arguments[1:])
     if raw_arguments and raw_arguments[0] == "query":
         return _run_query(raw_arguments[1:], stdin)
     if raw_arguments and raw_arguments[0] == "cache":

@@ -109,11 +109,6 @@ class ServerConfig:
     breaker_reset: float = 30.0
     #: Seconds a degraded server waits before reviving its worker pool.
     degraded_reset: float = 30.0
-    #: An injected :class:`~repro.service.backend.ExecutorBackend` that
-    #: overrides the workers-derived executor choice.  Programmatic only
-    #: (no CLI flag): the cluster coordinator routes its dispatcher onto
-    #: the registered worker nodes through this seam.
-    backend: object | None = None
 
     def __post_init__(self) -> None:
         # Timeout-ish knobs where zero or a negative would misbehave
@@ -149,7 +144,6 @@ class ServerConfig:
             breaker_threshold=self.breaker_threshold,
             breaker_reset=self.breaker_reset,
             degraded_reset=self.degraded_reset,
-            backend=self.backend,
         )
 
 
@@ -168,10 +162,9 @@ class SpannerServer:
         self,
         config: ServerConfig | None = None,
         cache: SpannerCache | None = None,
-        metrics: Metrics | None = None,
     ) -> None:
         self.config = config if config is not None else ServerConfig()
-        self.metrics = metrics if metrics is not None else Metrics()
+        self.metrics = Metrics()
         self.dispatcher = Dispatcher(
             self.config.dispatcher_config(), self.metrics, cache
         )
@@ -403,8 +396,7 @@ class SpannerServer:
             return False
 
     def _health_payload(self) -> dict:
-        """The ``/healthz`` body; subclasses extend (the coordinator adds
-        its cluster topology)."""
+        """The ``/healthz`` body."""
         from repro import __version__
 
         stats = self.dispatcher.stats()
@@ -722,14 +714,9 @@ class ServerThread:
     def _run(self) -> None:
         asyncio.run(self._main())
 
-    def _build(self) -> SpannerServer:
-        """Construct the server instance; the cluster's CoordinatorThread
-        overrides this to run a ClusterCoordinator on the same harness."""
-        return SpannerServer(self.config, cache=self._cache)
-
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        server = self._build()
+        server = SpannerServer(self.config, cache=self._cache)
         try:
             await server.start()
         except BaseException as error:

@@ -64,8 +64,8 @@ class ServerClient:
 
     ``retries`` (opt-in, default 0: exactly the old behaviour) retries a
     *failed connect* up to that many times with capped exponential
-    backoff — for harnesses and cold coordinators that race the
-    listener's bind.  Only ``ConnectionError``/``OSError`` while
+    backoff — for harnesses and scripts that race a freshly started
+    server's bind.  Only ``ConnectionError``/``OSError`` while
     establishing the TCP connection is retried; once a request has been
     written, errors propagate untouched (the request may have executed).
     """
@@ -260,15 +260,6 @@ class ServerClient:
             ]
 
         return self._with_retries(send)
-
-    def post_json(self, path: str, payload=None) -> dict:
-        """``POST`` an arbitrary JSON body and decode the JSON reply.
-
-        The cluster control plane (``/register``, ``/heartbeat``,
-        ``/leave``) rides on this; it raises the same typed errors as
-        the data-plane helpers.
-        """
-        return self._request_json("POST", path, payload)
 
     def query(
         self,

@@ -26,11 +26,10 @@ a :class:`~repro.service.backend.ProcessBackend` over the
 worker's kernel memo stays warm across batches, and hence across
 requests), a :class:`~repro.service.backend.ThreadBackend`
 (``workers = 0`` — no pickling, engines shared across threads, which is
-what the engine's cache locks exist for), or any injected backend
-(``DispatcherConfig.backend`` — the cluster coordinator injects its
-node-routing backend here).  A backend that reports itself broken
-(:class:`~repro.service.resilience.PoolBroken`) degrades the dispatcher
-onto an in-process ThreadBackend until the reset window passes.
+what the engine's cache locks exist for).  A backend that reports itself
+broken (:class:`~repro.service.resilience.PoolBroken`) degrades the
+dispatcher onto an in-process ThreadBackend until the reset window
+passes.
 
 ``naive=True`` is the ablation baseline the serving benchmark (E23)
 compares against: no cache, no coalescing, no batching — every request
@@ -116,11 +115,6 @@ class DispatcherConfig:
     breaker_reset: float = 30.0
     #: How long degraded mode lasts before the pool is revived and probed.
     degraded_reset: float = 30.0
-    #: An injected :class:`~repro.service.backend.ExecutorBackend` that
-    #: overrides the workers-derived choice (the cluster coordinator
-    #: injects its node-routing backend here).  The dispatcher does not
-    #: own an injected backend: ``close()`` leaves it running.
-    backend: "ExecutorBackend | None" = None
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -187,11 +181,9 @@ class Dispatcher:
         self._compile_pool: ThreadPoolExecutor | None = None
         # The execution seam: the primary backend serves batches, the
         # fallback (an in-process ThreadBackend, created lazily) takes
-        # over while the primary is degraded.  An injected backend is
-        # borrowed, never owned.
+        # over while the primary is degraded.
         self._backend: ExecutorBackend | None = None
         self._fallback: ThreadBackend | None = None
-        self._backend_owned = True
         # In-flight compiles, keyed by (pattern, opt_level).  Resolved
         # engines live only in the SpannerCache — a loop-local mirror
         # would dodge the cache's capacity bound and make its stats (and
@@ -218,10 +210,7 @@ class Dispatcher:
         self._compile_pool = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-compile"
         )
-        if self.config.backend is not None:
-            self._backend = self.config.backend
-            self._backend_owned = False
-        elif self.config.workers >= 1:
+        if self.config.workers >= 1:
             self._backend = ProcessBackend(
                 self.config.workers,
                 task_timeout=self.config.task_timeout,
@@ -232,11 +221,6 @@ class Dispatcher:
             # so degraded mode can never trigger (nothing to degrade to).
             self._fallback = ThreadBackend(self.config.inline_threads)
             self._backend = self._fallback
-
-    @property
-    def backend(self) -> "ExecutorBackend | None":
-        """The primary execution backend (None before ``start()``)."""
-        return self._backend
 
     @property
     def worker_pool(self):
@@ -271,11 +255,7 @@ class Dispatcher:
             self._compile_pool.shutdown(wait=False)
         if self._fallback is not None:
             self._fallback.close(wait=True)
-        if (
-            self._backend is not None
-            and self._backend is not self._fallback
-            and self._backend_owned
-        ):
+        if self._backend is not None and self._backend is not self._fallback:
             self._backend.close(wait=True)
 
     # -- compilation (coalesced) ------------------------------------------------

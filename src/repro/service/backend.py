@@ -1,17 +1,16 @@
-"""Executor backends: one submit/stats/close seam over every execution tier.
+"""Executor backends: one submit/stats/close seam over threads and processes.
 
 The server dispatcher and :func:`~repro.service.evaluate.evaluate_corpus`
-used to hard-code *where* a batch of ``(doc_id, text)`` records runs —
-an in-process thread pool or the :class:`~repro.service.evaluate.WorkerPool`
-process pool.  The distributed tier (:mod:`repro.cluster`) adds a third
-place: worker *nodes* on other hosts.  :class:`ExecutorBackend` is the
-seam all three share:
+run a batch of ``(doc_id, text)`` records in one of two places: an
+in-process thread pool or the :class:`~repro.service.evaluate.WorkerPool`
+process pool.  :class:`ExecutorBackend` is the seam both share, so the
+dispatcher can fall back from one to the other when degraded:
 
 * :meth:`ExecutorBackend.submit` ships one ``evaluate_records``-shaped
   batch and returns a :class:`concurrent.futures.Future` resolving to the
   usual ``(doc_id, payload, error)`` triples, in submission order;
 * :meth:`ExecutorBackend.stats` reports the executor-side counters
-  (worker kernel/cache sums for processes, node topology for a cluster);
+  (worker kernel/cache sums for processes);
 * :meth:`ExecutorBackend.close` releases the executor.
 
 :class:`ThreadBackend` runs batches on in-process threads (no pickling,
@@ -20,8 +19,7 @@ degraded-mode fallback).  :class:`ProcessBackend` wraps a
 :class:`~repro.service.evaluate.WorkerPool` and inherits its whole fault
 story (rebuild + requeue, quarantine bisection,
 :class:`~repro.service.resilience.PoolBroken` when the rebuild budget is
-exhausted).  The remote backends live in :mod:`repro.cluster` — the
-service layer never imports the cluster package.
+exhausted).
 
 >>> from repro.engine.compiled import compile_spanner
 >>> with ThreadBackend() as backend:

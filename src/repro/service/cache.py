@@ -222,16 +222,6 @@ class SpannerCache:
         with self._lock:
             return plan.fingerprint in self._by_fingerprint
 
-    def fingerprints(self) -> list[str]:
-        """The plan fingerprints of every cached engine (insertion order).
-
-        The cluster's worker nodes advertise this list with each
-        heartbeat, so the coordinator can route a pattern's batches to
-        nodes that already hold its compiled engine warm.
-        """
-        with self._lock:
-            return list(self._by_fingerprint)
-
     def stats(self) -> dict[str, int]:
         """Hit/miss/size counters (for capacity tuning and dashboards)."""
         with self._lock:

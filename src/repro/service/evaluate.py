@@ -784,19 +784,18 @@ def _parallel(
     on_worker_stats=None,
     task_timeout: "float | None" = None,
     pool: "WorkerPool | None" = None,
-    backend=None,
 ) -> Iterator[CorpusResult]:
     kind = "extract" if decode else "mappings"
     # Local import: repro.service.backend imports this module.
     from repro.service.backend import ProcessBackend
 
-    owned = backend is None and pool is None
-    if backend is None:
-        backend = (
-            ProcessBackend(pool=pool)
-            if pool is not None
-            else ProcessBackend(workers, task_timeout=task_timeout)
-        )
+    # A borrowed pool outlives this sweep: its backend's close() leaves
+    # it running.
+    backend = (
+        ProcessBackend(pool=pool)
+        if pool is not None
+        else ProcessBackend(workers, task_timeout=task_timeout)
+    )
     degraded = False
     # ``(future, chunk)`` in flight; a ``None`` future marks a chunk that
     # will be evaluated in-process (degraded mode) when its turn comes —
@@ -878,8 +877,7 @@ def _parallel(
         if on_worker_stats is not None:
             on_worker_stats(backend.stats(engine.fingerprint))
     finally:
-        if owned:
-            backend.close()
+        backend.close()
 
 
 def evaluate_corpus(
@@ -892,7 +890,6 @@ def evaluate_corpus(
     on_worker_stats=None,
     task_timeout: "float | None" = None,
     pool: "WorkerPool | None" = None,
-    backend=None,
     _decode: bool = False,
     _spans: bool = False,
 ) -> Iterator[CorpusResult]:
@@ -918,10 +915,8 @@ def evaluate_corpus(
     exhausts its rebuild budget the remaining documents are evaluated
     in-process — the result stream is identical either way.  ``pool``
     reuses a caller-owned :class:`WorkerPool` (and forces the parallel
-    path) instead of spawning one per call; ``backend`` generalises that
-    to any caller-owned :class:`~repro.service.backend.ExecutorBackend`
-    (threads, processes, or a cluster of remote nodes — never closed by
-    this function).
+    path) instead of spawning one per call; this function never shuts
+    it down.
 
     >>> [r.doc_id for r in evaluate_corpus("x{a}", {"one": "a", "two": "b"})]
     ['one', 'two']
@@ -936,13 +931,11 @@ def evaluate_corpus(
     # at the first iteration of the returned generator.
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if pool is not None and backend is not None:
-        raise ValueError("pass at most one of pool= and backend=")
     engine = cached_spanner(spanner)
     records = _unique_records(as_corpus(corpus))
 
     def stream() -> Iterator[CorpusResult]:
-        if workers == 1 and pool is None and backend is None:
+        if workers == 1 and pool is None:
             yield from _serial(engine, records, _decode, _spans)
             return
         chunks = _chunked(records, chunk_size or DEFAULT_CHUNK_SIZE)
@@ -956,7 +949,6 @@ def evaluate_corpus(
             on_worker_stats,
             task_timeout,
             pool,
-            backend,
         )
 
     return stream()
@@ -973,7 +965,6 @@ def extract_corpus(
     on_worker_stats=None,
     task_timeout: "float | None" = None,
     pool: "WorkerPool | None" = None,
-    backend=None,
 ) -> Iterator[CorpusResult]:
     """Like :func:`evaluate_corpus`, but with *decoded* per-document results.
 
@@ -995,7 +986,6 @@ def extract_corpus(
         on_worker_stats=on_worker_stats,
         task_timeout=task_timeout,
         pool=pool,
-        backend=backend,
         _decode=True,
         _spans=spans,
     )

@@ -1,6 +1,7 @@
 """End-to-end HTTP: routes, streaming, shedding, graceful drain."""
 
 import json
+import os
 import threading
 import time
 
@@ -252,7 +253,14 @@ class TestWorkerProcesses:
             with ServerClient(*server.address) as client:
                 first = client.enumerate(".*x{a+}.*", ["baa"])
                 second = client.enumerate(".*x{a+}.*", ["baa"])
+            pids = server.server.dispatcher.worker_pool.worker_pids()
         assert first == second
+        # Leaving the block drains the server, and the dispatcher's
+        # close() shuts down the pool it built: no worker outlives it.
+        assert pids
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
         assert first["results"][0]["mappings"] == [
             {"x": "a"},
             {"x": "aa"},

@@ -1,9 +1,8 @@
-"""The executor-backend seam: threads, processes, and corpus injection."""
+"""The executor-backend seam: threads and processes."""
 
 import pytest
 
 from repro.engine.compiled import compile_spanner
-from repro.service import evaluate_corpus
 from repro.service.backend import ProcessBackend, ThreadBackend
 from repro.service.evaluate import WorkerPool, evaluate_records
 
@@ -44,7 +43,7 @@ def test_thread_backend_closed_refuses(engine):
         backend.submit(engine, RECORDS)
 
 
-def test_process_backend_owned_pool(engine):
+def test_process_backend_spawned_pool(engine):
     with ProcessBackend(workers=2) as backend:
         assert backend.parallelism == 2
         assert backend.stats()["backend"] == "processes"
@@ -71,33 +70,3 @@ def test_process_backend_argument_validation():
         ProcessBackend()
     with pytest.raises(ValueError, match="exactly one"):
         ProcessBackend(workers=2, pool=object())
-
-
-def test_evaluate_corpus_accepts_injected_backend(engine):
-    pairs = [(f"doc-{i}", text) for i, text in enumerate(DOCS)]
-    baseline = evaluate_corpus(engine, dict(pairs))
-    with ThreadBackend(threads=2) as backend:
-        # Materialise inside the block: the stream is lazy and the
-        # borrowed backend closes when the block exits.
-        routed = list(
-            evaluate_corpus(engine, dict(pairs), workers=2, backend=backend)
-        )
-    assert [(r.doc_id, r.mappings, r.error) for r in routed] == [
-        (r.doc_id, r.mappings, r.error) for r in baseline
-    ]
-
-
-def test_evaluate_corpus_rejects_pool_and_backend(engine):
-    pool = WorkerPool(1)
-    try:
-        with ThreadBackend(threads=1) as backend:
-            with pytest.raises(ValueError, match="at most one"):
-                evaluate_corpus(
-                    engine,
-                    {"d": "a"},
-                    workers=2,
-                    pool=pool,
-                    backend=backend,
-                )
-    finally:
-        pool.shutdown()

@@ -61,10 +61,10 @@ def test_a_full_mode_slope_over_its_bar_fails(tmp_path):
 def test_a_full_mode_speedup_under_its_bar_fails(tmp_path):
     completed = _run(
         tmp_path,
-        {"e27": {"quick": False, "median_speedup": {"cluster": 1.2}, "minimum_speedup": 1.5}},
+        {"e26": {"quick": False, "median_speedup": {"corpus": 1.2}, "minimum_speedup": 2.0}},
     )
     assert completed.returncode == 2
-    assert "UNDER BAR: e27/cluster speedup 1.20 < 1.50" in completed.stderr
+    assert "UNDER BAR: e26/corpus speedup 1.20 < 2.00" in completed.stderr
 
 
 def test_quick_runs_are_reported_not_judged(tmp_path):

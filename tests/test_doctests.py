@@ -8,10 +8,6 @@ import repro
 import repro.algebra
 import repro.api
 import repro.automata.fingerprint
-import repro.cluster
-import repro.cluster.node
-import repro.cluster.protocol
-import repro.cluster.registry
 import repro.engine.compiled
 import repro.engine.kernel
 import repro.engine.oracle
@@ -41,10 +37,6 @@ MODULES = [
     repro.algebra,
     repro.api,
     repro.automata.fingerprint,
-    repro.cluster,
-    repro.cluster.node,
-    repro.cluster.protocol,
-    repro.cluster.registry,
     repro.engine.compiled,
     repro.engine.kernel,
     repro.engine.oracle,

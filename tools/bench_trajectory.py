@@ -21,7 +21,6 @@ headroom for a slope (negative once over the bar):
     benchmark     family   headline  value  bar   margin  mode
     e01_compiled  overall  slope     0.07   0.40  0.33    full
     e26           corpus   speedup   3.86   2.00  1.93x   full
-    e27           cluster  speedup   1.72   1.50  1.15x   full
 
 ``--json OUT`` additionally writes the merged records for dashboards.
 Exit status is 2 when any full-mode headline is on the wrong side of its
