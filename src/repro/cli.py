@@ -246,99 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
             "counters to stderr (compiled engine only)"
         ),
     )
-    parser.add_argument(
-        "--artifact-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "load/save compiled engines as durable artifacts under DIR "
-            "(defaults to $REPRO_ARTIFACT_DIR when set; see "
-            "'repro cache --help' and docs/artifacts.md)"
-        ),
-    )
     return parser
-
-
-def build_cache_parser() -> argparse.ArgumentParser:
-    """The ``repro cache`` flags (durable engine-artifact maintenance)."""
-    parser = argparse.ArgumentParser(
-        prog="repro cache",
-        description=(
-            "Inspect and maintain the durable engine-artifact cache "
-            "(compiled engines serialized to disk, reloaded zero-copy by "
-            "later runs and servers).  See "
-            "docs/artifacts.md."
-        ),
-        epilog=(
-            "examples:\n"
-            "  repro cache path                 # where artifacts live\n"
-            "  repro cache list                 # one line per artifact\n"
-            "  repro cache stats --json         # counts and sizes\n"
-            "  repro cache clear                # delete every artifact\n"
-        ),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "action",
-        choices=("path", "list", "clear", "stats"),
-        help="what to do with the artifact cache",
-    )
-    parser.add_argument(
-        "--dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "cache directory (default: $REPRO_ARTIFACT_DIR, else "
-            "~/.cache/repro-spanners/artifacts)"
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable output (list and stats)",
-    )
-    return parser
-
-
-def _run_cache(argv: list[str]) -> int:
-    from repro.service.artifact_store import ArtifactStore
-
-    arguments = build_cache_parser().parse_args(argv)
-    store = ArtifactStore(arguments.dir)
-    if arguments.action == "path":
-        print(store.root)
-        return 0
-    if arguments.action == "clear":
-        removed = store.clear()
-        print(f"removed {removed} artifact(s) from {store.root}")
-        return 0
-    if arguments.action == "list":
-        records = store.list()
-        if arguments.json:
-            print(json.dumps(records, sort_keys=True))
-            return 0
-        if not records:
-            print(f"no artifacts under {store.root}")
-            return 0
-        for record in records:
-            if "error" in record:
-                print(f"{record['path']}: INVALID: {record['error']}")
-                continue
-            expression = record["expression"] or "<non-string source>"
-            print(
-                f"{record['fingerprint'][:16]}  {record['size']:>8}B  "
-                f"opt={record['opt_level']}  states={record['num_states']}  "
-                f"{expression}"
-            )
-        return 0
-    stats = store.stats()
-    if arguments.json:
-        print(json.dumps(stats, sort_keys=True))
-    else:
-        print(f"root:      {stats['root']}")
-        print(f"artifacts: {stats['artifacts']}")
-        print(f"bytes:     {stats['bytes']}")
-    return 0
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -432,16 +340,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help=(
             "after degrading, wait this long before trying to revive the "
             "worker pool (default 30)"
-        ),
-    )
-    parser.add_argument(
-        "--artifact-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "durable engine-artifact cache directory: compiled engines "
-            "persist across restarts and load instead of recompiling "
-            "(defaults to $REPRO_ARTIFACT_DIR when set)"
         ),
     )
     return parser
@@ -676,8 +574,6 @@ def _run_query(argv: list[str], stdin: str | None = None) -> int:
 
 
 def _run_serve(argv: list[str]) -> int:
-    import os
-
     from repro.server import ServerConfig, serve
 
     arguments = build_serve_parser().parse_args(argv)
@@ -687,9 +583,6 @@ def _run_serve(argv: list[str]) -> int:
     if arguments.port < 0 or arguments.port > 65535:
         print("error: --port must be in 0..65535", file=sys.stderr)
         return 2
-    artifact_dir = arguments.artifact_dir or os.environ.get(
-        "REPRO_ARTIFACT_DIR"
-    )
     return serve(
         ServerConfig(
             host=arguments.host,
@@ -699,7 +592,6 @@ def _run_serve(argv: list[str]) -> int:
             batch_max_delay=arguments.batch_delay,
             max_pending=arguments.max_pending,
             drain_grace=arguments.drain_grace,
-            artifact_dir=artifact_dir,
             task_timeout=arguments.task_timeout,
             max_rebuilds=arguments.max_rebuilds,
             degraded_reset=arguments.degraded_reset,
@@ -770,31 +662,10 @@ def _load_records(arguments, stdin: str | None):
     return records, failures, len(files) > 1
 
 
-def _attach_artifacts(directory: str | None):
-    """Back the process-wide spanner cache with an on-disk artifact store.
-
-    ``directory`` (the ``--artifact-dir`` flag) wins; otherwise
-    ``$REPRO_ARTIFACT_DIR``; with neither, no store is attached and the
-    run behaves exactly as before.
-    """
-    import os
-
-    from repro.service.artifact_store import ARTIFACT_DIR_ENV, ArtifactStore
-    from repro.service.cache import DEFAULT_CACHE
-
-    directory = directory or os.environ.get(ARTIFACT_DIR_ENV)
-    if not directory:
-        return None
-    store = ArtifactStore(directory)
-    DEFAULT_CACHE.attach_artifacts(store)
-    return store
-
-
 def _print_stats(
     engine,
     workers: int,
     worker_stats: dict | None = None,
-    artifact_store=None,
 ) -> None:
     """The ``--stats`` report: kernel tables + cache counters, to stderr.
 
@@ -826,11 +697,6 @@ def _print_stats(
         f"stats: spanner-cache {formatted(DEFAULT_CACHE.stats())}",
         file=sys.stderr,
     )
-    if artifact_store is not None:
-        print(
-            f"stats: artifacts {formatted(artifact_store.counters())}",
-            file=sys.stderr,
-        )
     resilience = (
         dict(worker_stats.get("resilience", {})) if worker_stats else {}
     )
@@ -914,8 +780,6 @@ def run(argv: list[str] | None = None, stdin: str | None = None) -> int:
         return _run_serve(raw_arguments[1:])
     if raw_arguments and raw_arguments[0] == "query":
         return _run_query(raw_arguments[1:], stdin)
-    if raw_arguments and raw_arguments[0] == "cache":
-        return _run_cache(raw_arguments[1:])
     arguments = build_parser().parse_args(raw_arguments)
     if arguments.engine == "seed" and (arguments.workers > 1 or arguments.ndjson):
         print(
@@ -982,15 +846,9 @@ def run(argv: list[str] | None = None, stdin: str | None = None) -> int:
         # reads the counters of the very engine that does the work (the
         # cache may hand back an engine compiled earlier in this
         # process).  The seed engine keeps the original loop below.
-        from repro.service.cache import DEFAULT_CACHE, cached_spanner
+        from repro.service.cache import cached_spanner
 
-        store = _attach_artifacts(arguments.artifact_dir)
-        if store is not None:
-            # The pattern string routes through the store's pattern refs,
-            # so a warm cache loads the finished engine from disk.
-            engine = DEFAULT_CACHE.get(arguments.pattern, arguments.opt_level)
-        else:
-            engine = cached_spanner(spanner.compiled)
+        engine = cached_spanner(spanner.compiled)
         worker_stats: dict = {}
         code = _run_corpus(
             engine,
@@ -1000,9 +858,7 @@ def run(argv: list[str] | None = None, stdin: str | None = None) -> int:
             on_worker_stats=worker_stats.update if arguments.stats else None,
         )
         if arguments.stats:
-            _print_stats(
-                engine, arguments.workers, worker_stats or None, store
-            )
+            _print_stats(engine, arguments.workers, worker_stats or None)
         return code
 
     if arguments.count:

@@ -79,7 +79,6 @@ class CompiledSpanner:
         automaton: VA | None = None,
         expression=None,
         plan: "Plan | None" = None,
-        source_sequential: bool | None = None,
     ) -> None:
         if plan is not None:
             automaton = plan.automaton
@@ -91,9 +90,8 @@ class CompiledSpanner:
         self._cva: CompiledVA = compile_va(automaton)
         self._expression = expression
         self._plan = plan
-        #: Source-classification override for plan-less engines rebuilt
-        #: from serialized artifacts (the plan itself is not persisted).
-        self._source_sequential = source_sequential
+        #: Lazily computed classification of a plan-less engine's source.
+        self._source_sequential: bool | None = None
         self._fingerprint: str | None = None
         # The per-spanner LRU caches are mutated under this lock so one
         # engine can serve concurrent threads (the async server's

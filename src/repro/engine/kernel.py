@@ -174,27 +174,6 @@ class AlphabetClasses:
             group[0] if group else fresh for group in members
         )
 
-    @classmethod
-    def from_parts(
-        cls,
-        class_of: dict[str, int],
-        residual: int,
-        count: int,
-        representatives,
-    ) -> "AlphabetClasses":
-        """Rebuild a partition from its serialized parts (artifact loads).
-
-        Bypasses the signature computation entirely — the parts were
-        produced by a previous :meth:`__init__` and round-tripped through
-        :mod:`repro.engine.artifact`.
-        """
-        self = cls.__new__(cls)
-        self._class_of = dict(class_of)
-        self.residual = residual
-        self.count = count
-        self.representatives = tuple(representatives)
-        return self
-
     def classify(self, char: str) -> int:
         return self._class_of.get(char, self.residual)
 
@@ -298,36 +277,6 @@ class Kernel:
         #: otherwise evict a key between its lookup and its recency update.
         self._lock = threading.Lock()
         self._flat: FlatTables | None = None
-
-    @classmethod
-    def from_tables(
-        cls,
-        cva: "CompiledVA",
-        classes: AlphabetClasses,
-        free,
-        free_rev,
-        step,
-        step_rev,
-    ) -> "Kernel":
-        """Rebuild a kernel from precomputed tables (artifact loads).
-
-        The mask tables may be any integer-indexable sequences — in
-        particular the zero-copy ``memoryview`` rows that
-        :mod:`repro.engine.artifact` casts straight out of an mmap'd
-        artifact file.  DFAs start empty; they are per-process state.
-        """
-        self = cls.__new__(cls)
-        self.cva = cva
-        self.num_states = cva.num_states
-        self.classes = classes
-        self.free = free
-        self.free_rev = free_rev
-        self.step = step
-        self.step_rev = step_rev
-        self._contexts = OrderedDict()
-        self._lock = threading.Lock()
-        self._flat = None
-        return self
 
     def context(self, pinned: frozenset, nulls: frozenset) -> "SweepContext":
         """The (cached) sweep context for one pin partition."""

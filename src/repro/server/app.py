@@ -97,8 +97,6 @@ class ServerConfig:
     drain_grace: float = 10.0
     #: The E23 ablation baseline: no cache, no coalescing, no batching.
     naive: bool = False
-    #: Durable engine-artifact cache directory (None: in-memory only).
-    artifact_dir: str | None = None
     #: Per-batch worker deadline, seconds (None: REPRO_TASK_TIMEOUT).
     task_timeout: float | None = None
     #: Consecutive pool rebuilds tolerated before degrading to threads.
@@ -138,7 +136,6 @@ class ServerConfig:
             max_pending=self.max_pending,
             inline_threads=self.inline_threads,
             naive=self.naive,
-            artifact_dir=self.artifact_dir,
             task_timeout=self.task_timeout,
             max_rebuilds=self.max_rebuilds,
             breaker_threshold=self.breaker_threshold,
@@ -284,13 +281,15 @@ class SpannerServer:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
         length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
+        # RFC 9110 §8.6: Content-Length = 1*DIGIT.  int() would also take
+        # a sign, underscores and non-ASCII digits, and a negative length
+        # would reach readexactly() and kill the connection unanswered.
+        if not (length_text.isascii() and length_text.isdigit()):
             await self._write_response(
                 writer, 400, encode_error("bad Content-Length"), close=True
             )
             return None
+        length = int(length_text)
         if length > _MAX_BODY:
             await self._write_response(
                 writer, 413, encode_error("request body too large"), close=True
@@ -341,7 +340,6 @@ class SpannerServer:
             if path == "/healthz":
                 return await self._healthz(writer, keep_alive)
             if path == "/metrics":
-                self.dispatcher.publish_artifact_metrics()
                 self.dispatcher.publish_resilience_metrics()
                 await self._write_response(
                     writer,

@@ -101,9 +101,6 @@ class DispatcherConfig:
     inline_threads: int | None = None
     #: Disable cache, coalescing, and batching (the E23 baseline).
     naive: bool = False
-    #: Directory of durable engine artifacts; None leaves the cache purely
-    #: in-memory (see repro.service.artifact_store).
-    artifact_dir: str | None = None
     #: Per-batch deadline on the worker pool, seconds; None disables
     #: (falls back to ``REPRO_TASK_TIMEOUT``).
     task_timeout: float | None = None
@@ -169,14 +166,6 @@ class Dispatcher:
         # NB: `cache or SpannerCache()` would silently replace an *empty*
         # cache — SpannerCache defines __len__, so empty means falsy.
         self.cache = cache if cache is not None else SpannerCache()
-        self.artifacts = None
-        if self.config.artifact_dir:
-            from repro.service.artifact_store import ArtifactStore
-
-            self.artifacts = ArtifactStore(self.config.artifact_dir)
-            self.cache.attach_artifacts(self.artifacts)
-        elif getattr(self.cache, "artifacts", None) is not None:
-            self.artifacts = self.cache.artifacts
         self._loop: asyncio.AbstractEventLoop | None = None
         self._compile_pool: ThreadPoolExecutor | None = None
         # The execution seam: the primary backend serves batches, the
@@ -560,17 +549,6 @@ class Dispatcher:
 
     # -- introspection -----------------------------------------------------------
 
-    def artifact_counters(self) -> dict[str, int]:
-        """The dispatcher's artifact-store hit/miss/save/error counters."""
-        if self.artifacts is None:
-            return {}
-        return self.artifacts.counters()
-
-    def publish_artifact_metrics(self) -> None:
-        """Refresh the ``repro_artifact_*`` gauges."""
-        for key, value in self.artifact_counters().items():
-            self.metrics.gauge(f"repro_artifact_{key}", value)
-
     @property
     def degraded(self) -> bool:
         """Whether batches are being served on the in-process fallback."""
@@ -635,8 +613,6 @@ class Dispatcher:
         }
         if self._backend is not None:
             snapshot["backend"] = self._backend.name
-        if self.artifacts is not None:
-            snapshot["artifacts"] = self.artifact_counters()
         pool = self.worker_pool
         if pool is not None:
             snapshot["worker_stats"] = pool.stats()

@@ -148,7 +148,11 @@ def _header_options(body: dict) -> tuple[str, int | None, bool]:
     if not isinstance(pattern, str) or not pattern:
         raise ProtocolError('request needs a "pattern" string')
     opt_level = body.get("opt_level")
-    if opt_level is not None and opt_level not in _OPT_LEVELS:
+    # type() rather than isinstance(): JSON true is a bool, which Python
+    # would otherwise accept as level 1 (as it would 1.0).
+    if opt_level is not None and (
+        type(opt_level) is not int or opt_level not in _OPT_LEVELS
+    ):
         raise ProtocolError(
             f'"opt_level" must be one of {list(_OPT_LEVELS)}, '
             f"got {opt_level!r}"

@@ -87,25 +87,6 @@ class SpannerCache:
         self._by_pattern: dict[tuple[str, int], str] = {}
         self._hits = 0
         self._misses = 0
-        self._artifacts = None
-
-    def attach_artifacts(self, store) -> None:
-        """Back this cache with an on-disk artifact store (or detach with ``None``).
-
-        With a store attached, an in-memory miss first tries the store —
-        string patterns resolve through its pattern refs without even
-        planning, anything else plans and loads by fingerprint — and a
-        fresh compile is saved back, so the *next* process starts warm.
-        Artifact hit/miss/save counters live on the store
-        (:meth:`ArtifactStore.counters`), not on this cache.
-        """
-        with self._lock:
-            self._artifacts = store
-
-    @property
-    def artifacts(self):
-        """The attached :class:`~repro.service.artifact_store.ArtifactStore`."""
-        return self._artifacts
 
     def _insert(self, fingerprint, engine, pattern, level) -> CompiledSpanner:
         """First-insert-wins publication of ``engine`` under the lock."""
@@ -147,7 +128,6 @@ class SpannerCache:
         """The compiled spanner for ``source``, reused when its plan is known."""
         pattern = source if isinstance(source, str) else None
         level = DEFAULT_OPT_LEVEL if opt_level is None else opt_level
-        store = self._artifacts
         if pattern is not None:
             with self._lock:
                 fingerprint = self._by_pattern.get((pattern, level))
@@ -156,21 +136,6 @@ class SpannerCache:
                     if cached is not None:
                         self._hits += 1
                         return cached
-            if store is not None:
-                # The pattern-ref side-channel: a previous process already
-                # planned this exact text, so resolve its fingerprint and
-                # load the finished engine without parsing or planning.
-                fingerprint = store.resolve(pattern, level)
-                if fingerprint is not None:
-                    with self._lock:
-                        cached = self._by_fingerprint.get(fingerprint)
-                        if cached is not None:
-                            self._hits += 1
-                            self._by_pattern[(pattern, level)] = fingerprint
-                            return cached
-                    engine = store.load(fingerprint)  # heavy-ish: outside
-                    if engine is not None:
-                        return self._insert(fingerprint, engine, pattern, level)
         plan = self._resolve_plan(source, opt_level)  # heavy: outside the lock
         fingerprint = plan.fingerprint
         with self._lock:
@@ -180,19 +145,10 @@ class SpannerCache:
                 if pattern is not None:
                     self._by_pattern[(pattern, level)] = fingerprint
                 return cached
-        engine = store.load(fingerprint) if store is not None else None
-        if engine is None:
-            if (
-                isinstance(source, CompiledSpanner)
-                and source.automaton is plan.automaton
-            ):
-                engine = source  # already compiled on exactly this plan
-            else:
-                engine = CompiledSpanner(plan=plan)  # heavy: outside the lock
-            if store is not None:
-                store.save(engine, opt_level=level, pattern=pattern)
-        elif store is not None and pattern is not None:
-            store.save(engine, opt_level=level, pattern=pattern)  # ref only
+        if isinstance(source, CompiledSpanner) and source.automaton is plan.automaton:
+            engine = source  # already compiled on exactly this plan
+        else:
+            engine = CompiledSpanner(plan=plan)  # heavy: outside the lock
         return self._insert(fingerprint, engine, pattern, level)
 
     def __len__(self) -> int:

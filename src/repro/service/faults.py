@@ -1,7 +1,7 @@
 """Deterministic fault injection for the service layer's chaos tests.
 
 The resilience layer (:mod:`repro.service.resilience`) exists to survive
-worker death, hung tasks, and broken caches — failure modes that almost
+worker death, hung tasks, and failing compiles — failure modes that almost
 never happen on a developer laptop.  This module makes them happen on
 demand, so the chaos suite (``pytest -m chaos``) and the CI smoke lanes
 can exercise every recovery path deterministically.
@@ -9,7 +9,7 @@ can exercise every recovery path deterministically.
 Faults are armed through ``REPRO_FAULTS``, a comma-separated list of
 ``point:trigger`` entries::
 
-    REPRO_FAULTS=worker_kill:0.1,artifact_load:2
+    REPRO_FAULTS=worker_kill:0.1,compile:2
 
 Injection **points** name where the fault fires (each is checked by one
 call site in the service layer):
@@ -22,8 +22,6 @@ call site in the service layer):
 ``task_error``       raise inside batch execution (a poisoned shard)
 ``task_slow``        sleep :data:`SLOW_SECONDS` at task entry (a hung worker,
                      for deadline tests)
-``artifact_load``    fail the artifact-store load in the coordinating process
-                     (a counted miss; the engine is compiled instead)
 ``compile``          raise in the server dispatcher's compile path (trips the
                      per-pattern circuit breaker)
 ===================  ==========================================================
@@ -49,10 +47,10 @@ itself when a batch containing one arrives, which is how the chaos suite
 drives the worker pool's batch-bisection path down to a single
 per-document error record.
 
->>> registry = FaultRegistry.parse("artifact_load:2")
->>> [registry.should_fire("artifact_load") for _ in range(4)]
+>>> registry = FaultRegistry.parse("compile:2")
+>>> [registry.should_fire("compile") for _ in range(4)]
 [True, True, False, False]
->>> registry.counters()["artifact_load"]
+>>> registry.counters()["compile"]
 2
 """
 
@@ -66,7 +64,6 @@ import time
 from contextlib import contextmanager
 
 __all__ = [
-    "ARTIFACT_LOAD",
     "COMPILE",
     "FaultRegistry",
     "InjectedFault",
@@ -97,7 +94,6 @@ WORKER_BOOT = "worker_boot"
 WORKER_KILL = "worker_kill"
 TASK_ERROR = "task_error"
 TASK_SLOW = "task_slow"
-ARTIFACT_LOAD = "artifact_load"
 COMPILE = "compile"
 
 #: Points whose effect is killing the current process outright.

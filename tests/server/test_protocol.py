@@ -75,6 +75,8 @@ class TestJsonRequests:
                 },
                 "duplicate",
             ),
+            ({"pattern": "x{a}", "document": "a", "opt_level": True}, "opt_level"),
+            ({"pattern": "x{a}", "document": "a", "opt_level": 1.0}, "opt_level"),
         ],
     )
     def test_rejections(self, payload, message):
