@@ -292,7 +292,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "flush a micro-batch this long after its first document "
-            "(default 0.002; 0 flushes immediately)"
+            "(default 0.002; 0 flushes immediately); with --workers N it "
+            "goes out sooner when a worker is idle"
         ),
     )
     parser.add_argument(

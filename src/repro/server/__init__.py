@@ -6,8 +6,9 @@ problems per request: ``POST /evaluate`` (the NonEmp verdict),
 ``GET /metrics``.  Concurrent requests for one pattern share a single
 compile through the thread-safe :class:`~repro.service.cache.SpannerCache`
 (request coalescing), documents from many requests are micro-batched onto
-shared executors with size/latency watermarks, queues are bounded with
-429 load-shedding past the watermark, and SIGTERM drains gracefully —
+shared executors with size/latency watermarks (sooner when a pool worker
+is idle), queues are bounded with 429 load-shedding past the watermark,
+and SIGTERM drains gracefully —
 see :mod:`repro.server.dispatcher` and :mod:`repro.server.app`, and
 ``docs/server.md`` for the operational story.
 """

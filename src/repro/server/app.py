@@ -77,6 +77,7 @@ _REASONS = {
     422: "Unprocessable Entity",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -276,10 +277,36 @@ class SpannerServer:
             return None
         method, target, _version = parts
         headers = {}
+        conflicting_lengths = False
         for line in header_lines:
             if ":" in line:
                 name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
+                name, value = name.strip().lower(), value.strip()
+                if name == "content-length" and headers.get(name, value) != value:
+                    conflicting_lengths = True
+                headers[name] = value
+        # Only Content-Length framing is implemented.  Reading a chunked
+        # body as empty would leave its chunks to be parsed as the next
+        # request, answering one request twice (RFC 9112 §6.3).
+        if "transfer-encoding" in headers:
+            await self._write_response(
+                writer,
+                501,
+                encode_error(
+                    "Transfer-Encoding is not supported; send a "
+                    "Content-Length body"
+                ),
+                close=True,
+            )
+            return None
+        if conflicting_lengths:
+            await self._write_response(
+                writer,
+                400,
+                encode_error("conflicting Content-Length headers"),
+                close=True,
+            )
+            return None
         length_text = headers.get("content-length", "0")
         # RFC 9110 §8.6: Content-Length = 1*DIGIT.  int() would also take
         # a sign, underscores and non-ASCII digits, and a negative length

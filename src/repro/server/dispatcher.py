@@ -14,7 +14,11 @@ concurrent requests into the large warm batches the engine is built for:
   batch that flushes when it reaches ``batch_max_size`` documents *or*
   ``batch_max_delay`` seconds after its first document (size/latency
   watermarks), so one flush serves documents from many requests and each
-  executor round-trip amortises over the whole batch;
+  executor round-trip amortises over the whole batch.  On a worker pool
+  a partial batch goes out sooner, as soon as fewer than ``workers``
+  batches are in flight (oldest waiting batch first): an idle worker
+  never waits on the timer, and batches gather documents only while
+  every worker is busy;
 * **bounded queues** — at most ``max_pending`` documents may be queued or
   in flight; past the watermark new work is shed with :class:`Overloaded`
   (the HTTP layer answers 429) instead of growing the queue without
@@ -92,7 +96,8 @@ class DispatcherConfig:
     workers: int = 0
     #: Flush a batch at this many documents …
     batch_max_size: int = 16
-    #: … or this many seconds after its first document, whichever first.
+    #: … or this many seconds after its first document, whichever first
+    #: (sooner when a pool worker is idle).
     batch_max_delay: float = 0.002
     #: Queued + in-flight documents beyond which submissions are shed.
     max_pending: int = 1024
@@ -135,9 +140,9 @@ class DispatcherConfig:
 
 
 class _Batch:
-    """One open micro-batch: items plus the pending flush timer."""
+    """One open micro-batch: items, when it opened, its flush timer."""
 
-    __slots__ = ("engine", "kind", "spans", "items", "timer")
+    __slots__ = ("engine", "kind", "spans", "items", "opened", "timer")
 
     def __init__(self, engine: CompiledSpanner, kind: str, spans: bool) -> None:
         self.engine = engine
@@ -145,6 +150,7 @@ class _Batch:
         self.spans = spans
         # (doc_id, text, future) per document, in arrival order.
         self.items: list[tuple[str, str, asyncio.Future]] = []
+        self.opened = time.perf_counter()
         self.timer: asyncio.TimerHandle | None = None
 
 
@@ -178,6 +184,8 @@ class Dispatcher:
         # would dodge the cache's capacity bound and make its stats (and
         # /healthz) lie about what is actually being served.
         self._compiles: dict[tuple[str, int | None], asyncio.Future] = {}
+        # Open batches in the order they opened: the pump sends the
+        # oldest first.
         self._batches: dict[tuple, _Batch] = {}
         self._batch_tasks: set[asyncio.Task] = set()
         self._pending = 0
@@ -404,6 +412,7 @@ class Dispatcher:
         futures = []
         for doc_id, text in documents:
             futures.append(self._enqueue(engine, kind, spans, doc_id, text))
+        self._pump()
         return futures
 
     def _enqueue(
@@ -442,6 +451,20 @@ class Dispatcher:
             self._flush(key)
         return future
 
+    def _pump(self) -> None:
+        """Send open batches, oldest first, while a pool worker is idle.
+
+        Called after each submission and when a batch finishes, so on a
+        worker pool a partial batch waits on its timer only while every
+        worker is busy.  In-process threads (``workers == 0``) share one
+        GIL, so a free thread is not a free CPU: there batches keep to
+        the size and delay watermarks.
+        """
+        for key in list(self._batches):
+            if len(self._batch_tasks) >= self.config.workers:
+                return
+            self._flush(key)
+
     def _flush(self, key: tuple) -> None:
         batch = self._batches.pop(key, None)
         if batch is None:
@@ -450,6 +473,9 @@ class Dispatcher:
             batch.timer.cancel()
         self.metrics.inc("repro_batches_total")
         self.metrics.observe("repro_batch_documents", len(batch.items))
+        self.metrics.observe(
+            "repro_batch_wait_seconds", time.perf_counter() - batch.opened
+        )
         task = self._loop.create_task(self._run_batch(batch, batch.items))
         self._track(task)
 
@@ -461,6 +487,7 @@ class Dispatcher:
     def _untrack(self, task: asyncio.Task) -> None:
         self._batch_tasks.discard(task)
         self.metrics.gauge("repro_inflight_batches", len(self._batch_tasks))
+        self._pump()
 
     def _ready_backend(self) -> ExecutorBackend:
         """The backend that should serve this batch; degraded-mode
@@ -606,6 +633,10 @@ class Dispatcher:
             "pending_documents": self._pending,
             "inflight_batches": len(self._batch_tasks),
             "open_batches": len(self._batches),
+            "batch_wait_seconds": {
+                "sum": self.metrics.value("repro_batch_wait_seconds_sum"),
+                "count": self.metrics.value("repro_batch_wait_seconds_count"),
+            },
             "cache": self.cache.stats(),
             "workers": self.config.workers,
             "naive": self.config.naive,

@@ -148,6 +148,41 @@ class TestHttpErrors:
             connection.close()
         assert client.healthz()["status"] == "ok"
 
+    @pytest.mark.parametrize(
+        "framing,status",
+        [
+            ("Transfer-Encoding: chunked\r\n", 501),
+            ("Transfer-Encoding: chunked\r\nContent-Length: {n}\r\n", 501),
+            ("Content-Length: 2\r\nContent-Length: {n}\r\n", 400),
+            ("Content-Length: {n}\r\nContent-Length: {n}\r\n", 200),
+        ],
+        ids=["chunked", "chunked-with-length", "conflicting-lengths", "equal-lengths"],
+    )
+    def test_body_framing_gets_exactly_one_response(
+        self, server, client, framing, status
+    ):
+        import socket
+
+        body = b'{"pattern": "x{a}b", "document": "ab"}'
+        if "chunked" in framing:
+            body = f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+        head = (
+            "POST /evaluate HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\nConnection: close\r\n"
+            + framing.format(n=len(body))
+            + "\r\n"
+        ).encode("latin-1")
+        with socket.create_connection(server.address, timeout=10) as raw:
+            raw.sendall(head + body)
+            received = b""
+            while chunk := raw.recv(65536):
+                received += chunk
+        # The bytes sent are one request: one status line comes back,
+        # then the server closes the connection.
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        assert received.startswith(f"HTTP/1.1 {status} ".encode()), received
+        assert client.healthz()["status"] == "ok"
+
     def test_keep_alive_across_requests(self, client):
         # The same ServerClient connection serves several round-trips.
         for _ in range(3):

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.server import dispatcher as dispatcher_module
 from repro.server.dispatcher import (
     Dispatcher,
     DispatcherConfig,
@@ -12,7 +13,9 @@ from repro.server.dispatcher import (
     RequestTooLarge,
 )
 from repro.server.protocol import ENUMERATE, EVALUATE, SpanRequest
+from repro.service.backend import ThreadBackend
 from repro.service.cache import SpannerCache
+from repro.service.evaluate import evaluate_records
 
 
 def request(pattern, documents, mode=ENUMERATE, opt_level=None):
@@ -178,6 +181,136 @@ class TestMicroBatching:
             results = await asyncio.wait_for(asyncio.gather(*futures), 10.0)
             assert results[0][1] is None and results[2][1] is None
             assert results[1][0] is None and results[1][1] is not None
+            await dispatcher.close()
+
+        run(main)
+
+    def test_large_request_goes_out_as_full_batches(self):
+        async def main():
+            dispatcher = await started()
+            ask = request(".*x{a+}.*", ["ba"] * 64)
+            engine = await dispatcher.engine(ask)
+            futures = dispatcher.submit(engine, ask)
+            assert dispatcher.metrics.value("repro_batches_total") == 4
+            assert dispatcher.metrics.value("repro_batch_documents_sum") == 64
+            await asyncio.wait_for(asyncio.gather(*futures), 10.0)
+            await dispatcher.close()
+
+        run(main)
+
+
+class HeldPool(ThreadBackend):
+    """Stands in for the worker pool: ``workers`` threads whose batches
+    run only once ``release`` is set, recording each batch's size."""
+
+    def __init__(self, workers, **_options):
+        super().__init__(workers)
+        self.release = threading.Event()
+        self.sizes = []
+
+    def submit(self, engine, records, *, kind="mappings", spans=False):
+        batch = list(records)
+        self.sizes.append(len(batch))
+
+        def run():
+            assert self.release.wait(timeout=10.0)
+            return evaluate_records(engine, batch, kind, spans)
+
+        return self._ensure_executor().submit(run)
+
+
+@pytest.fixture()
+def held_pool(monkeypatch):
+    monkeypatch.setattr(dispatcher_module, "ProcessBackend", HeldPool)
+
+
+@pytest.mark.usefixtures("held_pool")
+class TestIdleWorkers:
+    """On a worker pool a partial batch goes out while a worker is idle;
+    it gathers documents only while every worker is busy, and at most
+    until the delay watermark."""
+
+    def test_lone_document_goes_out_without_linger(self):
+        async def main():
+            dispatcher = await started(DispatcherConfig(workers=2))
+            dispatcher._backend.release.set()
+            ask = request(".*x{a+}.*", ["ba"])
+            engine = await dispatcher.engine(ask)
+            (future,) = dispatcher.submit(engine, ask)
+            # Sent inside submit(), before this coroutine yields.
+            assert dispatcher.metrics.value("repro_batches_total") == 1
+            assert dispatcher.stats()["open_batches"] == 0
+            payload, error = await asyncio.wait_for(future, 10.0)
+            assert error is None and payload == ({"x": "a"},)
+            await dispatcher.close()
+
+        run(main)
+
+    def test_concurrent_requests_do_not_convoy_onto_one_worker(self):
+        async def main():
+            dispatcher = await started(DispatcherConfig(workers=2))
+            dispatcher._backend.release.set()
+            asks = [request(".*x{a+}.*", [text]) for text in ("ba", "baa")]
+            engine = await dispatcher.engine(asks[0])
+            futures = [dispatcher.submit(engine, ask)[0] for ask in asks]
+            assert dispatcher.metrics.value("repro_batches_total") == 2
+            await asyncio.wait_for(asyncio.gather(*futures), 10.0)
+            assert dispatcher._backend.sizes == [1, 1]
+            await dispatcher.close()
+
+        run(main)
+
+    def test_busy_worker_gathers_documents_until_it_frees(self):
+        async def main():
+            config = DispatcherConfig(workers=1, batch_max_delay=30.0)
+            dispatcher = await started(config)
+            backend = dispatcher._backend
+            asks = [request(".*x{a+}.*", [text]) for text in ("ba", "bb", "bba")]
+            engine = await dispatcher.engine(asks[0])
+            first = dispatcher.submit(engine, asks[0])  # takes the worker
+            later = [dispatcher.submit(engine, ask)[0] for ask in asks[1:]]
+            await asyncio.sleep(0.05)
+            # The worker is held: the two later documents share one batch.
+            assert backend.sizes == [1]
+            assert dispatcher.stats()["open_batches"] == 1
+            backend.release.set()
+            results = await asyncio.wait_for(
+                asyncio.gather(*first, *later), 10.0
+            )
+            assert results == [(({"x": "a"},), None), ((), None), (({"x": "a"},), None)]
+            assert backend.sizes == [1, 2]
+            waits = dispatcher.stats()["batch_wait_seconds"]
+            assert waits["count"] == 2
+            assert waits["sum"] >= 0.04  # the gathered batch waited
+            await dispatcher.close()
+
+        run(main)
+
+    def test_delay_bounds_the_wait_while_every_worker_is_busy(self):
+        async def main():
+            config = DispatcherConfig(
+                workers=1, batch_max_size=2, batch_max_delay=0.02
+            )
+            dispatcher = await started(config)
+            backend = dispatcher._backend
+            full = request(".*x{a+}.*", ["ba", "aa"])
+            lone = request(".*y{b+}.*", ["ab"])
+            engine = await dispatcher.engine(full)
+            other = await dispatcher.engine(lone)
+            # Full batches go out on arrival and hold the one worker ...
+            held = dispatcher.submit(engine, full) + dispatcher.submit(engine, full)
+            (parked,) = dispatcher.submit(other, lone)
+            assert dispatcher.metrics.value("repro_batches_total") == 2
+            assert dispatcher.stats()["open_batches"] == 1
+            await asyncio.sleep(0.1)
+            # ... yet the lone document went out when its delay ran out.
+            assert dispatcher.metrics.value("repro_batches_total") == 3
+            assert dispatcher.stats()["open_batches"] == 0
+            assert not any(future.done() for future in held)
+            backend.release.set()
+            await asyncio.wait_for(asyncio.gather(*held, parked), 10.0)
+            assert backend.sizes == [2, 2, 1]
+            assert parked.result() == (({"y": "b"},), None)
             await dispatcher.close()
 
         run(main)
