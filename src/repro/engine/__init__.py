@@ -3,7 +3,8 @@
 Precompiled transition tables (:mod:`repro.engine.tables`), the bitmask
 kernel — alphabet-class compression, mask state sets and the flat lazy
 DFA that flushes at its state budget (:mod:`repro.engine.kernel`) —
-memoised and prefix-sharing ``Eval`` oracles (:mod:`repro.engine.oracle`),
+the memoised ``Eval`` oracle and the per-document output DAG enumeration
+reads (:mod:`repro.engine.oracle`),
 lockstep batch sweeps (:mod:`repro.engine.vector`), and the reusable
 :class:`CompiledSpanner` with its batch API (:mod:`repro.engine.compiled`).
 """

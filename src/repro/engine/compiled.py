@@ -9,30 +9,31 @@ Every source is routed through the pass-based compilation planner
 pipeline optimises it (ε-elimination, trimming, predicate fusion,
 sequentialisation — ``opt_level`` picks the pipeline), and the engine
 compiles the *planned* automaton.  Compilation work (the plan, transition
-tables, the sequentiality check) happens once; per-document work (the
-reachability index) is cached so repeated evaluation of the same document
-— the serving pattern the batch API targets — pays for it once.
+tables, the sequentiality check) happens once; per-document indexes and
+verdicts are cached so repeated evaluation of the same document — the
+serving pattern the batch API targets — pays for them once.
 
-Enumeration follows Algorithm 2 exactly, with three engine upgrades:
+Enumeration follows Algorithm 2 exactly, answered by the document's
+output DAG (:class:`~repro.engine.oracle.OutputDAG`; the engine's
+automaton is always sequential: :func:`~repro.engine.tables.compile_va`
+applies Proposition 5.6 to any input that is not):
 
-* each recursion node is a per-node oracle — a
-  :class:`~repro.engine.oracle.FlatNodeSweep` that shares sweep prefixes
-  across sibling branches on the kernel's flat lazy DFA (the engine's
-  automaton is always sequential: :func:`~repro.engine.tables.compile_va`
-  applies Proposition 5.6 to any input that is not);
-* sibling nodes share sweeps too: every :meth:`CompiledSpanner.enumerate`
-  call makes one :class:`~repro.engine.oracle.SweepShare` and hands it
-  down the recursion, so per sweep context the pin-free prefix and
-  suffix are swept once and a node sweeps only its pinned stretch, up to
-  where it rejoins a sibling's trail.  The share lives only for the call
-  — not on the cached document index, not on the kernel that threads
-  share — so it needs no lock;
-* instead of being asked about every span, the node generates its
-  accepted spans itself, in the seed's ``i``-major order, from the
-  document index's open and close positions (the reachability pruning):
-  it skips open positions its base sweep rules out and stops walking the
-  close positions once its open sweep dies, so no ``O(|d|²)`` candidate
-  list is built.
+* one forward pass over the frontier DFA records the DAG — per position
+  the nodes (live state subsets) and their marker-set edges — and one
+  backward pass counts each node's completions as 0, 1 or many and
+  links it to the next position where a live node takes a non-empty
+  marker set;
+* each recursion node gets its variable's spans from the DAG restricted
+  to the node's pins, in the seed's order (``i``-major, ``⊥`` last),
+  each with its child's completion count;
+* a child with exactly one completion is read off the DAG as its single
+  path, with no further nodes, so on patterns whose mappings are fixed
+  by their first variable only the root does restricted work;
+* :meth:`CompiledSpanner.count` sums the DAG's paths and enumerates
+  nothing.
+
+The DAG lives for one call, so it needs no lock; the frontier DFA it
+runs on is shared by every document and thread, and takes its lock.
 """
 
 from __future__ import annotations
@@ -44,17 +45,12 @@ from collections.abc import Iterable, Iterator, Sequence
 from repro.automata.fingerprint import va_fingerprint
 from repro.automata.sequential import is_sequential
 from repro.automata.va import VA
-from repro.engine.oracle import FlatNodeSweep, SweepShare, eval_compiled
+from repro.engine.oracle import Completions, OutputDAG, eval_compiled
 from repro.engine.tables import CompiledVA, DocumentIndex, compile_va
 from repro.engine.vector import batch_accept, batch_index
 from repro.plan import Plan, plan as build_plan
 from repro.spans.document import Document, as_text
-from repro.spans.mapping import (
-    NULL,
-    ExtendedMapping,
-    Mapping,
-    Variable,
-)
+from repro.spans.mapping import ExtendedMapping, Mapping, Variable
 from repro.spans.span import Span
 
 #: Per-spanner bound on cached document indexes / verdicts (LRU).  Cache
@@ -104,6 +100,7 @@ class CompiledSpanner:
         self._index_misses = 0
         self._verdict_hits = 0
         self._verdict_misses = 0
+        self._dags = 0
 
     # -- inspection ------------------------------------------------------------
 
@@ -164,13 +161,14 @@ class CompiledSpanner:
     def cache_stats(self) -> dict[str, int]:
         """Hit/miss/size counters of the per-spanner LRU caches.
 
-        ``indexes`` counts :meth:`index` lookups (one per evaluated
-        document), ``verdicts`` counts memoised ``Eval`` calls — the
+        ``index`` counts :meth:`index` lookups, ``verdict`` counts
+        memoised ``Eval`` calls, and ``dags`` the output DAGs built (one
+        per document :meth:`enumerate` or :meth:`count` reads) — the
         counters behind the CLI's ``--stats`` and the server's
         ``/metrics``.
 
         >>> engine = compile_spanner(".*x{a+}.*")
-        >>> _ = engine.mappings("baa"); _ = engine.mappings("baa")
+        >>> _ = engine.index("baa"); _ = engine.index("baa")
         >>> stats = engine.cache_stats()
         >>> stats["index_misses"], stats["index_hits"] >= 1
         (1, True)
@@ -185,6 +183,7 @@ class CompiledSpanner:
                 "verdict_misses": self._verdict_misses,
                 "verdict_size": len(self._verdicts),
                 "verdict_capacity": _VERDICT_CACHE_LIMIT,
+                "dags": self._dags,
             }
 
     @property
@@ -238,8 +237,7 @@ class CompiledSpanner:
         :func:`repro.engine.vector.batch_index` when the vector layer is
         available (falling back to per-document builds when not).  The
         batch sweep's final states additionally pre-warm the NonEmp
-        verdict cache, so a following :meth:`enumerate` pays no extra
-        eval sweep.
+        verdict cache.
         """
         texts = [as_text(document) for document in documents]
         out: list[DocumentIndex | None] = [None] * len(texts)
@@ -376,36 +374,45 @@ class CompiledSpanner:
 
     # -- enumeration ---------------------------------------------------------------
 
+    def _dag(self, document: "Document | str") -> OutputDAG:
+        dag = OutputDAG(self._cva, as_text(document))
+        with self._lock:
+            self._dags += 1
+        return dag
+
     def enumerate(
         self,
         document: "Document | str",
         start: ExtendedMapping | None = None,
     ) -> Iterator[Mapping]:
-        """Algorithm 2 with node-generated spans and prefix-sharing oracles
-        (one :class:`~repro.engine.oracle.SweepShare` per call)."""
-        text = as_text(document)
-        initial = ExtendedMapping.empty() if start is None else start
-        if not self.eval(text, initial):
+        """Algorithm 2 over the document's output DAG: one forward and one
+        backward pass (:class:`~repro.engine.oracle.OutputDAG`), then the
+        recursion reads its mappings off the DAG."""
+        dag = self._dag(document)
+        base = {} if start is None else dict(start.items())
+        completions = dag.restrict(base)
+        if completions is None or not completions.total:
             return
-        index = self.index(text)
-        base = dict(initial.items())
         remaining = [
             variable
             for variable in sorted(self._cva.mentioned_variables)
             if variable not in base
         ]
-        yield from self._recurse(text, index, base, remaining, SweepShare())
+        # Outputs list their variables in the order the recursion assigns
+        # them: the pinned ones first.
+        order = [*base, *remaining] if base else None
+        yield from self._recurse(dag, completions, base, remaining, order)
 
     def _recurse(
         self,
-        text: str,
-        index: DocumentIndex,
+        dag: OutputDAG,
+        completions: Completions,
         base: dict,
         remaining: list,
-        share: SweepShare,
+        order: list | None,
     ) -> Iterator[Mapping]:
-        # Invariant: the oracle has confirmed some completion of `base` is in
-        # the semantics, so a node with no remaining variables is an output.
+        # Invariant: `completions` counts at least one completion of
+        # `base`, so a node with no remaining variables is an output.
         if not remaining:
             yield Mapping(
                 {v: s for v, s in base.items() if isinstance(s, Span)}
@@ -413,17 +420,16 @@ class CompiledSpanner:
             return
         variable = remaining[0]
         rest = remaining[1:]
-        node = FlatNodeSweep(self._cva, text, base, variable, index.classes, share)
-        opens = index.open_positions(variable)
-        closes = index.close_positions(variable)
-        for span in node.spans(opens, closes):
-            child = dict(base)
-            child[variable] = span
-            yield from self._recurse(text, index, child, rest, share)
-        if node.accepts_null():
-            child = dict(base)
-            child[variable] = NULL
-            yield from self._recurse(text, index, child, rest, share)
+        for value, count, single in dag.children(completions, variable):
+            if count == 1:
+                # The child's only completion, read off the DAG.
+                if order is not None:
+                    single = Mapping((v, single[v]) for v in order if v in single)
+                yield single
+            else:
+                child = dict(base)
+                child[variable] = value
+                yield from self._recurse(dag, dag.restrict(child), child, rest, order)
 
     # -- materialised results --------------------------------------------------------
 
@@ -432,7 +438,13 @@ class CompiledSpanner:
         return set(self.enumerate(document))
 
     def count(self, document: "Document | str") -> int:
-        return sum(1 for _ in self.enumerate(document))
+        """``|⟦A⟧_d|``, summed over the output DAG's paths without
+        enumerating them.
+
+        >>> compile_spanner(".*x{a+}.*").count("aab")
+        3
+        """
+        return self._dag(document).count()
 
     def extract(
         self, document: "Document | str", spans: bool = False
@@ -459,31 +471,21 @@ class CompiledSpanner:
     ) -> list[set[Mapping]]:
         """``⟦A⟧_d`` for every document, sharing all compiled state.
 
-        The transition tables and step cache are computed once for the
-        whole batch; per-document indexes are cached,
-        so repeated documents are almost free.  For corpus-scale batches
-        with worker-pool sharding and error isolation, see
+        The transition tables and lazy-DFA memos are computed once for
+        the whole batch.  For corpus-scale batches with worker-pool
+        sharding and error isolation, see
         :func:`repro.service.evaluate.evaluate_corpus`.
 
         >>> engine = compile_spanner(".*x{a+}.*")
         >>> [len(output) for output in engine.evaluate_many(["ba", "bb"])]
         [1, 0]
         """
-        batch = list(documents)
-        results: list[set[Mapping]] = []
-        # Interleave warm-up and evaluation chunk by chunk: prewarming a
-        # batch wider than the index LRU up front would evict the early
-        # indexes before they are ever read.
-        for start in range(0, len(batch), self.prewarm_limit):
-            chunk = batch[start : start + self.prewarm_limit]
-            self.prewarm(chunk)
-            results.extend(self.mappings(document) for document in chunk)
-        return results
+        return [self.mappings(document) for document in documents]
 
     @property
     def prewarm_limit(self) -> int:
         """Documents whose indexes fit the cache at once — callers doing a
-        prewarm-then-evaluate pass should chunk to this size."""
+        prewarm-then-query pass should chunk to this size."""
         return _DOCUMENT_CACHE_LIMIT
 
     def prewarm(self, documents: Iterable["Document | str"]) -> None:
@@ -491,12 +493,10 @@ class CompiledSpanner:
 
         Sweeps cache-missing documents in lockstep chunks sized to the
         index LRU (:attr:`prewarm_limit`), so a following per-document
-        pass (:meth:`mappings`, :meth:`extract`, :meth:`enumerate`)
-        finds its index and NonEmp verdict already cached.  Evaluate in
-        chunks of :attr:`prewarm_limit` when batches can outgrow the
-        cache.  Documents the batch path cannot take (non-string
-        payloads, vector layer unavailable) are skipped — per-document
-        evaluation handles them, and their errors, as before.
+        pass of :meth:`index` and :meth:`matches` finds its index and
+        NonEmp verdict already cached (enumeration builds its own output
+        DAG and reads neither).  Documents the batch path cannot take
+        (non-string payloads, vector layer unavailable) are skipped.
         """
         texts = [
             document for document in documents if isinstance(document, str)

@@ -41,10 +41,9 @@ variable-set automata:
 
 * **Two recorded sweeps** — :func:`_flat_sweep` (forward, with counted
   closures where a ``required`` dict asks) and :func:`_sweep_back`
-  (backward) keep that flush contract for the document index, the
-  ``Eval`` oracle and enumeration nodes.  Their frontiers are masks, so
-  a recording extended across calls re-interns it in the current
-  generation.
+  (backward) keep that flush contract for the document index and the
+  ``Eval`` oracle.  Enumeration runs one level up, on the frontier DFA
+  of :mod:`repro.engine.oracle`, which follows the same budget.
 
 Every sweep runs over a :class:`SweepContext`: the same machinery with
 the closure graph restricted by a pin partition — operations of
@@ -53,8 +52,7 @@ variables never fire — and a flat DFA of its own.  A context sweeps
 forward; its :attr:`~SweepContext.reverse` is the same partition swept
 backward, one set of primitives over reversed tables (as RE2 runs its
 backward search on a reversed program).  Contexts are cached per
-kernel, so sibling recursion nodes and repeated oracle calls share
-closures and tables.
+kernel, so repeated oracle calls share closures and tables.
 
 Every automaton the kernel sees is sequential:
 :func:`~repro.engine.tables.compile_va` replaces a non-sequential input
@@ -303,8 +301,9 @@ class Kernel:
         """Table sizes, for dashboards and the memory-bound docs.
 
         ``flat_states`` and ``flushes`` sum over every distinct
-        :class:`FlatDFA` the kernel reaches: the document-index pair and
-        those of every cached sweep context and its reverse.
+        :class:`FlatDFA` the kernel reaches — the document-index pair and
+        those of every cached sweep context and its reverse — and the
+        enumeration's frontier DFA (:class:`~repro.engine.oracle.FrontierDFA`).
         """
         flat = self._flat
         dfas: dict[int, FlatDFA] = {}
@@ -317,12 +316,15 @@ class Kernel:
             for dfa in candidates:
                 if dfa is not None:
                     dfas[id(dfa)] = dfa
+        frontier = None if flat is None else flat.frontier
         return {
             "classes": self.classes.count,
             "contexts": len(self._contexts),
             "interned": len(flat._interned) if flat is not None else 0,
-            "flat_states": sum(len(dfa.masks) for dfa in dfas.values()),
-            "flushes": sum(dfa.flushes for dfa in dfas.values()),
+            "flat_states": sum(len(dfa.masks) for dfa in dfas.values())
+            + (frontier.states if frontier is not None else 0),
+            "flushes": sum(dfa.flushes for dfa in dfas.values())
+            + (frontier.flushes if frontier is not None else 0),
         }
 
 
@@ -442,12 +444,6 @@ class SweepContext:
         ``(state, count)`` closure of the seed's Theorem 5.7 sweep, one
         mask per count.  Required ops fire level by level — counts only
         grow — so one pass over ``0..total`` suffices.
-
-        On a :attr:`reverse` context ``seeds[c]`` holds states with ``c``
-        required operations of a *suffix* run behind them, so a state at
-        the top count can fire them all here and then complete:
-        intersecting that level with a forward mask answers "can any of
-        these states finish the document?".
         """
         total = len(required)
         edges = [edge for key in required for edge in self.op_edges(key)]
@@ -601,10 +597,10 @@ class Trail:
     The ids cover a window of positions: ``ids[pos - lo]`` is the id
     recorded at ``pos``.  A forward sweep may grow the window at its top
     by appending (positions recorded one after another), a backward one
-    at its bottom through :meth:`grow_down`; :meth:`id` reads 0 outside
-    the window.  Ids resolve through ``table``, the masks list of the
-    generation they were recorded in, so later flushes (by this sweep or
-    any other on the shared DFA) never invalidate them.  When the DFA
+    at its bottom through :meth:`grow_down`.  Ids resolve through
+    ``table``, the masks list of the generation they were recorded in,
+    so later flushes (by this sweep or any other on the shared DFA)
+    never invalidate them.  When the DFA
     flushes *while* the sweep runs, the sweep calls :meth:`sync` with
     its frontier: the ids recorded since the last sync are settled into
     masks through the old list, and the trail adopts the new one.  Id 0
@@ -660,18 +656,6 @@ class Trail:
             settled[pos] = old[ids[pos - lo]]
         self._mark = frontier
         self.table = table
-
-    def current_from(self) -> int | None:
-        """The first position whose id belongs to the DFA's current
-        generation — ids from there up, on a forward trail — or ``None``
-        once the DFA has flushed since the trail's last sync."""
-        return self._mark if self.table is self.dfa.masks else None
-
-    def id(self, pos: int) -> int:
-        """The id recorded at ``pos`` (0 outside the window)."""
-        at = pos - self.lo
-        ids = self.ids
-        return ids[at] if 0 <= at < len(ids) else 0
 
     def mask(self, pos: int) -> int:
         """The state mask recorded at ``pos``."""
@@ -777,24 +761,21 @@ def _flat_sweep(fdfa, context, classes, start, end, masks, needed, required, tra
     raise AssertionError("unreachable: the sentinel point always returns")
 
 
-def _sweep_back(fdfa, context, classes, required, trail, position, live, target):
+def _sweep_back(fdfa, classes, trail, position, live, target):
     """Extend a backward co-acceptance recording down to ``target``.
 
-    ``context`` is a :attr:`SweepContext.reverse` and ``fdfa`` its flat
-    DFA.  ``position`` is the next slot to record and ``live`` the mask
-    of the co-acceptance states above it (0 once nothing co-accepts);
-    slot ``j`` ends up holding the states (post-closure at ``j``, all of
-    ``j``'s operations done) from which the suffix ``j..end`` still
-    accepts.  Plain positions walk the DFA — one step is the whole
-    letter-then-closure composite, and its id is both the recorded slot
-    and the continuation; the positions of ``required`` run the
-    context's counted closure, whose op edges already lead target →
-    source.  The masks come out closed under the reverse free moves,
-    which is what makes the forward/backward intersection test exact: a
-    forward-closed live mask meets slot ``j`` iff it meets the raw
-    co-acceptance set.  The caller holds ``fdfa.lock``.  Returns the new
-    ``(position, live)`` frontier (live 0 once nothing co-accepts: every
-    lower slot stays 0).
+    ``fdfa`` is the flat DFA of a :attr:`SweepContext.reverse`.
+    ``position`` is the next slot to record and ``live`` the mask of the
+    co-acceptance states above it (0 once nothing co-accepts); slot ``j``
+    ends up holding the states (post-closure at ``j``) from which the
+    suffix ``j..end`` still accepts.  Each position walks the DFA — one
+    step is the whole letter-then-closure composite, and its id is both
+    the recorded slot and the continuation.  The masks come out closed
+    under the reverse free moves, which is what makes a forward/backward
+    intersection test exact: a forward-closed live mask meets slot ``j``
+    iff it meets the raw co-acceptance set.  The caller holds
+    ``fdfa.lock``.  Returns the new ``(position, live)`` frontier (live 0
+    once nothing co-accepts: every lower slot stays 0).
     """
     if position < target or not live:
         return position, live
@@ -802,44 +783,21 @@ def _sweep_back(fdfa, context, classes, required, trail, position, live, target)
     state = fdfa.intern(live)
     trail.sync(position)
     ids, lo = trail.ids, trail.lo
-    points = sorted((p for p in required if target <= p <= position), reverse=True)
-    points.append(target - 1)  # sentinel: a final plain run down to target
     rows, explore = fdfa.rows, fdfa.explore
-    for point in points:
-        row = rows[state]
-        while position > point:
-            class_id = classes[position - 1]
-            step = row[class_id]
-            if step < 0:
-                step = explore(state, class_id)
-                rows = fdfa.rows
-                trail.sync(position)
-            ids[position - lo] = step
-            position -= 1
-            if not step:
-                return position, 0
-            state = step
-            row = rows[step]
-        if point < target:
-            break
-        seeds = context.letter(fdfa.masks[state], classes[point - 1])
-        if not seeds:
+    row = rows[state]
+    while position >= target:
+        class_id = classes[position - 1]
+        step = row[class_id]
+        if step < 0:
+            step = explore(state, class_id)
+            rows = fdfa.rows
+            trail.sync(position)
+        ids[position - lo] = step
+        position -= 1
+        if not step:
             return position, 0
-        ops = required[point]
-        levels = context.closure_counted([seeds], ops)
-        # Level 0 is the closed co-acceptance slot (a span's own ops fire
-        # forward, in the resume's counted closure); the top level carries
-        # the base ops backward.
-        entered = fdfa.intern(levels[0])
-        trail.sync(point)
-        ids[point - lo] = entered
-        position = point - 1
-        live = levels[len(ops)]
-        if not live:
-            return position, 0
-        state = fdfa.intern(live)
-        trail.sync(position)
-        rows = fdfa.rows
+        state = step
+        row = rows[step]
     return position, fdfa.masks[state]
 
 
@@ -863,6 +821,7 @@ class FlatTables:
         "step_rev_flat",
         "dfa",
         "dfa_rev",
+        "frontier",
         "_translate",
         "_np_table",
         "_interned",
@@ -894,6 +853,9 @@ class FlatTables:
         #: Guards the document LRU (see :attr:`Kernel._lock`); interning
         #: itself runs outside it.
         self._lock = threading.Lock()
+        #: The enumeration's frontier DFA over these tables, attached
+        #: lazily by :func:`repro.engine.oracle.frontier_dfa`.
+        self.frontier = None
         #: The numpy vector layer over these tables, attached lazily by
         #: :func:`repro.engine.vector.vector_tables` (``None`` until a
         #: batch sweep first asks for it).
@@ -964,7 +926,7 @@ class FlatTables:
         A forward context steps on the letter table, a
         :attr:`~SweepContext.reverse` one on its transpose.  The no-pin
         context and its reverse share the document-index pair — the
-        index's sweeps and the unpinned oracle and node sweeps warm the
+        index's sweeps and the unpinned oracle warm the
         same interned states.
         """
         dfa = context.flat_dfa

@@ -1,8 +1,8 @@
-"""Compiled, memoised ``Eval`` oracles (Theorem 5.7 on tables).
+"""Compiled ``Eval`` and the per-document output DAG (Theorem 5.7 on tables).
 
 Every engine automaton is sequential — :func:`~repro.engine.tables.compile_va`
-applies Proposition 5.6 to any input that is not — so one sweep serves
-them all.  Two layers, and what the second shares between its instances:
+applies Proposition 5.6 to any input that is not — so one construction
+serves them all.  Two layers:
 
 * :func:`eval_compiled` — a drop-in for
   :func:`repro.evaluation.eval_problem.eval_va` that runs Theorem 5.7's
@@ -11,26 +11,34 @@ them all.  Two layers, and what the second shares between its instances:
   operations is one table load, and the ≤ 2k positions with required
   operations run a counted closure over per-count masks.
 
-* :class:`FlatNodeSweep` — the enumeration-time oracle for one recursion
-  node of Algorithm 2.  A node fixes a base extended mapping ``µ`` and
-  refines one variable ``x``; its sibling branches ``µ[x → (i, j)]``
-  share the entire sweep prefix below position ``i``, so the node runs
-  that prefix once and answers each sibling from the recorded state —
-  turning the seed's ``O(|d|)`` sweep per candidate into a few table
-  lookups — and generates its accepted spans from its own sweeps
-  instead of being asked about every candidate pair.
+* :class:`OutputDAG` — what enumeration reads, after the output DAG of
+  Florenzano et al. (PODS 2018) and Amarilli et al. (ICDT 2019).  A node
+  is a subset of the automaton's states live at one position; its edges
+  are the *marker sets* (the variable operations done at that position)
+  and lead to the subset reached after the letter.  Different marker
+  sets reaching one subset merge into one node, so the DAG is
+  deterministic: a path from the root to an accepting edge is one
+  mapping, and no mapping has two paths.  Building it is one forward
+  pass over :class:`FrontierDFA` — a lazy DFA one level above
+  :class:`~repro.engine.kernel.FlatDFA`, whose states are the ordered
+  tuples of nodes at a position — and one backward pass
+  (:class:`Completions`) that counts each node's completions as 0, 1 or
+  many and links every live node to the next level where some live node
+  leaves by a non-empty marker set.  Mappings are then read off along
+  those links, so a level where every live node just reads its letter
+  costs nothing.
 
-* :class:`SweepShare` — what sibling *nodes* share within one
-  enumeration call.  Nodes of one sweep context differ only in where
-  their pins sit, so the share keeps, per context, the pin-free forward
-  and backward trails and the latest node that swept past its pins: a
-  node sweeps only from its first pin until it rejoins that sibling's
-  trail, and backward only below its last pin.  Per-node sweeping then
-  follows the pinned stretch, not ``|d|``.
-
-Every recording here is one of the kernel's two recorded sweeps; only
-:meth:`FlatNodeSweep._sweep_tail`, which compares ids with a sibling's
-trail as it goes, walks the DFA rows itself.
+Enumeration keeps Algorithm 2's recursion
+(:meth:`~repro.engine.compiled.CompiledSpanner.enumerate`): a recursion
+node pins some variables and refines the next one, and the DAG answers
+it (:meth:`OutputDAG.children`).  Pins only filter edges — a span pin
+``y → (i, j)`` keeps, at ``i`` and ``j``, the edges that open and close
+``y`` there; a ``⊥`` pin drops every edge touching ``y`` — and a
+sequential path that opens ``y`` at ``i`` cannot touch it anywhere else.
+So a node's backward pass is the DAG's own with those filters, and its
+spans come from one walk over the linked levels.  A child whose
+completion count is 1 is read off as its single path, with no further
+nodes; only a child with several completions becomes a node of its own.
 
 The seed evaluators of :mod:`repro.evaluation` — Theorem 5.10's general
 sweep included — are the reference all of this is cross-validated
@@ -39,13 +47,14 @@ against.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
-from typing import NamedTuple
+import threading
+from array import array
+from collections.abc import Iterator
 
-from repro.engine.kernel import Trail, _flat_sweep, _sweep_back
+from repro.engine import kernel as _kernel
+from repro.engine.kernel import _flat_sweep
 from repro.engine.tables import CompiledVA, close_key, open_key
-from repro.spans.mapping import NULL, ExtendedMapping, Variable
+from repro.spans.mapping import NULL, ExtendedMapping, Mapping, Variable
 from repro.spans.span import Span
 
 _NO_OPS: frozenset = frozenset()
@@ -78,9 +87,6 @@ class Requirements:
             accumulated.setdefault(value.begin, set()).add(open_key(variable))
             accumulated.setdefault(value.end, set()).add(close_key(variable))
         self.required = {pos: frozenset(ops) for pos, ops in accumulated.items()}
-
-    def at(self, pos: int) -> frozenset:
-        return self.required.get(pos, _NO_OPS)
 
 
 def eval_compiled(cva: CompiledVA, text: str, pinned: ExtendedMapping) -> bool:
@@ -120,506 +126,657 @@ def eval_compiled(cva: CompiledVA, text: str, pinned: ExtendedMapping) -> bool:
     return bool((masks[needed] >> cva.final) & 1)
 
 
-def _segments(starts, trails, end: int, pos: int) -> list[tuple[int, int, Trail]]:
-    """A base trail from ``pos`` on, as ``(begin, stop, trail)`` pieces:
-    positions ``begin ≤ p < stop`` read ``trail``.  ``trails[k]`` holds
-    the positions from ``starts[k]`` up to the next start (the last one
-    up to ``end``)."""
-    at = bisect_right(starts, pos) - 1
-    stops = starts[at + 1 :] + [end + 1]
-    return [
-        (max(starts[at + offset], pos), stop, trails[at + offset])
-        for offset, stop in enumerate(stops)
-    ]
+# -- the frontier DFA ------------------------------------------------------------
 
 
-class _Reference(NamedTuple):
-    """What later siblings read of a lane's reference node: its base
-    trail pieces, its last pin and its final state.  Not the node itself,
-    which holds its lane — that cycle would keep a finished call's trails
-    alive until the next full garbage collection."""
+class _FrontierTables:
+    """One generation of a :class:`FrontierDFA`'s tables.
 
-    starts: list[int]
-    trails: list[Trail]
-    last: int
-    final_masks: list[int]
-    final_needed: int
+    ``frontiers[fid]`` is a frontier: the tuple of node masks live at a
+    position, in a fixed order.  ``rows[fid][class_id]`` is the next
+    frontier's id (``-1`` = unexplored) and ``edges[fid][class_id]`` the
+    marker-set edges, one tuple of ``(markers, target index)`` pairs per
+    node.  ``accepts[fid]`` holds, per node, the marker sets with which
+    the node accepts at the document's end (``None`` until asked).
+    """
+
+    __slots__ = ("frontiers", "ids", "rows", "edges", "accepts", "closures")
+
+    def __init__(self, num_classes: int) -> None:
+        # The dead frontier (no node) is id 0 in every generation.
+        self.frontiers: list[tuple[int, ...]] = [()]
+        self.ids: dict[tuple[int, ...], int] = {(): 0}
+        self.rows: list[array] = [array("i", [0]) * num_classes]
+        self.edges: list[list] = [[()] * num_classes]
+        self.accepts: list[tuple | None] = [()]
+        #: Per node mask: its ``(markers, states)`` pairs before the letter.
+        self.closures: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
-class _Lane:
-    """One sweep context's shared trails inside a :class:`SweepShare`.
+class FrontierDFA:
+    """The lazy DFA of frontiers the output DAG's forward pass runs on.
 
-    The forward trail records the pin-free base sweep (every pinned
-    operation forbidden) from position 1, the backward trail the pin-free
-    co-acceptance sweep from ``end``; both are extended on demand only
-    (:meth:`forward_to`, :meth:`backward_to`).  ``reference`` is the
-    :class:`_Reference` of the most recent node of the context whose own
-    sweep ran past its last pin: the trail later siblings try to rejoin.
+    A frontier is the ordered tuple of DAG nodes at one position; one
+    memoised ``(frontier, class)`` row gives the next frontier and every
+    node's marker-set edges, so a forward pass is one table load per
+    letter, like a :class:`~repro.engine.kernel.FlatDFA` sweep.
+
+    A marker set is a bitmask over the automaton's variables, sorted:
+    bit ``2v`` opens variable ``v``, bit ``2v + 1`` closes it.  A node's
+    edge for marker set ``M`` leads to the states reached by doing
+    exactly the operations of ``M`` (plus ε moves) and then the letter.
+    A path repeating an operation is dropped; so is every state that
+    cannot reach the final state, which is what makes a live node's
+    paths agree on which variables are open.
+
+    The tables hold at most :data:`~repro.engine.kernel.FLAT_STATE_LIMIT`
+    frontiers.  Interning one more *flushes*: the DFA starts a fresh
+    generation of tables and ``flushes`` goes up.  A pass that holds the
+    old tables keeps reading them (:class:`OutputDAG` records where each
+    generation starts), so a flush never invalidates a recorded id.  A
+    pass holds ``lock`` while it interns or explores: one engine serves
+    several threads under ``repro serve --workers 0``.
     """
 
     __slots__ = (
-        "reference",
-        "_cva",
-        "_end",
-        "_context",
-        "_reverse",
-        "_fdfa",
-        "_flat",
-        "_classes",
-        "_forward",
-        "_backward",
-        "_back_pos",
-        "_back_mask",
+        "num_classes",
+        "variables",
+        "bits",
+        "tables",
+        "flushes",
+        "lock",
+        "_step",
+        "_useful",
+        "_final",
+        "_moves",
     )
 
-    def __init__(self, node: "FlatNodeSweep") -> None:
-        self._cva = node.cva
-        self._end = node.end
-        self.reference: _Reference | None = None
-        self._context = node._context
-        self._fdfa = node._fdfa
-        self._flat = node._flat
-        self._classes = node._classes
-        self._forward: Trail | None = None
-        self._backward: Trail | None = None
-
-    def forward_to(self, pos: int) -> Trail:
-        """The pin-free forward trail, recorded through ``pos`` (or up to
-        where no run survives)."""
-        fdfa, trail = self._fdfa, self._forward
-        if trail is None:
-            with fdfa.lock:
-                state = fdfa.intern(self._context.close(1 << self._cva.initial))
-                trail = self._forward = Trail(fdfa, 1, 1, 1)
-                trail.ids[0] = state
-        top = trail.hi - 1
-        if top < pos and trail.ids[-1]:
-            with fdfa.lock:
-                masks = [trail.mask(top)]
-                _flat_sweep(fdfa, self._context, self._classes, top, pos, masks, 0, {}, trail)
-        return trail
-
-    def backward_to(self, pos: int) -> Trail:
-        """The pin-free co-acceptance trail, recorded down to ``pos`` (or
-        down to where nothing co-accepts)."""
-        trail = self._backward
-        if trail is None:
-            reverse = self._reverse = self._context.reverse
-            fdfa = self._flat.context(reverse)
-            end = self._end
-            live = reverse.close(1 << self._cva.final)
-            with fdfa.lock:
-                state = fdfa.intern(live)
-                trail = self._backward = Trail(fdfa, end + 1, end)
-                trail.ids[end] = state
-            self._back_pos, self._back_mask = end - 1, live
-        if self._back_pos >= pos and self._back_mask:
-            fdfa = trail.dfa
-            with fdfa.lock:
-                frontier = (self._back_pos, self._back_mask)
-                self._back_pos, self._back_mask = _sweep_back(
-                    fdfa, self._reverse, self._classes, {}, trail, *frontier, pos
-                )
-        return trail
-
-
-class SweepShare:
-    """The sweeps sibling enumeration nodes share, one lane per
-    :class:`~repro.engine.kernel.SweepContext`.
-
-    One share serves one document: :meth:`CompiledSpanner.enumerate
-    <repro.engine.compiled.CompiledSpanner.enumerate>` makes a fresh one
-    per call and hands it to every :class:`FlatNodeSweep` it builds.  It
-    lives only as long as that call — not on the cached document index,
-    not on the kernel that threads share — so it needs no lock of its
-    own; the trails it holds take their DFA's lock like every sweep.
-    """
-
-    __slots__ = ("_lanes",)
-
-    def __init__(self) -> None:
-        self._lanes: dict[object, _Lane] = {}
-
-    def lane(self, node: "FlatNodeSweep") -> _Lane:
-        """The lane of ``node``'s sweep context (opened by its first node)."""
-        lane = self._lanes.get(node._context)
-        if lane is None:
-            lane = self._lanes[node._context] = _Lane(node)
-        return lane
-
-
-class FlatNodeSweep:
-    """Sibling-sharing oracle for one recursion node (sequential automata).
-
-    The base context pins every previously fixed variable and treats the
-    refined variable ``x`` as *operation-less pinned* — classified exactly
-    like ``x → ⊥`` — so one base sweep both answers the ``⊥`` branch and
-    records the count-0 closed state entering every position, shared
-    verbatim by every span branch ``(i, j)``: a branch resumes at ``i``
-    with the open/close requirements spliced in (base closure is
-    idempotent, so resuming from the closed state is exact).
-
-    The node's pins confine its own work to a short stretch.  Nodes of
-    one sweep context differ only in where their pins sit, so the
-    context's lane in the :class:`SweepShare` keeps what they have in
-    common:
-
-    * **before the first pin** the base sweep is the context's pin-free
-      forward trail, read as it is (and extended to this node's first
-      pin if no sibling has gone that far);
-    * **from the first pin** the node sweeps itself, and past its last
-      pin it compares its state ids with the lane's reference — the most
-      recent sibling that swept past its own last pin — at every position
-      past both last pins where the reference's ids are of the DFA's
-      current generation.  The first match is a rejoin: from there both
-      runs meet no pin and read the same letters, so the node reads the
-      reference's trail (and final state) instead of sweeping on;
-    * **co-acceptance** — the states from which the suffix ``j..end``
-      still accepts, met with a span's live mask at its close ``j`` —
-      comes above the last pin from the lane's pin-free backward trail;
-      the node sweeps backward itself only from its last pin down to the
-      lowest close it is asked about.
-
-    So beyond what it shares, a node costs its pinned stretch, the
-    distance to its rejoin point and its queried closes — not ``|d|``.
-    The base trail is a list of pieces (:func:`_segments`) of those
-    trails.  The sharing goes two levels deeper inside the node: for a
-    fixed open position ``i``, one *open sweep* (the open spliced at
-    ``i``) records the states entering later positions, so each sibling
-    close ``j`` resumes from a recorded state, and the co-acceptance slot
-    at ``j`` turns the run from ``j`` to ``end`` into one mask
-    intersection.
-
-    The node generates its accepted spans itself (:meth:`spans`): it
-    passes over the open positions once, skips an ``i`` the base run
-    never enters or where no ``x⊢`` can fire, and walks the close
-    positions ``j ≥ i`` only until the open sweep's frontier dies.  Each
-    surviving pair costs one counted closure plus two table lookups —
-    the same verdict :meth:`accepts_span` gives a single span.  Every
-    recording is a :class:`Trail`, so it stays valid when any sweep
-    flushes the shared DFAs.  A recording that resumes across calls (the
-    open sweep, the backward sweeps) keeps its frontier as masks, not as
-    a state id, and the next extension re-interns it in whatever
-    generation the DFA has reached.
-
-    ``share`` defaults to a fresh, empty share: a lone node sweeps
-    everything itself, exactly as much as one node of a shared context.
-    """
-
-    __slots__ = (
-        "cva",
-        "text",
-        "end",
-        "variable",
-        "valid",
-        "_context",
-        "_reverse",
-        "_flat",
-        "_fdfa",
-        "_classes",
-        "_required",
-        "_lane",
-        "_last",
-        "_starts",
-        "_trails",
-        "_forward",
-        "_backward",
-        "_back_pos",
-        "_back_mask",
-        "_final_masks",
-        "_final_needed",
-        "_open_key",
-        "_close_key",
-        "_open_at",
-        "_open",
-        "_open_frontier",
-    )
-
-    def __init__(
-        self,
-        cva: CompiledVA,
-        text: str,
-        base,
-        variable: Variable,
-        classes=None,
-        share: SweepShare | None = None,
-    ) -> None:
-        self.cva = cva
-        self.text = text
-        self.end = len(text) + 1
-        self.variable = variable
-        requirements = Requirements(cva, self.end, base)
-        self.valid = requirements.valid
-        self._open_key = open_key(variable)
-        self._close_key = close_key(variable)
-        self._open_at = 0  # position of the cached open sweep (0 = none)
-        self._open: Trail | None = None
-        self._forward: Trail | None = None
-        self._backward: Trail | None = None
-        if not self.valid:
-            return
+    def __init__(self, cva: CompiledVA) -> None:
         kernel = cva.kernel
-        flat = self._flat = kernel.flat
-        # x joins the pinned set with no required ops anywhere: forbidden at
-        # every position, exactly like the ⊥ pin, so the prefix states are
-        # shared verbatim by every sibling branch.
-        self._context = kernel.context(
-            frozenset(requirements.pinned | {variable}),
-            frozenset(requirements.nulls),
-        )
-        self._classes = flat.intern(text) if classes is None else classes
-        self._fdfa = flat.context(self._context)
-        required = self._required = requirements.required
-        self._last = max(required, default=0)
-        self._lane = (SweepShare() if share is None else share).lane(self)
-        self._run_base()
+        self.num_classes = kernel.classes.count
+        #: The sorted variables, and each one's open bit (its close bit is
+        #: the next one up).
+        self.variables = sorted(cva.mentioned_variables)
+        bits = self.bits = {v: 1 << (2 * index) for index, v in enumerate(self.variables)}
+        self._step = kernel.step
+        self._final = cva.final
+        self.flushes = 0
+        self.lock = threading.RLock()
+        self.tables = _FrontierTables(self.num_classes)
+        # Every non-letter move as ``(target, marker bit)`` (0 for ε).
+        moves: list[list[tuple[int, int]]] = [[] for _ in range(cva.num_states)]
+        for state in range(cva.num_states):
+            moves[state] += [(target, 0) for target in cva.eps[state]]
+            moves[state] += [(t, bits[v]) for v, t in cva.opens[state]]
+            moves[state] += [(t, bits[v] << 1) for v, t in cva.closes[state]]
+        self._moves = moves
+        # The states from which the final state is reachable at all.
+        useful, frontier = 1 << cva.final, [cva.final]
+        backward: list[list[int]] = [[] for _ in range(cva.num_states)]
+        for state in range(cva.num_states):
+            for target, _ in moves[state]:
+                backward[target].append(state)
+            for step in kernel.step:
+                for target in _kernel.iter_bits(step[state]):
+                    backward[target].append(state)
+        while frontier:
+            for source in backward[frontier.pop()]:
+                if not (useful >> source) & 1:
+                    useful |= 1 << source
+                    frontier.append(source)
+        self._useful = useful
 
-    def _run_base(self) -> None:
-        lane, end, last = self._lane, self.end, self._last
-        context, fdfa, required = self._context, self._fdfa, self._required
-        first = min(required, default=end)
-        shared = lane.forward_to(first)
-        self._starts, self._trails = [1], [shared]
-        # Until a sweep reaches the end: no run survives.
-        self._final_masks, self._final_needed = [0], 0
-        if not shared.id(first):
-            return  # no pin-free run reaches the first pin
-        ops = required.get(first, _NO_OPS)
-        masks, needed = context.closure_counted([shared.mask(first)], ops), len(ops)
-        if first == end:
-            self._final_masks, self._final_needed = masks, needed
-            return
-        reference = lane.reference
-        with fdfa.lock:
-            own = self._forward = Trail(fdfa, 0, first + 1, first + 1)
-            self._starts.append(first + 1)
-            self._trails.append(own)
-            swept = _flat_sweep(
-                fdfa, context, self._classes, first, last, masks, needed, required, own
-            )
-            if swept is None:
-                return
-            masks, needed = swept
-            if last == end:
-                self._final_masks, self._final_needed = masks, needed
-                return
-            if not masks[needed]:
-                return
-            reached = self._sweep_tail(masks[needed], reference)
-        if reached:
-            lane.reference = _Reference(
-                self._starts, self._trails, last, self._final_masks, self._final_needed
-            )
+    @property
+    def states(self) -> int:
+        """Frontiers the current tables hold (the dead one included)."""
+        return len(self.tables.frontiers)
 
-    def _sweep_tail(self, live: int, reference: _Reference | None) -> bool:
-        """The plain positions after the last pin, from the live mask
-        there, until the end or a rejoin with ``reference`` (the caller
-        holds the DFA lock).  Returns whether a run survives to the end.
+    def root(self, initial: int) -> tuple[int, ...]:
+        """The frontier at position 1: the initial state, if it is useful."""
+        return ((1 << initial),) if (self._useful >> initial) & 1 else ()
 
-        Ids are compared only past both last pins — from there neither
-        run meets a pin — and only against reference ids of the DFA's
-        current generation: a flush under this sweep ends the comparing.
-        """
-        fdfa, own, end = self._fdfa, self._forward, self.end
-        pos = self._last
-        state = fdfa.intern(live)
-        own.sync(pos + 1)
-        stretches = [(end, None)]
-        if reference is not None:
-            bar = max(pos, reference.last)
-            stretches = [(bar, None)] + [
-                (stop - 1, trail)
-                for _, stop, trail in _segments(reference.starts, reference.trails, end, bar + 1)
-            ]
-        record, classes = own.ids.append, self._classes
-        rows, explore = fdfa.rows, fdfa.explore
-        row = rows[state]
-        for stop, trail in stretches:
-            if pos >= stop:
+    def intern(self, frontier: tuple[int, ...]) -> int:
+        """The id of ``frontier`` in the current tables (which it may flush)."""
+        tables = self.tables
+        fid = tables.ids.get(frontier)
+        if fid is None:
+            if len(tables.frontiers) >= _kernel.FLAT_STATE_LIMIT:
+                tables = self.tables = _FrontierTables(self.num_classes)
+                self.flushes += 1
+            fid = len(tables.frontiers)
+            tables.ids[frontier] = fid
+            tables.frontiers.append(frontier)
+            tables.rows.append(array("i", [-1]) * self.num_classes)
+            tables.edges.append([None] * self.num_classes)
+            tables.accepts.append(None)
+        return fid
+
+    def _closure(self, tables: _FrontierTables, node: int) -> tuple[tuple[int, int], ...]:
+        """``(markers, states)`` pairs of one node before its letter: the
+        useful states reached by doing exactly ``markers`` (plus ε)."""
+        found = tables.closures.get(node)
+        if found is not None:
+            return found
+        moves, useful = self._moves, self._useful
+        reached: dict[int, int] = {}
+        seen = set()
+        stack = [(state, 0) for state in _kernel.iter_bits(node)]
+        while stack:
+            item = stack.pop()
+            if item in seen:
                 continue
-            # ``mark``: the first position whose reference id is comparable.
-            table, mark, ids, lo = None, end + 1, (), 0
-            if trail is not None and trail.current_from() is not None:
-                table, mark = trail.table, trail.current_from()
-                ids, lo = trail.ids, trail.lo
-            for ahead, class_id in enumerate(classes[pos - 1 : stop - 1], pos + 1):
-                target = row[class_id]
-                if target < 0:
-                    target = explore(state, class_id)
-                    rows = fdfa.rows
-                    own.sync(ahead)
-                    if fdfa.masks is not table:
-                        mark = end + 1
-                record(target)
-                if not target:
-                    return False
-                if ahead >= mark and target == ids[ahead - lo]:
-                    # Rejoined: read the reference from the next position on.
-                    tail = _segments(reference.starts, reference.trails, end, ahead + 1)
-                    for begin, _, shared in tail:
-                        if begin <= end:
-                            self._starts.append(begin)
-                            self._trails.append(shared)
-                    self._final_masks = reference.final_masks
-                    self._final_needed = reference.final_needed
-                    return True
-                state = target
-                row = rows[target]
-            pos = stop
-        self._final_masks, self._final_needed = [fdfa.masks[state]], 0
-        return True
+            seen.add(item)
+            state, markers = item
+            reached[markers] = reached.get(markers, 0) | (1 << state)
+            for target, bit in moves[state]:
+                if (useful >> target) & 1 and not markers & bit:
+                    stack.append((target, markers | bit))
+        found = tables.closures[node] = tuple(sorted(reached.items()))
+        return found
 
-    def _base(self, pos: int) -> Trail:
-        """The trail holding the base sweep's state entering ``pos``."""
-        return self._trails[bisect_right(self._starts, pos) - 1]
+    def explore(self, tables: _FrontierTables, fid: int, class_id: int) -> int:
+        """Resolve one unexplored row of ``tables`` (the caller holds the
+        lock).  Returns the next frontier's id in the *current* tables:
+        if interning it flushed, the row is not recorded, but the edges
+        — which depend only on the frontier's content — are."""
+        step, useful = self._step[class_id], self._useful
+        targets: dict[int, int] = {}
+        edges = []
+        for node in tables.frontiers[fid]:
+            out = []
+            for markers, states in self._closure(tables, node):
+                reached = 0
+                while states:
+                    low = states & -states
+                    reached |= step[low.bit_length() - 1]
+                    states ^= low
+                reached &= useful
+                if reached:
+                    target = targets.get(reached)
+                    if target is None:
+                        target = targets[reached] = len(targets)
+                    out.append((markers, target))
+            edges.append(tuple(out))
+        tables.edges[fid][class_id] = tuple(edges)
+        following = self.intern(tuple(targets))
+        if self.tables is tables:
+            tables.rows[fid][class_id] = following
+        return following
 
-    def accepts_null(self) -> bool:
-        """The verdict for ``µ[x → ⊥]`` — the base sweep's own acceptance."""
-        if not self.valid:
-            return False
-        tail = len(self._required.get(self.end, _NO_OPS))
-        if tail != self._final_needed:
-            return False
-        return bool((self._final_masks[tail] >> self.cva.final) & 1)
-
-    def _open_sweep(self, i: int, j: int) -> Trail:
-        """The trail of state ids entering positions ``(i, j]`` after
-        splicing the open at ``i``.
-
-        One sweep per distinct ``i``, cached and extended *lazily*:
-        :meth:`spans` is ``i``-major, so sibling close positions hit the
-        cache, and the walk only ever advances to the largest ``j``
-        queried — accepted spans are usually short, so this stays far
-        from ``end``.  Slot ``j`` holds the id of the count-0 closed
-        state entering ``j`` for runs that satisfied the base
-        requirements *and* opened ``x`` at ``i`` (0 = no such run, so the
-        span ``(i, j)`` is rejected for free).  The frontier at the
-        window's top is :func:`_flat_sweep`'s ``(masks, needed)``
-        (``None`` once dead: the window ends where the sweep died).
-        """
-        fdfa, trail = self._fdfa, self._open
-        if self._open_at != i:
-            ops = self._required.get(i, _NO_OPS) | {self._open_key}
-            masks = self._context.closure_counted([self._base(i).mask(i)], ops)
-            trail = self._open = Trail(fdfa, 0, i + 1, i + 1)
-            self._open_at, self._open_frontier = i, (masks, len(ops))
-        frontier, top = self._open_frontier, trail.hi - 1
-        if frontier is not None and top < j:
-            context, classes, required = self._context, self._classes, self._required
-            with fdfa.lock:
-                self._open_frontier = _flat_sweep(
-                    fdfa, context, classes, top, j, *frontier, required, trail
+    def accepting(self, tables: _FrontierTables, fid: int) -> tuple:
+        """Per node of frontier ``fid``: the marker sets it accepts with."""
+        found = tables.accepts[fid]
+        if found is None:
+            final = self._final
+            found = tables.accepts[fid] = tuple(
+                tuple(
+                    markers
+                    for markers, states in self._closure(tables, node)
+                    if (states >> final) & 1
                 )
-        return trail
+                for node in tables.frontiers[fid]
+            )
+        return found
 
-    def _coaccepting(self, j: int) -> int:
-        """The co-acceptance mask at ``j < end`` (0 when nothing
-        co-accepts there) under the base requirements.
 
-        Above the last pin it is the lane's pin-free backward trail.  At
-        or below it, the node's own backward sweep starts from the lane's
-        slot just above the last pin (or from the end's operations when
-        the last pin is ``end``) and is extended lazily down to the
-        lowest ``j`` asked for.
-        """
-        last, end = self._last, self.end
-        if j > last:
-            trail = self._lane.backward_to(j)
-        else:
-            trail = self._backward
-            if trail is None:
-                reverse = self._reverse = self._context.reverse
-                fdfa = self._flat.context(reverse)
-                final_mask = 1 << self.cva.final
-                if last == end:
-                    tail = self._required[end]
-                    current = reverse.closure_counted([final_mask], tail)[len(tail)]
-                    position = end - 1
-                else:
-                    above = self._lane.backward_to(last + 1)
-                    current = above.mask(last + 1) if above.id(last + 1) else 0
-                    position = last
-                trail = self._backward = Trail(fdfa, 0, position, position + 1)
-                self._back_pos, self._back_mask = position, current
-            if self._back_pos >= j and self._back_mask:
-                fdfa = trail.dfa
-                with fdfa.lock:
-                    frontier = (self._back_pos, self._back_mask)
-                    self._back_pos, self._back_mask = _sweep_back(
-                        fdfa, self._reverse, self._classes, self._required, trail, *frontier, j
-                    )
-        return trail.mask(j) if trail.id(j) else 0
+def frontier_dfa(cva: CompiledVA) -> FrontierDFA:
+    """The (lazily built) frontier DFA of an automaton, kept on its flat
+    tables so it lives and dies with them."""
+    flat = cva.kernel.flat
+    dfa = flat.frontier
+    if dfa is None:
+        with flat._lock:
+            dfa = flat.frontier
+            if dfa is None:
+                dfa = flat.frontier = FrontierDFA(cva)
+    return dfa
 
-    def accepts_span(self, span: Span) -> bool:
-        """The verdict for ``µ[x → span]``, resumed from the shared prefix."""
-        if not self.valid:
-            return False
-        i, j = span.begin, span.end
-        if i < 1 or j > self.end or self.variable not in self.cva.variables:
-            return False
-        if not self._base(i).id(i):
-            return False
-        return self._resume(i, j)
 
-    def spans(self, opens: Sequence[int], closes: Sequence[int]) -> Iterator[Span]:
-        """The accepted spans ``(i, j)`` with ``i`` in ``opens``, ``j`` in
-        ``closes`` and ``i ≤ j``, in the seed's ``i``-major order.
+# -- the output DAG ----------------------------------------------------------------
 
-        ``opens`` and ``closes`` are ascending positions in ``1..end`` (a
-        :class:`~repro.engine.tables.DocumentIndex`'s).  The output is
-        exactly the pairs :meth:`accepts_span` accepts, but an ``i`` is
-        skipped outright when the base run never enters it or, if ``i``
-        carries no pinned operation, when its entering state holds no
-        source of an ``x⊢`` edge (with another operation at ``i``, ``x⊢``
-        may fire after it, from a state the entering mask lacks); and the
-        walk over ``j`` stops once the open sweep from ``i`` is dead.
-        """
-        if not self.valid or self.variable not in self.cva.variables:
+
+class Completions:
+    """One backward pass over an :class:`OutputDAG`, under a set of pins.
+
+    A level description (``dag.levels[id]``) is a tuple ``(counts, links,
+    alone, marked, kept)`` over the nodes at one position: each node's
+    completions, capped at 2 ("many"); for a live node, its index at the
+    next *marked* position; whether a node with one completion takes only
+    empty marker sets from there on; whether the position is marked; and
+    each node's live edges ``(markers, target)`` (at the end: its
+    accepting marker sets, as ``(markers, -1)``).  A position is marked
+    when some live node leaves it by a non-empty marker set (the end
+    always is).  Between two marked positions every live node has
+    exactly one live edge, the empty one, so a walk crosses the gap
+    through ``links`` in one step — and the pass keeps only the marked
+    positions: ``marks`` (ascending), the description at each
+    (``at_mark``) and at the position after it (``after_mark``, whose
+    ``links`` lead on to the next mark), and the description at
+    position 1 (``root``).
+
+    Pins only filter edges: at position ``p`` an edge must carry exactly
+    ``required[p]`` of the span-pinned bits (``pinned``), and never a bit
+    of ``nulls`` (the ``⊥``-pinned variables).  ``total`` is the root's
+    count: 0 when nothing satisfies the pins.
+    """
+
+    __slots__ = ("dag", "marks", "at_mark", "after_mark", "root", "total")
+
+    def __init__(self, dag: "OutputDAG", required: dict[int, int], pinned: int, nulls: int) -> None:
+        self.dag = dag
+        self.marks: list[int] = []
+        self.at_mark: list[int] = []
+        self.after_mark: list[int] = []
+        self.root = 0
+        self.total = 0
+        if dag.dead:
             return
-        required = self._required
-        sources = 0
-        for source_bit, _ in self._context.op_edges(self._open_key):
-            sources |= source_bit
-        resume = self._resume
-        count = len(closes)
-        for begin, stop, trail in _segments(self._starts, self._trails, self.end, 1):
-            ids, lo = trail.ids, trail.lo
-            size = len(ids)
-            for i in opens[bisect_left(opens, begin) : bisect_left(opens, stop)]:
-                if i - lo >= size or not ids[i - lo]:
-                    continue
-                if i not in required and not trail.mask(i) & sources:
-                    continue
-                for at in range(bisect_left(closes, i), count):
-                    j = closes[at]
-                    if self._open_at == i and self._open_frontier is None and self._open.hi <= j:
-                        break  # every slot past the dead sweep's window is 0
-                    if resume(i, j):
-                        yield Span(i, j)
+        end = dag.end
+        level_id, levels, flags = dag._level_id, dag.levels, dag._marked
+        state = level_id(_end_level(dag.accepts, required.get(end, 0), pinned, nulls))
+        marks, at_mark, after_mark = [end], [state], [-1]
+        fids, classes, width = dag.fids, dag.classes, dag._width
+        starts, generations = dag._starts, dag._tables
+        memos = dag._memos.setdefault((pinned, nulls), {})
+        pinned_at = sorted(pos for pos in required if pos < end)
+        for at in range(len(starts) - 1, -1, -1):
+            table = generations[at].edges
+            rows = memos.setdefault(at, {})
+            top = starts[at + 1] if at + 1 < len(starts) else end
+            lo = starts[at]
+            # Stretches without pinned operations take the memoised fast
+            # path; each pinned position is one slow step between them.
+            stops = [pos for pos in pinned_at if lo <= pos < top]
+            while True:
+                stop = stops.pop() if stops else lo - 1
+                row = rows.get(state)
+                if row is None:
+                    row = rows[state] = {}
+                for pos, fid, class_id in zip(
+                    range(top - 1, stop, -1),
+                    reversed(fids[stop + 1 : top]),
+                    reversed(classes[stop : top - 1]),
+                ):
+                    key = fid * width + class_id
+                    found = row.get(key)
+                    if found is None:
+                        found = row[key] = level_id(
+                            _level(table[fid][class_id], levels[state], 0, pinned, nulls)
+                        )
+                    if flags[found]:
+                        marks.append(pos)
+                        at_mark.append(found)
+                        after_mark.append(state)
+                    if found != state:
+                        state = found
+                        row = rows.get(found)
+                        if row is None:
+                            row = rows[found] = {}
+                if stop < lo:
+                    break
+                following = state
+                state = level_id(
+                    _level(
+                        table[fids[stop]][classes[stop - 1]],
+                        levels[following],
+                        required[stop],
+                        pinned,
+                        nulls,
+                    )
+                )
+                if flags[state]:
+                    marks.append(stop)
+                    at_mark.append(state)
+                    after_mark.append(following)
+                top = stop
+        marks.reverse()
+        at_mark.reverse()
+        after_mark.reverse()
+        self.marks, self.at_mark, self.after_mark = marks, at_mark, after_mark
+        self.root = state
+        self.total = levels[state][0][0]
 
-    def _resume(self, i: int, j: int) -> bool:
-        """The verdict for ``µ[x → (i, j)]`` once the base run enters ``i``:
-        splice the operations in, resume from the recorded prefix and meet
-        the co-acceptance slot at ``j``."""
-        context = self._context
-        required = self._required
-        if i == j:
-            # Empty span: both operations splice into one position's
-            # counted closure, resumed from the base entering state.
-            ops = required.get(i, _NO_OPS) | {self._open_key, self._close_key}
-            levels = context.closure_counted([self._base(i).mask(i)], ops)
-        else:
-            trail = self._open_sweep(i, j)
-            if not trail.id(j):
-                return False
-            # Resume at ``j``: the close joins whatever base operations
-            # ``j`` already requires (closure idempotence makes resuming
-            # from the recorded closed state exact, as at the node level).
-            ops = required.get(j, _NO_OPS) | {self._close_key}
-            levels = context.closure_counted([trail.mask(j)], ops)
-        live = levels[len(ops)]
-        if not live:
-            return False
-        if j == self.end:
-            return bool((live >> self.cva.final) & 1)
-        return bool(live & self._coaccepting(j))
+    def start(self) -> int:
+        """The root's node index at the first mark."""
+        return self.dag.levels[self.root][1][0]
+
+    def read_off(self, at: int, node: int, markers: list) -> list:
+        """Append to ``markers`` those of the single completion of
+        ``node`` at the ``at``-th mark."""
+        levels, marks = self.dag.levels, self.marks
+        at_mark, after_mark = self.at_mark, self.after_mark
+        end = self.dag.end
+        while True:
+            level = levels[at_mark[at]]
+            if level[2][node]:
+                return markers  # only empty marker sets from here on
+            found, target = level[4][node][0]
+            if found:
+                markers.append((marks[at], found))
+            if marks[at] == end:
+                return markers
+            node = levels[after_mark[at]][1][target]
+            at += 1
+
+
+def _end_level(accepts, need: int, pinned: int, nulls: int) -> tuple:
+    kept = tuple(
+        tuple((found, -1) for found in node if (found & pinned) == need and not found & nulls)
+        for node in accepts
+    )
+    counts = tuple(min(len(edges), 2) for edges in kept)
+    links = tuple(k if count else -1 for k, count in enumerate(counts))
+    alone = tuple(edges == ((0, -1),) for edges in kept)
+    return (counts, links, alone, True, kept)
+
+
+def _level(edges, following, need: int, pinned: int, nulls: int) -> tuple:
+    """One level of a backward pass from the next level's description."""
+    next_counts, next_links, next_alone = following[0], following[1], following[2]
+    counts, kept, marked = [], [], False
+    for node in edges:
+        count, live = 0, []
+        for found, target in node:
+            if (found & pinned) != need or found & nulls:
+                continue
+            reach = next_counts[target]
+            if reach:
+                count += reach
+                live.append((found, target))
+                marked = marked or found != 0
+        counts.append(min(count, 2))
+        kept.append(tuple(live))
+    if marked:
+        links = tuple(k if count else -1 for k, count in enumerate(counts))
+    else:
+        links = tuple(next_links[live[0][1]] if live else -1 for live in kept)
+    alone = tuple(
+        count == 1 and live[0][0] == 0 and next_alone[live[0][1]]
+        for count, live in zip(counts, kept)
+    )
+    return (tuple(counts), links, alone, marked, tuple(kept))
+
+
+class OutputDAG:
+    """The output DAG of one document: one forward pass, backward passes
+    on demand.
+
+    ``fids[p]`` is the frontier id at position ``p`` (``1 ≤ p ≤ end``),
+    in the generation of :class:`FrontierDFA` tables that the segment
+    holding ``p`` recorded it in (``_starts``/``_tables``: a flush
+    during the pass starts a new segment).  A node is an index into its
+    frontier.  :meth:`restrict` runs the backward pass for a set of pins
+    (:class:`Completions`); the passes of one document share their level
+    descriptions and memo, which the DAG owns.
+
+    >>> from repro.engine.tables import compile_va
+    >>> from repro.spanner import Spanner
+    >>> cva = compile_va(Spanner.compile(".*x{a}.*").automaton)
+    >>> dag = OutputDAG(cva, "aba")
+    >>> dag.count()
+    2
+    """
+
+    __slots__ = (
+        "end",
+        "classes",
+        "fids",
+        "accepts",
+        "dead",
+        "levels",
+        "variables",
+        "_cva",
+        "_bits",
+        "_width",
+        "_starts",
+        "_tables",
+        "_level_ids",
+        "_marked",
+        "_memos",
+        "_free",
+    )
+
+    def __init__(self, cva: CompiledVA, text: str) -> None:
+        self._cva = cva
+        end = self.end = len(text) + 1
+        classes = self.classes = cva.kernel.flat.intern(text)
+        dfa = frontier_dfa(cva)
+        self.variables, self._bits = dfa.variables, dfa.bits
+        self._width = dfa.num_classes
+        fids = self.fids = array("i", [0])
+        self.levels: list[tuple] = []
+        self._level_ids: dict[tuple, int] = {}
+        self._marked = bytearray()
+        self._memos: dict[tuple[int, int], dict] = {}
+        self._free: Completions | None = None
+        self.accepts: tuple = ()
+        self.dead = True
+        with dfa.lock:
+            fid = dfa.intern(dfa.root(cva.initial))
+            tables = dfa.tables
+            self._starts, self._tables = [1], [tables]
+            rows = tables.rows
+            row = rows[fid]
+            fids.append(fid)
+            record = fids.append
+            for class_id in classes:
+                following = row[class_id]
+                if following <= 0:
+                    if not following:
+                        return  # no run survives: no mapping
+                    following = dfa.explore(tables, fids[-1], class_id)
+                    if dfa.tables is not tables:
+                        tables = dfa.tables
+                        rows = tables.rows
+                        self._starts.append(len(fids))
+                        self._tables.append(tables)
+                    if not following:
+                        return
+                record(following)
+                row = rows[following]
+            if not fids[end]:
+                return
+            self.accepts = dfa.accepting(tables, fids[end])
+        self.dead = False
+
+    def _level_id(self, level: tuple) -> int:
+        found = self._level_ids.get(level)
+        if found is None:
+            found = self._level_ids[level] = len(self.levels)
+            self.levels.append(level)
+            self._marked.append(level[3])
+        return found
+
+    # -- pins ----------------------------------------------------------------------
+
+    def restrict(self, pins: dict) -> Completions | None:
+        """The backward pass under ``pins`` (variable → span or ``⊥``), or
+        ``None`` when no run can satisfy them (a span pin outside the
+        document, or on a variable the automaton never opens)."""
+        if not pins:
+            if self._free is None:
+                self._free = Completions(self, {}, 0, 0)
+            return self._free
+        required: dict[int, int] = {}
+        pinned = nulls = 0
+        variables, bits = self._cva.variables, self._bits
+        for variable, value in pins.items():
+            bit = bits.get(variable, 0)
+            if value is NULL:
+                nulls |= bit | bit << 1
+                continue
+            if variable not in variables or value.begin < 1 or value.end > self.end:
+                return None
+            pinned |= bit | bit << 1
+            required[value.begin] = required.get(value.begin, 0) | bit
+            required[value.end] = required.get(value.end, 0) | bit << 1
+        return Completions(self, required, pinned, nulls)
+
+    # -- Algorithm 2's recursion nodes -----------------------------------------
+
+    def children(self, completions: Completions, variable: Variable) -> Iterator[tuple]:
+        """The children of the recursion node ``(pins, variable)``.
+
+        Yields ``(value, count, single)`` in Algorithm 2's order — the
+        variable's spans ``i``-major, then ``⊥`` — for every value with at
+        least one completion under the node's pins.  ``count`` is capped
+        at 2; when it is 1, ``single`` is the child's only mapping.
+
+        One walk from the root carries the paths that have not touched
+        the variable; where such a path opens it, :meth:`_spans` follows
+        it to every close.  The automaton is sequential and the DAG keeps
+        only states that can still accept, so no live edge closes a
+        variable its path never opened, or opens one twice.
+        """
+        if not completions.total:
+            return
+        bit = self._bits.get(variable, 0)
+        end = self.end
+        start = {completions.start(): (1, [])}
+        for at, opened, unset in self._walk(completions, 0, start, bit):
+            if unset is None:
+                yield from self._spans(completions, at, opened, bit << 1)
+                continue
+            for value, group in ((Span(end, end), opened), (NULL, unset)):
+                if group:
+                    yield (value, *self._combine(completions, group))
+
+    def _spans(self, completions: Completions, at: int, opened: list, closer: int):
+        """Every span opened at the ``at``-th mark by one of ``opened``,
+        ``j`` ascending, with its completion count."""
+        levels, marks, after_mark = self.levels, completions.marks, completions.after_mark
+        begin = marks[at]
+        counts, links = levels[after_mark[at]][0], levels[after_mark[at]][1]
+        empty = [
+            (count, path, counts[target], links[target])
+            for count, path, target, found in opened
+            if found & closer
+        ]
+        if empty:
+            yield (Span(begin, begin), *self._combine(completions, empty, at + 1))
+        carried: dict[int, tuple] = {}
+        for count, path, target, found in opened:
+            if not found & closer:
+                target = links[target]
+                carried[target] = (2, None) if target in carried else (count, path)
+        for at, closed, unset in self._walk(completions, at + 1, carried, closer):
+            if unset is not None:
+                yield (Span(begin, self.end), *self._combine(completions, closed))
+                return
+            counts, links = levels[after_mark[at]][0], levels[after_mark[at]][1]
+            closed = [
+                (count, path, counts[target], links[target])
+                for count, path, target, _ in closed
+            ]
+            yield (Span(begin, marks[at]), *self._combine(completions, closed, at + 1))
+
+    def _walk(self, completions: Completions, at: int, carried: dict, bit: int):
+        """Carry paths mark by mark from the ``at``-th mark: ``carried``
+        maps each node there to its count and — while that is 1 — the
+        markers of its only path.
+
+        At each mark where some carried path takes an edge with ``bit``,
+        yields ``(at, hits, None)``, ``hits`` listing ``(count, path,
+        target, markers)`` for each such edge; the other edges carry on.
+        At the end, yields ``(at, hits, misses)``: the paths that accept
+        with ``bit`` and those that accept without it, as contributions
+        to :meth:`_combine`.
+        """
+        levels, end = self.levels, self.end
+        marks, at_mark, after_mark = completions.marks, completions.at_mark, completions.after_mark
+        for at in range(at, len(marks)):
+            if not carried:
+                return
+            kept = levels[at_mark[at]][4]
+            mark = marks[at]
+            if mark == end:
+                hits, misses = [], []
+                for node, (count, path) in carried.items():
+                    for found, _ in kept[node]:
+                        group = hits if found & bit else misses
+                        group.append((count, _extend(path, end, found), 1, None))
+                yield at, hits, misses
+                return
+            links = levels[after_mark[at]][1]
+            if len(carried) == 1:
+                # The common mark: one path, which reads its letter.
+                ((node, entry),) = carried.items()
+                edges = kept[node]
+                if len(edges) == 1 and not edges[0][0]:
+                    carried = {links[edges[0][1]]: entry}
+                    continue
+            following: dict[int, tuple] = {}
+            hits = []
+            for node, (count, path) in carried.items():
+                for found, target in kept[node]:
+                    extended = _extend(path, mark, found)
+                    if found & bit:
+                        hits.append((count, extended, target, found))
+                        continue
+                    target = links[target]
+                    following[target] = (2, None) if target in following else (count, extended)
+            if hits:
+                yield at, hits, None
+            carried = following
+
+    def _combine(self, completions: Completions, contributions: list, at: int = 0) -> tuple:
+        """A child's completion count (capped at 2) and, when it is 1, its
+        mapping — from the contributions ``(count, path, reach, node)``
+        of the paths that reach its value: ``reach`` completions of
+        ``node`` at the ``at``-th mark finish each (``node`` ``None``:
+        the path is complete)."""
+        total, single = 0, None
+        for count, path, reach, node in contributions:
+            total += count * reach
+            if count * reach == 1:
+                single = (path, node)
+        if total != 1:
+            return min(total, 2), None
+        path, node = single
+        markers = path if node is None else completions.read_off(at, node, list(path))
+        return 1, self.mapping(markers)
+
+    def mapping(self, markers) -> Mapping:
+        """The mapping a path's ``(position, marker set)`` list spells, its
+        variables in sorted order."""
+        bounds: dict[int, list] = {}
+        for pos, found in markers:
+            while found:
+                low = found & -found
+                index = low.bit_length() - 1
+                bound = bounds.get(index >> 1)
+                if bound is None:
+                    bound = bounds[index >> 1] = [0, 0]
+                bound[index & 1] = pos
+                found ^= low
+        variables = self.variables
+        return Mapping._adopt(
+            {variables[index]: Span(*bounds[index]) for index in sorted(bounds)}
+        )
+
+    # -- counting ------------------------------------------------------------------
+
+    def count(self) -> int:
+        """The number of mappings, exactly: the DAG's paths, summed mark
+        by mark (nothing is enumerated)."""
+        completions = self.restrict({})
+        if not completions.total:
+            return 0
+        levels, after_mark = self.levels, completions.after_mark
+        carried = {completions.start(): 1}
+        for at, level in enumerate(completions.at_mark):
+            kept = levels[level][4]
+            links = levels[after_mark[at]][1] if after_mark[at] >= 0 else None
+            following: dict[int, int] = {}
+            for node, count in carried.items():
+                for _, target in kept[node]:
+                    if links is not None:
+                        target = links[target]
+                    following[target] = following.get(target, 0) + count
+            carried = following
+        return sum(carried.values())
+
+
+def _extend(path, pos: int, found: int):
+    """A carried path after an edge (``None`` stands for several paths)."""
+    return path if path is None or not found else [*path, (pos, found)]

@@ -23,9 +23,10 @@ precomputes, per position, which states any run prefix can occupy
 From those two arrays it derives, per variable, the positions where an
 ``x⊢`` transition can fire on a live run (:meth:`~DocumentIndex.open_positions`)
 and where a ``⊣x`` transition can (:meth:`~DocumentIndex.close_positions`).
-The compiled enumerator hands both lists to each recursion node, which
-generates its accepted spans from them; :meth:`~DocumentIndex.candidate_spans`
-spells out their ``O(|d|²)`` product for inspection.
+:meth:`~DocumentIndex.candidate_spans` spells out their ``O(|d|²)``
+product: a sound superset of every span an output assigns, kept for
+inspection (enumeration reads the output DAG of
+:mod:`repro.engine.oracle` instead).
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ class DocumentIndex:
             state = dfa.intern(final)
             coreach = Trail(dfa, end + 1, end)
             coreach.ids[end] = state
-            _sweep_back(dfa, back, classes, {}, coreach, end - 1, final, 1)
+            _sweep_back(dfa, classes, coreach, end - 1, final, 1)
             self._coreach_masks = coreach.masks()
         self._reach_sets: list[frozenset[int]] | None = None
         self._coreach_sets: list[frozenset[int]] | None = None
@@ -355,8 +356,7 @@ class DocumentIndex:
         """The pruned span list for one variable, in the seed's (i, j) order:
         every ``(i, j)`` with ``i`` an open and ``j`` a close position.
 
-        Enumeration never builds this list (each node generates its own
-        spans from the two position lists); it is kept for inspection."""
+        Enumeration never builds this list; it is kept for inspection."""
         closes = self.close_positions(variable)
         return tuple(
             Span(i, j) for i in self.open_positions(variable) for j in closes if i <= j

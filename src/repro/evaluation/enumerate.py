@@ -75,8 +75,8 @@ def enumerate_va(
     """Enumerate ``⟦A⟧_d`` via Algorithm 2 (poly delay when sequential).
 
     By default this routes through the compiled engine
-    (:mod:`repro.engine`): precompiled transition tables, span pruning, and
-    prefix-sharing oracles, with the same outputs in the same order.  Pass
+    (:mod:`repro.engine`): precompiled transition tables and the
+    document's output DAG, with the same outputs in the same order.  Pass
     ``compiled=False`` for the seed oracle loop — kept as the reference
     implementation and as the baseline of benchmark E19.
     """

@@ -67,6 +67,11 @@ __all__ = ["ServerConfig", "ServerThread", "SpannerServer", "serve"]
 
 #: Largest accepted request body (the corpus service is the bulk path).
 _MAX_BODY = 32 * 1024 * 1024
+#: How long, and for how many bytes, a connection refused before its
+#: body was read keeps discarding input after its error response (see
+#: :meth:`SpannerServer._linger`).
+_LINGER_SECONDS = 2.0
+_LINGER_BYTES = _MAX_BODY
 
 _REASONS = {
     200: "OK",
@@ -271,10 +276,7 @@ class SpannerServer:
         head, *header_lines = header_blob.decode("latin-1").split("\r\n")
         parts = head.split()
         if len(parts) != 3:
-            await self._write_response(
-                writer, 400, encode_error("malformed request line"), close=True
-            )
-            return None
+            return await self._refuse(reader, writer, 400, "malformed request line")
         method, target, _version = parts
         headers = {}
         conflicting_lengths = False
@@ -289,41 +291,59 @@ class SpannerServer:
         # body as empty would leave its chunks to be parsed as the next
         # request, answering one request twice (RFC 9112 §6.3).
         if "transfer-encoding" in headers:
-            await self._write_response(
+            return await self._refuse(
+                reader,
                 writer,
                 501,
-                encode_error(
-                    "Transfer-Encoding is not supported; send a "
-                    "Content-Length body"
-                ),
-                close=True,
+                "Transfer-Encoding is not supported; send a Content-Length body",
             )
-            return None
         if conflicting_lengths:
-            await self._write_response(
-                writer,
-                400,
-                encode_error("conflicting Content-Length headers"),
-                close=True,
+            return await self._refuse(
+                reader, writer, 400, "conflicting Content-Length headers"
             )
-            return None
         length_text = headers.get("content-length", "0")
         # RFC 9110 §8.6: Content-Length = 1*DIGIT.  int() would also take
         # a sign, underscores and non-ASCII digits, and a negative length
         # would reach readexactly() and kill the connection unanswered.
         if not (length_text.isascii() and length_text.isdigit()):
-            await self._write_response(
-                writer, 400, encode_error("bad Content-Length"), close=True
-            )
-            return None
+            return await self._refuse(reader, writer, 400, "bad Content-Length")
         length = int(length_text)
         if length > _MAX_BODY:
-            await self._write_response(
-                writer, 413, encode_error("request body too large"), close=True
-            )
-            return None
+            return await self._refuse(reader, writer, 413, "request body too large")
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target.split("?", 1)[0], headers, body
+
+    async def _refuse(self, reader, writer, status: int, message: str) -> None:
+        """Answer a request whose body was never read, then close."""
+        await self._write_response(writer, status, encode_error(message), close=True)
+        await self._linger(reader, writer)
+
+    async def _linger(self, reader, writer) -> None:
+        """A lingering close: shut the write side, then discard what the
+        client still sends — until it closes its side, or for at most
+        :data:`_LINGER_SECONDS` and :data:`_LINGER_BYTES`.
+
+        Closing a socket with unread input makes the kernel reset the
+        connection, and the reset can reach the client before it has
+        read the response: a client still sending a large body would
+        lose the error it is owed.
+        """
+        if writer.can_write_eof():
+            writer.write_eof()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + _LINGER_SECONDS
+        discarded = 0
+        try:
+            while discarded < _LINGER_BYTES:
+                left = deadline - loop.time()
+                if left <= 0:
+                    return
+                chunk = await asyncio.wait_for(reader.read(1 << 16), left)
+                if not chunk:
+                    return  # the client closed its side
+                discarded += len(chunk)
+        except (asyncio.TimeoutError, ConnectionError, OSError):
+            pass
 
     # -- responses ---------------------------------------------------------------
 

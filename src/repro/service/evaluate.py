@@ -190,13 +190,12 @@ def evaluate_records(
     single definition of batch semantics, shared by the worker processes
     and the online server's in-process executor.
 
-    Batches take the vector layer when available: ``"matches"`` resolves
-    verdicts through one lockstep forward sweep
-    (:meth:`~repro.engine.compiled.CompiledSpanner.matches_many`), the
-    other kinds pre-warm the per-document indexes in lockstep chunks
-    (:meth:`~repro.engine.compiled.CompiledSpanner.prewarm`) before the
-    per-document pass.  Verdicts, mappings, and error isolation are
-    identical either way.
+    ``"matches"`` batches take the vector layer when available: verdicts
+    resolve through one lockstep forward sweep
+    (:meth:`~repro.engine.compiled.CompiledSpanner.matches_many`).  The
+    other kinds enumerate document by document, each on its own output
+    DAG.  Verdicts, mappings, and error isolation are identical either
+    way.
 
     >>> from repro.engine.compiled import compile_spanner
     >>> evaluate_records(
@@ -222,18 +221,10 @@ def evaluate_records(
             except Exception as error:
                 results.append((doc_id, None, _describe(error)))
         return results
-    # Interleave prewarm and evaluation so batches wider than the
-    # engine's index cache never evict an index before it is used.
-    limit = getattr(engine, "prewarm_limit", len(records)) or len(records)
-    results = []
-    for start in range(0, len(records), limit):
-        chunk = records[start : start + limit]
-        engine.prewarm(text for _, text in chunk)
-        results.extend(
-            _evaluate_one(engine, doc_id, text, kind == "extract", spans)
-            for doc_id, text in chunk
-        )
-    return results
+    return [
+        _evaluate_one(engine, doc_id, text, kind == "extract", spans)
+        for doc_id, text in records
+    ]
 
 
 def _evaluate_batch(

@@ -95,6 +95,15 @@ class Mapping:
         """The mapping ``[x → s]`` defined only on ``variable``."""
         return cls({variable: span})
 
+    @classmethod
+    def _adopt(cls, assignments: dict[Variable, Span]) -> "Mapping":
+        """A mapping over ``assignments`` itself, unchecked and uncopied —
+        for engines that build the dict of spans and never touch it again."""
+        mapping = cls.__new__(cls)
+        mapping._assignments = assignments
+        mapping._hash = None
+        return mapping
+
     # -- mapping protocol ----------------------------------------------------
 
     @property

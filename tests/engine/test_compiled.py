@@ -199,9 +199,15 @@ class TestBatchApi:
         assert batch == [engine.mappings(d) for d in documents]
 
     def test_evaluate_many_caches_repeated_documents(self):
+        # Enumeration builds one output DAG per document; what a repeated
+        # document shares is its interned class sequence.
+        # (The kernel is shared with every engine of the same automaton.)
         engine = compile_spanner(".*x{a+}.*")
-        engine.evaluate_many(["baab", "baab", "baab"])
-        assert len(engine._indexes) == 1
+        interned = engine.kernel_stats()["interned"]
+        outputs = engine.evaluate_many(["bzaab", "bzaab", "bzaab"])
+        assert outputs[0] == outputs[1] == outputs[2] and outputs[0]
+        assert engine.kernel_stats()["interned"] <= interned + 1
+        assert engine.cache_stats()["dags"] == 3
 
     def test_index_cache_keys_are_constant_size(self):
         # (len, hash) keys instead of the document text: no unbounded key

@@ -1,8 +1,9 @@
 """Differential harness: the flat lazy DFA against the seed reference.
 
 The flat tables (:class:`~repro.engine.kernel.FlatTables`, the sweeps of
-:mod:`repro.engine.oracle` and :class:`~repro.engine.oracle.FlatNodeSweep`)
-are the engine's one sequential path.  Every test here runs the same
+:mod:`repro.engine.oracle`) and the output DAG enumeration reads
+(:class:`~repro.engine.oracle.OutputDAG`) are the engine's one
+sequential path.  Every test here runs the same
 input through it and through the seed evaluators — ``eval_va``,
 ``enumerate_va_oracle`` and the RGX semantics of
 :mod:`repro.rgx.semantics` — and asserts *identical* observable output:
@@ -16,6 +17,7 @@ defaults low so the tier-1 run stays fast, and the dedicated CI job
 raises it through ``REPRO_DIFFERENTIAL_EXAMPLES``.
 """
 
+import bisect
 import functools
 import os
 import random
@@ -33,7 +35,8 @@ from repro.automata.va import VA, VABuilder
 from repro.engine import compile_va
 from repro.engine.compiled import CompiledSpanner, compile_spanner
 from repro.engine.kernel import numpy_or_none
-from repro.engine.oracle import FlatNodeSweep, SweepShare, eval_compiled
+from repro.engine import oracle as oracle_module
+from repro.engine.oracle import OutputDAG, eval_compiled
 from repro.engine.tables import DocumentIndex
 from repro.engine.vector import batch_index
 from repro.evaluation.enumerate import enumerate_va_oracle
@@ -130,42 +133,68 @@ def _seed_ordered(expression, document, start=None) -> list[Mapping]:
     return sorted(found, key=lambda mapping: _algorithm2_key(mapping, variables))
 
 
-def _shared_walk(cva, document, start=None) -> tuple[list[Mapping], list[FlatNodeSweep]]:
+def _children(cva, document, base, variable) -> list[tuple]:
+    """The children a private DAG gives the node ``(base, variable)``."""
+    dag = OutputDAG(cva, document)
+    completions = dag.restrict(base)
+    return [] if completions is None else list(dag.children(completions, variable))
+
+
+def _seed_children(automaton, document, base, variable) -> list[tuple]:
+    """The node's children by brute force: every value the seed's ``Eval``
+    accepts, in Algorithm 2's order (spans ``i``-major, ``⊥`` last), with
+    the seed's count of completions capped at 2."""
+    outputs = list(enumerate_va_oracle(automaton, document))
+    found = []
+    for value in [*sorted(all_spans(len(document))), NULL]:
+        pins = {**base, variable: value}
+        if eval_va(automaton, document, ExtendedMapping(pins)):
+            completions = sum(
+                all(
+                    v not in mapping if pin is NULL else mapping.get(v) == pin
+                    for v, pin in pins.items()
+                )
+                for mapping in outputs
+            )
+            found.append((value, min(completions, 2)))
+    return found
+
+
+def _dag_walk(cva, document, start=None) -> tuple[list[Mapping], list[tuple]]:
     """Algorithm 2's recursion as ``CompiledSpanner.enumerate`` runs it —
-    children built while their parent's span generator is paused — over
-    nodes sharing one :class:`SweepShare`.  Every node is checked against
-    a private twin (its own empty share) on its accepted spans, ``⊥``
-    verdict and every candidate span's verdict.  Returns the outputs in
-    order and the shared nodes in creation order."""
-    index = DocumentIndex(cva, document)
-    share = SweepShare()
+    children built while their parent's walk is paused — over one shared
+    :class:`OutputDAG`, except that *every* child becomes a node, read
+    off or not.  A child the DAG reads off must be exactly the one
+    mapping its own node reaches, and every child's count must be the
+    number of mappings its node reaches (capped at 2).  Each node is
+    also answered by a private DAG of its own and must agree.  Returns
+    the outputs in order and the nodes ``(base, variable)`` in creation
+    order."""
+    dag = OutputDAG(cva, document)
     outputs: list[Mapping] = []
-    nodes: list[FlatNodeSweep] = []
+    nodes: list[tuple] = []
 
-    def walk(base, remaining):
+    def walk(base, remaining) -> list[Mapping]:
         if not remaining:
-            outputs.append(Mapping({v: s for v, s in base.items() if isinstance(s, Span)}))
-            return
+            found = Mapping({v: s for v, s in base.items() if isinstance(s, Span)})
+            outputs.append(found)
+            return [found]
         variable, rest = remaining[0], remaining[1:]
-        node = FlatNodeSweep(cva, document, base, variable, index.classes, share)
-        nodes.append(node)
-        positions = (index.open_positions(variable), index.close_positions(variable))
-        accepted = []
-        for span in node.spans(*positions):
-            accepted.append(span)
-            walk({**base, variable: span}, rest)
-        twin = FlatNodeSweep(cva, document, base, variable)
-        assert accepted == list(twin.spans(*positions)), (base, variable)
-        assert node.accepts_null() == twin.accepts_null(), (base, variable)
-        for span in index.candidate_spans(variable):
-            assert node.accepts_span(span) == twin.accepts_span(span), (base, variable, span)
-        if node.accepts_null():
-            walk({**base, variable: NULL}, rest)
+        nodes.append((base, variable))
+        children, reached = [], []
+        for value, count, single in dag.children(dag.restrict(base), variable):
+            children.append((value, count, single))
+            below = walk({**base, variable: value}, rest)
+            assert min(len(below), 2) == count, (base, variable, value)
+            assert count != 1 or below == [single], (base, variable, value)
+            reached += below
+        assert children == _children(cva, document, base, variable), (base, variable)
+        return reached
 
-    pins = ExtendedMapping.empty() if start is None else start
-    if eval_compiled(cva, document, pins):
-        base = dict(pins.items())
-        walk(base, [v for v in sorted(cva.mentioned_variables) if v not in base])
+    pins = {} if start is None else dict(start.items())
+    completions = dag.restrict(pins)
+    if completions is not None and completions.total:
+        walk(pins, [v for v in sorted(cva.mentioned_variables) if v not in pins])
     return outputs, nodes
 
 
@@ -233,50 +262,34 @@ class TestFlatAgainstDictAndSets:
         tally.assert_flushed()
 
     def test_node_sweep_three_ways(self):
-        """Every span verdict — and so the enumeration order — agrees.
-
-        Queries run in candidate order (``i``-major), the access pattern
-        the flat sweep's lazy open-sweep and backward co-acceptance
-        caches are built for; querying *all* spans additionally hits the
-        cache-extension and dead-state paths.
-        """
+        """A root node's walk over the DAG gives every value of its
+        variable that ``eval_va`` accepts — on the planned automaton and
+        on the raw translation — in Algorithm 2's order, each with its
+        number of completions; the spans lie in the index's candidate
+        product."""
         tally = FlushTally()
 
         @given(expression=rgx_expressions(), document=documents(max_length=5))
         @example(expression=HEAVY, document=HEAVY_DOCUMENT)
         @settings(max_examples=EXAMPLES, deadline=None)
         def check(expression, document):
+            automaton = plan(expression, opt_level=1).automaton
+            raw = to_va(expression)
+            expected = {
+                variable: _seed_children(automaton, document, {}, variable)
+                for variable in sorted(automaton.mentioned_variables)
+            }
+            for variable, children in expected.items():
+                assert children == _seed_children(raw, document, {}, variable)
+
             def run():
-                automaton = plan(expression, opt_level=1).automaton
-                raw = to_va(expression)
                 cva = compile_va(automaton)
-                if not cva.mentioned_variables:
-                    return
-                for variable in sorted(cva.mentioned_variables):
-                    node = FlatNodeSweep(cva, document, {}, variable)
-                    pin = ExtendedMapping({variable: NULL})
-                    verdict = node.accepts_null()
-                    assert verdict == eval_va(automaton, document, pin)
-                    assert verdict == eval_va(raw, document, pin)
-                    for span in all_spans(len(document)):
-                        pin = ExtendedMapping({variable: span})
-                        verdict = node.accepts_span(span)
-                        assert verdict == eval_va(automaton, document, pin), span
-                        assert verdict == eval_va(raw, document, pin), span
-                    # Node-generated spans: the candidate product filtered
-                    # by accepts_span, order included.
-                    index = DocumentIndex(cva, document)
-                    positions = (
-                        index.open_positions(variable),
-                        index.close_positions(variable),
-                    )
-                    expected = [
-                        span
-                        for span in index.candidate_spans(variable)
-                        if FlatNodeSweep(cva, document, {}, variable).accepts_span(span)
-                    ]
-                    spans = FlatNodeSweep(cva, document, {}, variable).spans(*positions)
-                    assert list(spans) == expected
+                index = DocumentIndex(cva, document)
+                for variable, children in expected.items():
+                    got = _children(cva, document, {}, variable)
+                    assert [(value, count) for value, count, _ in got] == children
+                    candidates = set(index.candidate_spans(variable))
+                    assert {value for value, _ in children} - {NULL} <= candidates
 
             tally.run(run)
 
@@ -296,9 +309,9 @@ class TestFlatAgainstDictAndSets:
     )
     def test_node_spans_where_the_open_meets_a_pinned_operation(self, pattern, document):
         """``x⊢`` at a position that also carries a pinned variable's
-        operation fires from a state the base entering mask lacks, so the
-        open-source bit test must not skip that position: ``spans`` still
-        equals the filtered candidate product and the seed's verdicts."""
+        operation: the node's edge filter must keep the marker set that
+        holds both, so the node's children still equal the seed's
+        verdicts, counts and order."""
         automaton = plan(parse(pattern), opt_level=1).automaton
         pins = [NULL, *all_spans(len(document))]
         cases = [
@@ -306,37 +319,17 @@ class TestFlatAgainstDictAndSets:
             for variable, other in (("x", "y"), ("y", "x"))
             for value in pins
         ]
-        accepted = 0
+        truths = [_seed_children(automaton, document, base, variable) for variable, base in cases]
+        assert any(truths)
         tally = FlushTally()
 
         def run():
-            nonlocal accepted
             cva = compile_va(automaton)
-            index = DocumentIndex(cva, document)
-            for variable, base in cases:
-                positions = (
-                    index.open_positions(variable),
-                    index.close_positions(variable),
-                )
-                truth = [
-                    span
-                    for span in index.candidate_spans(variable)
-                    if eval_va(
-                        automaton, document, ExtendedMapping({**base, variable: span})
-                    )
-                ]
-                reference = FlatNodeSweep(cva, document, base, variable)
-                filtered = [
-                    span
-                    for span in index.candidate_spans(variable)
-                    if reference.accepts_span(span)
-                ]
-                node = FlatNodeSweep(cva, document, base, variable)
-                assert list(node.spans(*positions)) == filtered == truth, base
-                accepted += len(truth)
+            for (variable, base), truth in zip(cases, truths):
+                got = _children(cva, document, base, variable)
+                assert [(value, count) for value, count, _ in got] == truth, base
 
         tally.run(run)
-        assert accepted
 
     def test_mappings_identical_at_every_opt_level(self):
         tally = FlushTally()
@@ -474,72 +467,61 @@ class TestFlatEdgeCases:
 
     @pytest.mark.parametrize("limit", [2, 3])
     def test_interleaved_nodes_survive_each_others_flushes(self, limit):
-        """Node sweeps on one pin context share a DFA.  Between two span
-        queries of one node, a fresh node's sweeps flush that DFA under
-        the first node's paused recordings: its open sweep and its lane's
-        trails, and with a pinned base also its own backward sweep below
-        the last pin.  Each keeps its frontier as masks, which the next
-        extension re-interns in the new generation.  Open positions run
-        from the last down, so every query reaches one close lower than
-        the one before and resumes a paused backward sweep."""
+        """DAGs of one automaton share its frontier DFA.  Between two
+        children of one node, a fresh DAG of the same document — and
+        one of another document — flush that DFA under the paused
+        node: its recorded frontier ids still resolve through the tables
+        generation its segments captured, with or without pins."""
         cases = [
             ("(a|b)*x{a(a|b)*}(a|b)*b(a|b)(a|b)", {}),
             ("(a|b)*x{a(a|b)*}(a|b)*y{b}(a|b)(a|b)", {"y": Span(10, 11)}),
         ]
-        document = HEAVY_DOCUMENT
-        spans = sorted(all_spans(len(document)), key=lambda span: (-span.begin, span.end))
+        document, other = HEAVY_DOCUMENT, HEAVY_DOCUMENT[::-1]
         for pattern, base in cases:
             automaton = plan(parse(pattern), opt_level=1).automaton
-            expected = [
-                eval_va(automaton, document, ExtendedMapping({**base, "x": span}))
-                for span in spans
-            ]
-            assert any(expected) and not all(expected)
-            null_verdict = eval_va(automaton, document, ExtendedMapping({**base, "x": NULL}))
+            expected = _seed_children(automaton, document, base, "x")
+            assert len(expected) > 2
             with flat_limit(limit) as probe:
                 cva = compile_va(automaton)
-                node = FlatNodeSweep(cva, document, base, "x")
-                verdicts = []
-                for span, verdict in zip(spans, expected):
-                    verdicts.append(node.accepts_span(span))
-                    other = FlatNodeSweep(cva, document, base, "x")
-                    assert other._fdfa is node._fdfa
-                    assert other.accepts_null() == null_verdict
-                    assert other.accepts_span(span) == verdict
-            assert verdicts == expected
-            assert probe.flushes > 0
+                dag = OutputDAG(cva, document)
+                got = []
+                for value, count, _ in dag.children(dag.restrict(base), "x"):
+                    got.append((value, count))
+                    flushes = probe.frontier_flushes
+                    _children(cva, other, base, "x")
+                    fresh = _children(cva, document, base, "x")
+                    assert [(v, c) for v, c, _ in fresh[: len(got)]] == got
+                    assert probe.frontier_flushes > flushes
+            assert got == expected
 
     @pytest.mark.parametrize("limit", [2, 3])
     def test_interleaved_span_generation_survives_flushes(self, limit):
-        """``spans`` pauses between yields — enumeration recurses there —
-        and other nodes' sweeps flush the shared DFA meanwhile."""
+        """A node's span walk pauses between yields — enumeration recurses
+        there — and other documents' forward passes flush the frontier
+        DFA meanwhile; the paused walk's DAG keeps its own tables."""
         expression = parse("(a|b)*x{a(a|b)*}(a|b)*b(a|b)(a|b)")
         automaton = plan(expression, opt_level=1).automaton
         document = HEAVY_DOCUMENT
-        expected = [
-            span
-            for span in all_spans(len(document))
-            if eval_va(automaton, document, ExtendedMapping({"x": span}))
-        ]
+        expected = _seed_children(automaton, document, {}, "x")
         assert expected
         with flat_limit(limit) as probe:
             cva = compile_va(automaton)
-            index = DocumentIndex(cva, document)
-            node = FlatNodeSweep(cva, document, {}, "x")
+            dag = OutputDAG(cva, document)
             spans = []
-            for span in node.spans(index.open_positions("x"), index.close_positions("x")):
-                spans.append(span)
-                FlatNodeSweep(cva, document, {}, "x").accepts_null()
+            for value, count, _ in dag.children(dag.restrict({}), "x"):
+                spans.append((value, count))
+                OutputDAG(cva, document[1:] + "a").count()
+            assert dag._tables[-1] is not oracle_module.frontier_dfa(cva).tables
         assert spans == expected
-        assert probe.flushes > 0
+        assert probe.frontier_flushes > 0
 
     def test_threads_sharing_an_engine_across_flushes(self):
-        """Threads enumerating on one engine flush its shared DFAs under
-        each other's sweeps; every sweep segment holds its DFA's lock, so
-        each thread still gets the seed's output.  The multi-line logs run
-        at a budget of 2 with many sibling nodes per sweep context: every
-        enumeration call keeps its sweep share to itself, so no thread
-        resumes or rejoins another call's trails."""
+        """Threads enumerating on one engine flush its shared frontier DFA
+        under each other's forward passes; every pass holds the DFA's
+        lock, and each call's DAG keeps the tables generations it
+        recorded in, so each thread still gets the seed's output.  The
+        multi-line logs run at a budget of 2, where nearly every line of
+        a forward pass flushes."""
         rng = random.Random(7)
         suffix_documents = [
             "".join(rng.choice("ab") for _ in range(rng.randint(16, 28)))
@@ -592,27 +574,28 @@ class TestFlatEdgeCases:
                     sys.setswitchinterval(interval)
                 assert not any(thread.is_alive() for thread in threads)
             assert failures == [], limit
-            assert probe.flushes > 0
+            assert probe.frontier_flushes > 0
 
 
-#: Multi-line documents: each line or row opens a sibling node in most
-#: sweep contexts, so the nodes share prefixes, suffixes and rejoins.
+#: Multi-line documents: each line or row is one child of the root node,
+#: read off the DAG along its own stretch of marked positions.
 LOGS = server_logs.access_expression()
 LOGS_DOCUMENT = server_logs.render(server_logs.generate_lines(9, seed=5))
 REGISTRY = land_registry.seller_tax_expression()
 REGISTRY_DOCUMENT = land_registry.generate_document(12, seed=6)
 #: Tail states that keep changing (the last three letters are tracked),
-#: so a sibling's sweep past its pins flushes small DFAs deep into the
-#: stretch it compares.
+#: so frontiers keep changing and small budgets flush deep into the
+#: document.
 SUFFIX = parse("(a|b)*x{a}(a|b)*(y{b}|ε)(a|b)*a(a|b)(a|b)")
 SUFFIX_DOCUMENT = "abbababbaabbabb"
 #: ``x`` sorts first but sits later in the text, with a fixed-length
-#: tail after it: nodes refining ``y`` sweep backward from ``x``'s close
-#: themselves, where no ``.*`` loop blurs a slot taken one position off.
+#: tail after it: every ``x`` span has several ``y`` completions before
+#: it, so the root's children are nodes of their own, each with a
+#: restricted backward pass.
 TAIL = parse("(a|b)*y{a}(a|b)*x{b}(a|b)(a|b)")
 TAIL_DOCUMENT = "abbababbaabbab"
-#: Acceptance needs the footer: a rejoin mid-document must take the
-#: reference's final state, not the state it rejoined in.
+#: Acceptance needs the footer: a read-off must follow its links all the
+#: way to the document's end.
 FOOTER = parse(".*x{a+}(,y{b+}|ε);.*!")
 FOOTER_DOCUMENT = "aa,b;a;aa,bb;b;a,b;a;bab;!"
 
@@ -627,9 +610,10 @@ def _first_output(expression, document, variable):
 
 
 class TestSharedSweeps:
-    """Sibling nodes sharing a :class:`SweepShare` (pin-free prefix and
-    suffix trails, rejoins with a sibling's trail) answer exactly like
-    private nodes, and enumeration stays the seed's, order included."""
+    """Every node of one enumeration call reads one shared output DAG
+    (its level descriptions and memo included) and answers exactly like
+    a node with a private DAG; enumeration stays the seed's, order
+    included."""
 
     def test_algorithm2_key_is_the_seed_enumerators_order(self):
         """The order key the multi-line cases sort the seed semantics by
@@ -645,28 +629,29 @@ class TestSharedSweeps:
             assert _seed_ordered(expression, document) == expected
 
     @pytest.mark.parametrize(
-        "expression, document, start, rejoins",
+        "expression, document, start, root_only",
         [
             pytest.param(LOGS, LOGS_DOCUMENT, None, True, id="logs"),
             pytest.param(LOGS, LOGS_DOCUMENT, {"ref": NULL}, True, id="logs-null-ref"),
-            pytest.param(LOGS, LOGS_DOCUMENT, {"status": "first"}, False, id="logs-pinned-status"),
+            pytest.param(LOGS, LOGS_DOCUMENT, {"status": "first"}, True, id="logs-pinned-status"),
             pytest.param(REGISTRY, REGISTRY_DOCUMENT, None, True, id="registry"),
-            pytest.param(REGISTRY, REGISTRY_DOCUMENT, {"y": NULL}, False, id="registry-null-tax"),
+            pytest.param(REGISTRY, REGISTRY_DOCUMENT, {"y": NULL}, True, id="registry-null-tax"),
             pytest.param(
-                REGISTRY, REGISTRY_DOCUMENT, {"x": "first"}, False, id="registry-pinned-name"
+                REGISTRY, REGISTRY_DOCUMENT, {"x": "first"}, True, id="registry-pinned-name"
             ),
-            pytest.param(SUFFIX, SUFFIX_DOCUMENT, None, True, id="suffix"),
+            pytest.param(SUFFIX, SUFFIX_DOCUMENT, None, False, id="suffix"),
             pytest.param(FOOTER, FOOTER_DOCUMENT, None, True, id="footer"),
             pytest.param(TAIL, TAIL_DOCUMENT, None, False, id="tail"),
         ],
     )
     def test_shared_nodes_match_private_nodes_and_the_seed(
-        self, expression, document, start, rejoins
+        self, expression, document, start, root_only, monkeypatch
     ):
-        """Every budget: each shared node against its private twin, and
-        the enumeration (library and shared walk) against the seed.
-        ``"first"`` stands for the span the first output assigns;
-        ``rejoins`` says whether siblings rejoin at the unbounded budget."""
+        """Every budget: each node of the shared walk against a private
+        DAG, and the enumeration (library and shared walk) against the
+        seed.  ``"first"`` stands for the span the first output assigns;
+        ``root_only`` says whether the library's enumeration needs no
+        node but the root — every child of the root read off the DAG."""
         if start is not None:
             start = ExtendedMapping(
                 {
@@ -678,108 +663,160 @@ class TestSharedSweeps:
             )
         expected = _seed_ordered(expression, document, start)
         assert expected
+        passes = []
+        restrict = OutputDAG.restrict
+
+        def counting(self, pins):
+            passes.append(dict(pins))
+            return restrict(self, pins)
+
         tally = FlushTally()
-        rejoined = []
 
         def run():
             engine = compile_spanner(expression, opt_level=1)
-            assert list(engine.enumerate(document, start)) == expected
-            outputs, nodes = _shared_walk(engine.tables, document, start)
+            passes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(OutputDAG, "restrict", counting)
+                assert list(engine.enumerate(document, start)) == expected
+            assert (len(passes) == 1) == root_only, passes
+            outputs, nodes = _dag_walk(engine.tables, document, start)
             assert outputs == expected
-            rejoined.append(sum(len(node._trails) > 2 for node in nodes))
+            assert nodes
 
         tally.run(run)
         tally.assert_flushed()
-        assert (rejoined[0] > 0) == rejoins, rejoined
+
+    @pytest.mark.parametrize(
+        "pattern, document",
+        [
+            (".*y{a}.*x{b}.*", "aabb"),
+            ("(x{a}|ε)(y{b}|ε).*", "ab"),
+            (".*x{.*}.*y{.*}.*", "abcd"),
+        ],
+    )
+    def test_order_where_a_depth_first_walk_diverges(self, pattern, document):
+        """A plain depth-first walk of the DAG yields the right mappings in
+        position order, which differs from Algorithm 2's on these cases;
+        enumeration keeps Algorithm 2's order at every budget."""
+        expression = parse(pattern)
+        automaton = plan(expression, opt_level=1).automaton
+        expected = list(enumerate_va_oracle(automaton, document))
+        assert expected == _seed_ordered(expression, document)
+        tally = FlushTally()
+
+        def run():
+            engine = compile_spanner(expression, opt_level=1)
+            assert list(engine.enumerate(document)) == expected
+            depth_first = _depth_first(OutputDAG(engine.tables, document))
+            assert sorted(depth_first, key=repr) == sorted(expected, key=repr)
+            assert depth_first != expected
+
+        tally.run(run)
+        tally.assert_flushed(limits=(2,))  # their DFAs fit in a few states
+
+    def test_count_sums_dag_paths_at_every_budget(self):
+        """``count`` sums the DAG's paths without enumerating: the number
+        of mappings ``enumerate`` yields, and the seed's, at every
+        budget."""
+        tally = FlushTally()
+
+        @given(expression=rgx_expressions(), document=documents())
+        @example(expression=HEAVY, document=HEAVY_DOCUMENT)
+        @example(expression=LOGS, document=LOGS_DOCUMENT)
+        @settings(max_examples=EXAMPLES, deadline=None)
+        def check(expression, document):
+            expected = len(_seed_set(expression, document))
+
+            def run():
+                engine = compile_spanner(expression, opt_level=1)
+                assert engine.count(document) == len(list(engine.enumerate(document)))
+                assert engine.count(document) == expected
+
+            tally.run(run)
+
+        check()
+        tally.assert_flushed()
 
     @pytest.mark.parametrize("limit", [2, 3, 20])
-    def test_a_flush_between_the_reference_and_a_rejoin_check(self, limit):
-        """A sibling records the lane's rejoin reference, then a sweep on
-        the same DFA flushes it: the reference's ids now belong to a dead
-        generation, so later siblings must not rejoin on them — they
-        answer like private nodes.  At 2 and 3 states stale ids collide
-        with live ones; at 20 the later sibling's sweep mostly hits cached
-        rows, so its rejoin check really reads the reference's ids."""
+    def test_a_flush_between_the_forward_pass_and_the_node_walks(self, limit):
+        """A DAG records its frontier ids, then other documents' forward
+        passes flush the frontier DFA before any node walks it: the
+        backward passes and walks read the generations the DAG's
+        segments captured, and answer like a DAG built afterwards."""
         with flat_limit(limit) as probe:
             cva = compile_va(plan(LOGS, opt_level=1).automaton)
-            index = DocumentIndex(cva, LOGS_DOCUMENT)
-            share = SweepShare()
-            root = FlatNodeSweep(cva, LOGS_DOCUMENT, {}, "path", index.classes, share)
-            paths = list(
-                root.spans(index.open_positions("path"), index.close_positions("path"))
-            )
+            dag = OutputDAG(cva, LOGS_DOCUMENT)
+            flushes = probe.frontier_flushes
+            for seed in range(3):
+                OutputDAG(cva, server_logs.render(server_logs.generate_lines(9, seed=seed)))
+            assert probe.frontier_flushes > flushes
+            assert dag._tables[-1] is not oracle_module.frontier_dfa(cva).tables
+            fresh = OutputDAG(cva, LOGS_DOCUMENT)
+            assert dag.count() == fresh.count() == len(_seed_set(LOGS, LOGS_DOCUMENT))
+            paths = [value for value, _, _ in dag.children(dag.restrict({}), "path")]
             assert len(paths) > 3
-            positions = (index.open_positions("ref"), index.close_positions("ref"))
-            checked = 0
-            for at, span in enumerate(paths):
-                node = FlatNodeSweep(
-                    cva, LOGS_DOCUMENT, {"path": span}, "ref", index.classes, share
+            for span in paths:
+                base = {"path": span}
+                assert list(dag.children(dag.restrict(base), "ref")) == list(
+                    fresh.children(fresh.restrict(base), "ref")
                 )
-                reference = node._lane.reference
-                if reference is None or reference.trails is not node._trails:
-                    continue  # not the lane's reference
-                if at == len(paths) - 1:
-                    continue
-                flushes = node._fdfa.flushes
-                # A private sibling on the same context DFA flushes it.
-                FlatNodeSweep(cva, LOGS_DOCUMENT, {"path": paths[-1]}, "ref")
-                assert node._fdfa.flushes > flushes
-                assert node._forward.current_from() is None
-                later = paths[at + 1]
-                sibling = FlatNodeSweep(
-                    cva, LOGS_DOCUMENT, {"path": later}, "ref", index.classes, share
-                )
-                twin = FlatNodeSweep(cva, LOGS_DOCUMENT, {"path": later}, "ref")
-                assert node._forward not in sibling._trails
-                assert list(sibling.spans(*positions)) == list(twin.spans(*positions))
-                assert sibling.accepts_null() == twin.accepts_null()
-                for candidate in index.candidate_spans("ref"):
-                    assert sibling.accepts_span(candidate) == twin.accepts_span(candidate)
-                checked += 1
-            assert checked
-        assert probe.flushes > 0
 
     @pytest.mark.parametrize("limit", [2, 3, 8])
-    def test_lane_trails_resume_across_flushes(self, limit):
-        """The shared trails grow in steps, and between two steps other
-        sweeps flush their DFAs: every slot still holds the mask one
-        uninterrupted sweep records."""
+    def test_dag_tables_survive_flushes(self, limit):
+        """A forward pass that flushes mid-document records each stretch
+        in the tables generation it ran in: position by position, the
+        segments hold the frontiers — and the edges — one uninterrupted
+        pass at the default budget records."""
         document = LOGS_DOCUMENT
-        end = len(document) + 1
+        whole = OutputDAG(compile_va(plan(LOGS, opt_level=1).automaton), document)
+        assert len(whole._tables) == 1
+
+        def frontiers(dag):
+            starts = dag._starts
+            for pos in range(1, dag.end + 1):
+                tables = dag._tables[bisect.bisect_right(starts, pos) - 1]
+                fid = dag.fids[pos]
+                edges = tables.edges[fid][dag.classes[pos - 1]] if pos < dag.end else None
+                yield pos, tables.frontiers[fid], edges
+
         with flat_limit(limit) as probe:
             cva = compile_va(plan(LOGS, opt_level=1).automaton)
-            stepped = FlatNodeSweep(cva, document, {}, "path")._lane
-            whole = FlatNodeSweep(cva, document, {}, "path")._lane
-            step = end // 6
-            for target in range(1, end + 1, step):
-                stepped.forward_to(target)
-                stepped.backward_to(end + 1 - target)
-                flushes = probe.flushes
-                # Private sweeps on the same context DFAs, both directions.
-                other = FlatNodeSweep(cva, document, {}, "path")
-                other._lane.forward_to(end)
-                other._lane.backward_to(1)
-                assert probe.flushes > flushes
-            forward, backward = stepped.forward_to(end), stepped.backward_to(1)
-            expected_forward, expected_backward = whole.forward_to(end), whole.backward_to(1)
-            for pos in range(1, end + 1):
-                assert forward.id(pos) and backward.id(pos), pos
-                assert forward.mask(pos) == expected_forward.mask(pos), pos
-                assert backward.mask(pos) == expected_backward.mask(pos), pos
+            stepped = OutputDAG(cva, document)
+            assert len(stepped._tables) > 1
+            assert list(frontiers(stepped)) == list(frontiers(whole))
+        assert probe.frontier_flushes >= len(stepped._tables) - 1
 
     def test_siblings_sweep_only_their_pinned_stretch(self, monkeypatch):
-        """On a 160-line log, each sweep context has one node that sweeps
-        to the end — the first whose run survives its pins — and every
-        other node's own windows stay within its pinned line and the
-        distance to its rejoin point: a few hundred positions at most."""
-        nodes = []
-        build = FlatNodeSweep.__init__
+        """On a 160-line log every child of the root is read off the DAG,
+        and each read-off visits only the marked positions of its own
+        line — a handful — out of the thousands the document has: no
+        child node, no backward pass but the root's."""
+        visits: list[int] = []
+        passes: list[int] = []
+        read_off = oracle_module.Completions.read_off
+        restrict = OutputDAG.restrict
 
-        def recording(self, *args, **kwargs):
-            build(self, *args, **kwargs)
-            nodes.append(self)
+        class Counted(list):
+            reads = 0
 
-        monkeypatch.setattr(FlatNodeSweep, "__init__", recording)
+            def __getitem__(self, at):
+                Counted.reads += 1
+                return super().__getitem__(at)
+
+        def counting_restrict(self, pins):
+            completions = restrict(self, pins)
+            completions.marks = Counted(completions.marks)
+            passes.append(len(completions.marks))
+            return completions
+
+        def counting_read_off(self, at, node, markers):
+            before = Counted.reads
+            found = read_off(self, at, node, markers)
+            visits.append(Counted.reads - before)
+            return found
+
+        monkeypatch.setattr(OutputDAG, "restrict", counting_restrict)
+        monkeypatch.setattr(oracle_module.Completions, "read_off", counting_read_off)
         lines = server_logs.generate_lines(160, seed=181)
         document = server_logs.render(lines)
         engine = compile_spanner(LOGS, opt_level=1)
@@ -787,21 +824,29 @@ class TestSharedSweeps:
         assert server_logs.extraction_tuples(document, found) == (
             server_logs.expected_tuples(lines)
         )
-        contexts: dict[object, list[FlatNodeSweep]] = {}
-        for node in nodes:
-            contexts.setdefault(node._context, []).append(node)
-        assert max(len(siblings) for siblings in contexts.values()) >= 100
-        bound = 200
-        for siblings in contexts.values():
-            forward = sorted(
-                0 if node._forward is None else node._forward.hi - node._forward.lo
-                for node in siblings
-            )
-            assert forward[:-1] == [] or forward[-2] <= bound, forward[-3:]
-            for node in siblings:
-                if node._backward is not None:
-                    assert node._backward.hi - node._backward.lo <= bound
-        assert len(document) > 20 * bound
+        assert len(passes) == 1 and passes[0] > 500, passes
+        assert len(visits) == len(found) == 160
+        assert max(visits) <= 12, max(visits)
+
+
+def _depth_first(dag: OutputDAG) -> list[Mapping]:
+    """Every DAG path in plain depth-first order: position by position,
+    each node's marker sets ascending."""
+    completions = dag.restrict({})
+    levels, marks = dag.levels, completions.marks
+    found: list[Mapping] = []
+
+    def walk(at, node, markers):
+        for markers_here, target in levels[completions.at_mark[at]][4][node]:
+            path = [*markers, (marks[at], markers_here)] if markers_here else markers
+            if marks[at] == dag.end:
+                found.append(dag.mapping(path))
+            else:
+                walk(at + 1, levels[completions.after_mark[at]][1][target], path)
+
+    if completions.total:
+        walk(0, completions.start(), [])
+    return found
 
 
 #: 300 two-character alternatives over distinct code points: 300 alphabet

@@ -29,7 +29,7 @@ from repro.engine import compiled as compiled_module
 from repro.engine import kernel as kernel_module
 from repro.engine.compiled import CompiledSpanner, compile_spanner
 from repro.engine.kernel import AlphabetClasses, FlatDFA, Trail, iter_bits
-from repro.engine.oracle import FlatNodeSweep, eval_compiled
+from repro.engine.oracle import OutputDAG, eval_compiled
 from repro.engine.tables import DocumentIndex
 from repro.evaluation.enumerate import enumerate_va_oracle
 from repro.evaluation.eval_problem import eval_va
@@ -330,14 +330,14 @@ class TestKernelAgainstSets:
                 if not cva.mentioned_variables:
                     return
                 variable = sorted(cva.mentioned_variables)[0]
-                node = FlatNodeSweep(cva, document, {}, variable)
-                assert node.accepts_null() == eval_va(
-                    automaton, document, ExtendedMapping({variable: NULL})
-                )
-                for span in all_spans(len(document)):
-                    assert node.accepts_span(span) == eval_va(
-                        automaton, document, ExtendedMapping({variable: span})
-                    ), span
+                dag = OutputDAG(cva, document)
+                values = [value for value, _, _ in dag.children(dag.restrict({}), variable)]
+                expected = [
+                    value
+                    for value in [*sorted(all_spans(len(document))), NULL]
+                    if eval_va(automaton, document, ExtendedMapping({variable: value}))
+                ]
+                assert values == expected
 
             tally.run(run)
 
@@ -417,10 +417,14 @@ class TestKernelSharing:
         assert engine.kernel_stats()["flat_states"] >= states
 
     def test_stats_count_every_flat_dfa(self):
-        """``flat_states`` sums every distinct DFA, the reverse ones of the
-        pin contexts included (node sweeps build them for co-acceptance)."""
+        """``flat_states`` sums every distinct DFA: the document-index
+        pair, the DFAs of the pin contexts (with their reverse ones) and
+        the enumeration's frontier DFA."""
         engine = compile_spanner(".*x{a+}b y{c+}.*", opt_level=1)
-        assert engine.mappings("zaabccz aab cc abc")
+        document = "zaabccz aab cc abc"
+        assert engine.mappings(document)
+        assert engine.index(document)
+        assert engine.eval(document, ExtendedMapping({"x": Span(9, 11)}))
         kernel = engine.tables.kernel
         flat = kernel.flat
         dfas = {id(flat.dfa): flat.dfa, id(flat.dfa_rev): flat.dfa_rev}
@@ -428,13 +432,13 @@ class TestKernelSharing:
             for dfa in (context.flat_dfa, context.flat_dfa_rev):
                 if dfa is not None:
                     dfas[id(dfa)] = dfa
-        assert any(
-            context.flat_dfa_rev not in (None, flat.dfa_rev)
-            for context in kernel._contexts.values()
-        )
+        assert len(dfas) == 3  # the index pair and the pinned context's
+        assert flat.frontier.states > 1
         stats = engine.kernel_stats()
-        assert stats["flat_states"] == sum(len(dfa.masks) for dfa in dfas.values())
-        assert stats["flat_states"] == 48
+        assert stats["flat_states"] == (
+            sum(len(dfa.masks) for dfa in dfas.values()) + flat.frontier.states
+        )
+        assert stats["flat_states"] == 44
         assert stats["flushes"] == 0
         assert sorted(stats) == [
             "classes",

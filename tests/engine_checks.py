@@ -1,11 +1,12 @@
 """Shared helpers for the engine differential suites.
 
-**State budgets.**  The flat lazy DFA (:class:`repro.engine.kernel.FlatDFA`) flushes when
-interning one more state would pass ``FLAT_STATE_LIMIT``.  Real
-workloads rarely get there, so the differential suites re-run each check
-with the limit patched down to a handful of states: :func:`flat_limit`
-patches the budget, starts from fresh compiled tables, and watches every
-``FlatDFA`` built inside it; :class:`FlushTally` runs one check under
+**State budgets.**  The flat lazy DFA (:class:`repro.engine.kernel.FlatDFA`)
+and the enumeration's frontier DFA (:class:`repro.engine.oracle.FrontierDFA`)
+flush when interning one more state would pass ``FLAT_STATE_LIMIT``.
+Real workloads rarely get there, so the differential suites re-run each
+check with the limit patched down to a handful of states:
+:func:`flat_limit` patches the budget, starts from fresh compiled
+tables, and watches every DFA of either kind built inside it; :class:`FlushTally` runs one check under
 every budget in :data:`LIMITS` and remembers whether the small budgets
 really flushed.
 
@@ -23,6 +24,7 @@ import pytest
 
 from repro.engine import kernel as kernel_module
 from repro.engine.kernel import FlatDFA
+from repro.engine.oracle import FrontierDFA
 from repro.engine.tables import CompiledVA, compile_va
 from repro.spans.span import Span
 
@@ -32,13 +34,17 @@ SMALL_LIMITS = LIMITS[1:]
 
 
 class Probe:
-    """Every ``FlatDFA`` built under one budget, and the most states any
-    of them ever held at once."""
+    """Every ``FlatDFA`` and ``FrontierDFA`` built under one budget, and
+    the most states any of them ever held at once."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
-        self.dfas: list[FlatDFA] = []
+        self.dfas: list[FlatDFA | FrontierDFA] = []
         self.peak = 0
+
+    @property
+    def frontier_flushes(self) -> int:
+        return sum(dfa.flushes for dfa in self.dfas if isinstance(dfa, FrontierDFA))
 
     @property
     def flushes(self) -> int:
@@ -54,29 +60,37 @@ def flat_limit(limit: int):
     and exit, so kernels built under one budget never leak into another.
     """
     probe = Probe(limit)
-    original_init = FlatDFA.__init__
-    original_intern = FlatDFA.intern
 
-    def init(self, *args, **kwargs):
-        original_init(self, *args, **kwargs)
-        probe.dfas.append(self)
+    def watched(cls, size):
+        original_init, original_intern = cls.__init__, cls.intern
 
-    def intern(self, mask):
-        sid = original_intern(self, mask)
-        probe.peak = max(probe.peak, len(self.masks))
-        return sid
+        def init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            probe.dfas.append(self)
+
+        def intern(self, key):
+            sid = original_intern(self, key)
+            probe.peak = max(probe.peak, size(self))
+            return sid
+
+        return init, intern
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel_module, "FLAT_STATE_LIMIT", limit)
-        patch.setattr(FlatDFA, "__init__", init)
-        patch.setattr(FlatDFA, "intern", intern)
+        for cls, size in (
+            (FlatDFA, lambda dfa: len(dfa.masks)),
+            (FrontierDFA, lambda dfa: dfa.states),
+        ):
+            init, intern = watched(cls, size)
+            patch.setattr(cls, "__init__", init)
+            patch.setattr(cls, "intern", intern)
         compile_va.cache_clear()
         try:
             yield probe
         finally:
             compile_va.cache_clear()
     assert probe.peak <= limit, (
-        f"a FlatDFA held {probe.peak} states under a limit of {limit}"
+        f"a DFA held {probe.peak} states under a limit of {limit}"
     )
 
 

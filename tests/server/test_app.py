@@ -183,6 +183,50 @@ class TestHttpErrors:
         assert received.startswith(f"HTTP/1.1 {status} ".encode()), received
         assert client.healthz()["status"] == "ok"
 
+    @pytest.mark.parametrize(
+        "framing, status",
+        [
+            ("Transfer-Encoding: chunked\r\n", 501),
+            ("Content-Length: 67108864\r\n", 413),
+        ],
+        ids=["chunked-4mb", "oversized-length"],
+    )
+    def test_refusal_with_a_large_unread_body_is_delivered(
+        self, server, client, framing, status
+    ):
+        """The server answers before reading a 4 MB body it refuses, then
+        lingers: it discards what the client still sends instead of
+        resetting the connection, so the client reads the whole response
+        after it has sent everything."""
+        import socket
+
+        if "chunked" in framing:
+            chunk = b"x" * (1 << 16)
+            piece = f"{len(chunk):x}\r\n".encode() + chunk + b"\r\n"
+            body = piece * 64 + b"0\r\n\r\n"
+        else:
+            body = b"x" * (4 << 20)
+        head = (
+            "POST /evaluate HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n" + framing + "\r\n"
+        ).encode("latin-1")
+        with socket.create_connection(server.address, timeout=10) as raw:
+            raw.sendall(head + body)
+            raw.shutdown(socket.SHUT_WR)
+            received = b""
+            while chunk := raw.recv(65536):
+                received += chunk
+        response, _, payload = received.partition(b"\r\n\r\n")
+        assert response.startswith(f"HTTP/1.1 {status} ".encode()), response
+        length = next(
+            int(line.split(b":", 1)[1])
+            for line in response.split(b"\r\n")
+            if line.lower().startswith(b"content-length:")
+        )
+        assert len(payload) == length
+        assert "error" in json.loads(payload)
+        assert client.healthz()["status"] == "ok"
+
     def test_keep_alive_across_requests(self, client):
         # The same ServerClient connection serves several round-trips.
         for _ in range(3):

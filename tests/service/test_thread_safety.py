@@ -42,10 +42,12 @@ class TestCompiledSpannerUnderThreads:
 
         hammer(worker)
         stats = engine.cache_stats()
-        # Every lookup is accounted for: hits + misses == total index calls
-        # (each extract indexes once; a lost insert race still counts).
-        assert stats["index_hits"] + stats["index_misses"] > 0
-        assert stats["verdict_hits"] + stats["verdict_misses"] > 0
+        # Every call is accounted for: each extract builds one output DAG,
+        # each matches is one verdict lookup (a lost insert race still
+        # counts).
+        calls = THREADS * len(documents)
+        assert stats["dags"] == len(documents) + calls
+        assert stats["verdict_hits"] + stats["verdict_misses"] == calls
         assert stats["index_size"] <= stats["index_capacity"]
         assert stats["verdict_size"] <= stats["verdict_capacity"]
 

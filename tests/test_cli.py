@@ -262,8 +262,8 @@ class TestStatsFlag:
         engine_line = next(
             line for line in err.splitlines() if line.startswith("stats: engine")
         )
-        # The run evaluated one document through this very engine.
-        assert "index_misses=1" in engine_line
+        # The run enumerated one document through this very engine.
+        assert "dags=1" in engine_line
 
     def test_stats_merges_worker_counters(self, tmp_path, capsys):
         first = tmp_path / "a.txt"
