@@ -216,7 +216,11 @@ class FaultRegistry:
 
         The file grows by one byte per check (``O_APPEND`` writes are
         atomic at this size), so its length *is* the cross-process check
-        counter — no locking protocol between processes needed.
+        counter — no locking protocol between processes needed.  The index
+        is read from this descriptor's offset, which the append leaves just
+        past this check's own byte: the file's size could already count a
+        concurrent check from another worker, and two checks reading the
+        same size would both miss a ``once`` trigger.
         """
         path = os.path.join(self._state_dir, f"{point}.fired")
         descriptor = os.open(
@@ -224,7 +228,7 @@ class FaultRegistry:
         )
         try:
             os.write(descriptor, b".")
-            return os.fstat(descriptor).st_size - 1
+            return os.lseek(descriptor, 0, os.SEEK_CUR) - 1
         finally:
             os.close(descriptor)
 

@@ -92,6 +92,30 @@ class TestSharedState:
             registry.should_fire("compile")
         assert (tmp_path / "compile.fired").stat().st_size == 3
 
+    def test_concurrent_check_cannot_steal_the_first_fire(
+        self, monkeypatch, tmp_path
+    ):
+        """Another process's check lands between this check's append and
+        its read-back: this check still holds index 0, so a ``once``
+        trigger fires for it and the other check misses."""
+        state = str(tmp_path)
+        first = FaultRegistry.parse("worker_kill:once", state_dir=state)
+        second = FaultRegistry.parse("worker_kill:once", state_dir=state)
+        write = os.write
+        interleaved = []
+
+        def write_then_interleave(descriptor, data):
+            written = write(descriptor, data)
+            if not interleaved:
+                interleaved.append(None)
+                interleaved[0] = second.should_fire("worker_kill")
+            return written
+
+        monkeypatch.setattr(faults.os, "write", write_then_interleave)
+        assert first.should_fire("worker_kill")
+        assert interleaved == [False]
+        assert (tmp_path / "worker_kill.fired").stat().st_size == 2
+
 
 class TestModuleRegistry:
     def test_inert_by_default(self, monkeypatch):
