@@ -10,8 +10,8 @@ This PR's tentpole, measured on the serving shapes it targets:
   advances every document's DFA state with one gather per *position*, so
   the win grows with batch width; outputs must be identical
   batch-for-batch.
-* **mapping batches** — the same comparison for full output sets (the
-  prewarm path): equality is the point, the speedup rides on how much
+* **mapping batches** — the same comparison for full output sets
+  (each document on its own output DAG): equality is the point, the speedup rides on how much
   of the work enumeration dominates.
 
 Acceptance: byte-identical outputs everywhere, and (full mode) a median

@@ -482,31 +482,6 @@ class CompiledSpanner:
         """
         return [self.mappings(document) for document in documents]
 
-    @property
-    def prewarm_limit(self) -> int:
-        """Documents whose indexes fit the cache at once — callers doing a
-        prewarm-then-query pass should chunk to this size."""
-        return _DOCUMENT_CACHE_LIMIT
-
-    def prewarm(self, documents: Iterable["Document | str"]) -> None:
-        """Best-effort batch warm-up of the index and verdict caches.
-
-        Sweeps cache-missing documents in lockstep chunks sized to the
-        index LRU (:attr:`prewarm_limit`), so a following per-document
-        pass of :meth:`index` and :meth:`matches` finds its index and
-        NonEmp verdict already cached (enumeration builds its own output
-        DAG and reads neither).  Documents the batch path cannot take
-        (non-string payloads, vector layer unavailable) are skipped.
-        """
-        texts = [
-            document for document in documents if isinstance(document, str)
-        ]
-        for start in range(0, len(texts), _DOCUMENT_CACHE_LIMIT):
-            try:
-                self.index_many(texts[start : start + _DOCUMENT_CACHE_LIMIT])
-            except Exception:
-                return
-
     def extract_many(
         self, documents: Iterable["Document | str"], spans: bool = False
     ) -> list[list[dict[str, object]]]:

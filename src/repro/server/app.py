@@ -59,7 +59,9 @@ from repro.server.protocol import (
     query_result_entry,
     result_entry,
 )
+from repro.service.backend import DEFAULT_DEGRADED_RESET
 from repro.service.cache import SpannerCache
+from repro.service.evaluate import DEFAULT_MAX_REBUILDS
 from repro.service.queryset import QuerySet
 from repro.util.errors import SpannerError
 
@@ -106,13 +108,13 @@ class ServerConfig:
     #: Per-batch worker deadline, seconds (None: REPRO_TASK_TIMEOUT).
     task_timeout: float | None = None
     #: Consecutive pool rebuilds tolerated before degrading to threads.
-    max_rebuilds: int = 5
+    max_rebuilds: int = DEFAULT_MAX_REBUILDS
     #: Compile failures that open a pattern's circuit breaker …
     breaker_threshold: int = 5
     #: … and seconds it stays open before a half-open probe.
     breaker_reset: float = 30.0
     #: Seconds a degraded server waits before reviving its worker pool.
-    degraded_reset: float = 30.0
+    degraded_reset: float = DEFAULT_DEGRADED_RESET
 
     def __post_init__(self) -> None:
         # Timeout-ish knobs where zero or a negative would misbehave

@@ -24,16 +24,18 @@ concurrent requests into the large warm batches the engine is built for:
   (the HTTP layer answers 429) instead of growing the queue without
   bound.
 
-Batches execute on an :class:`~repro.service.backend.ExecutorBackend`:
-a :class:`~repro.service.backend.ProcessBackend` over the
+Batches execute on one backend (:mod:`repro.service.backend`): a
+:class:`~repro.service.backend.ProcessBackend` over the
 :class:`~repro.service.evaluate.WorkerPool` (``workers >= 1`` — each
 worker's kernel memo stays warm across batches, and hence across
-requests), a :class:`~repro.service.backend.ThreadBackend`
+requests), or a :class:`~repro.service.backend.ThreadBackend`
 (``workers = 0`` — no pickling, engines shared across threads, which is
-what the engine's cache locks exist for).  A backend that reports itself
-broken (:class:`~repro.service.resilience.PoolBroken`) degrades the
-dispatcher onto an in-process ThreadBackend until the reset window
-passes.
+what the engine's cache locks exist for).  The dispatcher only submits:
+when the pool exhausts its rebuild budget, the ProcessBackend itself
+answers on in-process threads and revives the pool after
+``degraded_reset`` seconds.  The dispatcher reports that state
+(:attr:`Dispatcher.degraded`, read from the pool) on ``/healthz`` and
+``/metrics``.
 
 ``naive=True`` is the ablation baseline the serving benchmark (E23)
 compares against: no cache, no coalescing, no batching — every request
@@ -44,7 +46,6 @@ one-request-one-eval server someone would write first.
 from __future__ import annotations
 
 import asyncio
-import logging
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -55,13 +56,13 @@ from repro.server.metrics import Metrics
 from repro.server.protocol import EVALUATE, SpanRequest
 from repro.service import faults
 from repro.service.backend import (
-    ExecutorBackend,
+    DEFAULT_DEGRADED_RESET,
     ProcessBackend,
     ThreadBackend,
 )
 from repro.service.cache import SpannerCache
 from repro.service.evaluate import DEFAULT_MAX_REBUILDS
-from repro.service.resilience import BreakerOpen, CircuitBreaker, PoolBroken
+from repro.service.resilience import BreakerOpen, CircuitBreaker
 
 __all__ = [
     "BreakerOpen",
@@ -70,8 +71,6 @@ __all__ = [
     "Overloaded",
     "RequestTooLarge",
 ]
-
-_LOGGER = logging.getLogger("repro.server")
 
 #: Distinct (pattern, opt_level) circuit breakers kept live (FIFO bound —
 #: an unbounded dict would grow with every pattern ever requested).
@@ -116,7 +115,7 @@ class DispatcherConfig:
     #: … and how long the breaker stays open before a half-open probe.
     breaker_reset: float = 30.0
     #: How long degraded mode lasts before the pool is revived and probed.
-    degraded_reset: float = 30.0
+    degraded_reset: float = DEFAULT_DEGRADED_RESET
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -174,11 +173,7 @@ class Dispatcher:
         self.cache = cache if cache is not None else SpannerCache()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._compile_pool: ThreadPoolExecutor | None = None
-        # The execution seam: the primary backend serves batches, the
-        # fallback (an in-process ThreadBackend, created lazily) takes
-        # over while the primary is degraded.
-        self._backend: ExecutorBackend | None = None
-        self._fallback: ThreadBackend | None = None
+        self._backend: ProcessBackend | ThreadBackend | None = None
         # In-flight compiles, keyed by (pattern, opt_level).  Resolved
         # engines live only in the SpannerCache — a loop-local mirror
         # would dodge the cache's capacity bound and make its stats (and
@@ -191,13 +186,10 @@ class Dispatcher:
         self._pending = 0
         self._flush_immediately = False
         self._closed = False
-        # Resilience: one compile breaker per (pattern, opt_level), the
-        # degraded flag set when the worker pool exhausts its rebuild
-        # budget, and the last-published counter totals (pool counters
-        # are cumulative; /metrics counters only take deltas).
+        # Resilience: one compile breaker per (pattern, opt_level), and
+        # the last-published counter totals (pool counters are
+        # cumulative; /metrics counters only take deltas).
         self._breakers: "OrderedDict[tuple, CircuitBreaker]" = OrderedDict()
-        self._degraded = False
-        self._degraded_at: float | None = None
         self._published: dict[str, int] = {}
 
     # -- lifecycle -------------------------------------------------------------
@@ -212,24 +204,15 @@ class Dispatcher:
                 self.config.workers,
                 task_timeout=self.config.task_timeout,
                 max_rebuilds=self.config.max_rebuilds,
+                degraded_reset=self.config.degraded_reset,
             )
         else:
-            # In-process serving: the primary backend *is* the fallback,
-            # so degraded mode can never trigger (nothing to degrade to).
-            self._fallback = ThreadBackend(self.config.inline_threads)
-            self._backend = self._fallback
+            self._backend = ThreadBackend(self.config.inline_threads)
 
     @property
     def worker_pool(self):
-        """The primary backend's WorkerPool, when it has one."""
+        """The backend's WorkerPool, when it has one."""
         return getattr(self._backend, "pool", None)
-
-    def _fallback_backend(self) -> ThreadBackend:
-        """The in-process fallback — the degraded-mode target, created
-        lazily when a non-thread server first needs it."""
-        if self._fallback is None:
-            self._fallback = ThreadBackend(self.config.inline_threads)
-        return self._fallback
 
     def flush_all(self) -> None:
         """Flush every open batch now and every future batch on arrival.
@@ -250,9 +233,7 @@ class Dispatcher:
         self._closed = True
         if self._compile_pool is not None:
             self._compile_pool.shutdown(wait=False)
-        if self._fallback is not None:
-            self._fallback.close(wait=True)
-        if self._backend is not None and self._backend is not self._fallback:
+        if self._backend is not None:
             self._backend.close(wait=True)
 
     # -- compilation (coalesced) ------------------------------------------------
@@ -489,70 +470,14 @@ class Dispatcher:
         self.metrics.gauge("repro_inflight_batches", len(self._batch_tasks))
         self._pump()
 
-    def _ready_backend(self) -> ExecutorBackend:
-        """The backend that should serve this batch; degraded-mode
-        bookkeeping (including timed revival probes) lives here."""
-        backend = self._backend
-        assert backend is not None, "Dispatcher.start() was never awaited"
-        if backend is self._fallback or not self._degraded:
-            return backend
-        if (
-            self._degraded_at is not None
-            and time.monotonic() - self._degraded_at
-            >= self.config.degraded_reset
-        ):
-            try:
-                backend.revive()
-            except RuntimeError:
-                return self._fallback_backend()  # already shut down
-            self._degraded = False
-            self._degraded_at = None
-            self.metrics.gauge("repro_degraded", 0)
-            _LOGGER.warning("degraded period over; probing the %s backend", backend.name)
-            return backend
-        return self._fallback_backend()
-
-    def _enter_degraded(self) -> None:
-        if self._degraded:
-            return
-        self._degraded = True
-        self._degraded_at = time.monotonic()
-        self.metrics.gauge("repro_degraded", 1)
-        _LOGGER.warning(
-            "%s backend broken; serving on in-process threads (degraded) "
-            "for %.3gs",
-            self._backend.name if self._backend is not None else "primary",
-            self.config.degraded_reset,
-        )
-
     async def _run_batch(self, batch: _Batch, items: list) -> None:
         records = [(doc_id, text) for doc_id, text, _ in items]
         try:
-            backend = self._ready_backend()
-            try:
-                triples = await asyncio.wrap_future(
-                    backend.submit(
-                        batch.engine,
-                        records,
-                        kind=batch.kind,
-                        spans=batch.spans,
-                    )
+            triples = await asyncio.wrap_future(
+                self._backend.submit(
+                    batch.engine, records, kind=batch.kind, spans=batch.spans
                 )
-            except PoolBroken:
-                # Graceful degradation: answer this batch (and the
-                # next ones, until the reset window passes) on the
-                # in-process thread executor instead of failing it.
-                if backend is self._fallback:
-                    raise
-                self._enter_degraded()
-                triples = await asyncio.wrap_future(
-                    self._fallback_backend().submit(
-                        batch.engine,
-                        records,
-                        kind=batch.kind,
-                        spans=batch.spans,
-                    )
-                )
+            )
             # Results come back in submission order.  Document ids are
             # only unique *within* one request — a batch spans many — so
             # matching must be positional, never by id.
@@ -563,8 +488,8 @@ class Dispatcher:
                 )
             outcomes = [(payload, error) for _, payload, error in triples]
         except Exception as error:
-            # The whole batch failed (e.g. a broken pool): report every
-            # document rather than losing the requests.
+            # The whole batch failed (e.g. a closed backend): report
+            # every document rather than losing the requests.
             described = f"{type(error).__name__}: {error}"
             outcomes = [(None, described)] * len(items)
         finally:
@@ -578,8 +503,10 @@ class Dispatcher:
 
     @property
     def degraded(self) -> bool:
-        """Whether batches are being served on the in-process fallback."""
-        return self._degraded
+        """Whether the worker pool is broken, so batches run on the
+        backend's in-process fallback until it is revived."""
+        pool = self.worker_pool
+        return pool is not None and pool.failed
 
     def breaker_states(self) -> dict[str, int]:
         """How many compile breakers sit in each state right now."""
@@ -595,7 +522,7 @@ class Dispatcher:
     def resilience_stats(self) -> dict[str, object]:
         """Pool liveness + breaker summary for ``/healthz`` and tests."""
         stats: dict[str, object] = {
-            "degraded": self._degraded,
+            "degraded": self.degraded,
             "breakers": self.breaker_states(),
         }
         pool = self.worker_pool
@@ -625,7 +552,7 @@ class Dispatcher:
                 self._published[metric] = max(total, published)
         for state, count in self.breaker_states().items():
             self.metrics.gauge("repro_breaker_state", count, state=state)
-        self.metrics.gauge("repro_degraded", 1 if self._degraded else 0)
+        self.metrics.gauge("repro_degraded", 1 if self.degraded else 0)
 
     def stats(self) -> dict[str, object]:
         """A live snapshot for ``/healthz`` and tests."""

@@ -13,11 +13,7 @@ sharded, error-isolated corpus evaluation with a worker pool
 
 import warnings as _warnings
 
-from repro.service.backend import (
-    ExecutorBackend,
-    ProcessBackend,
-    ThreadBackend,
-)
+from repro.service.backend import ProcessBackend, ThreadBackend
 from repro.service.cache import (
     DEFAULT_CACHE,
     SpannerCache,
@@ -56,7 +52,6 @@ __all__ = [
     "CorpusResult",
     "DEFAULT_CACHE",
     "DirectoryCorpus",
-    "ExecutorBackend",
     "GeneratorCorpus",
     "InMemoryCorpus",
     "PoolBroken",

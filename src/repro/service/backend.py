@@ -1,25 +1,23 @@
-"""Executor backends: one submit/stats/close seam over threads and processes.
+"""Executor backends: where a batch of ``(doc_id, text)`` records runs.
 
 The server dispatcher and :func:`~repro.service.evaluate.evaluate_corpus`
-run a batch of ``(doc_id, text)`` records in one of two places: an
-in-process thread pool or the :class:`~repro.service.evaluate.WorkerPool`
-process pool.  :class:`ExecutorBackend` is the seam both share, so the
-dispatcher can fall back from one to the other when degraded:
-
-* :meth:`ExecutorBackend.submit` ships one ``evaluate_records``-shaped
-  batch and returns a :class:`concurrent.futures.Future` resolving to the
-  usual ``(doc_id, payload, error)`` triples, in submission order;
-* :meth:`ExecutorBackend.stats` reports the executor-side counters
-  (worker kernel/cache sums for processes);
-* :meth:`ExecutorBackend.close` releases the executor.
+hand batches to one of two backends with the same duck-typed surface:
+``submit(engine, records, kind=..., spans=...)`` ships one
+``evaluate_records``-shaped batch and returns a
+:class:`concurrent.futures.Future` resolving to the usual
+``(doc_id, payload, error)`` triples, in submission order, and
+``close()`` releases the executor.
 
 :class:`ThreadBackend` runs batches on in-process threads (no pickling,
-engines shared across threads — the ``workers=0`` server path and the
-degraded-mode fallback).  :class:`ProcessBackend` wraps a
-:class:`~repro.service.evaluate.WorkerPool` and inherits its whole fault
-story (rebuild + requeue, quarantine bisection,
-:class:`~repro.service.resilience.PoolBroken` when the rebuild budget is
-exhausted).
+engines shared across threads — the ``workers=0`` server path).
+:class:`ProcessBackend` runs them on a
+:class:`~repro.service.evaluate.WorkerPool` and owns the one degrade
+policy: the pool's own fault story (rebuild + requeue, quarantine
+bisection) handles worker deaths, and once the pool exhausts its
+rebuild budget (:class:`~repro.service.resilience.PoolBroken`) the
+backend answers on in-process threads instead, reviving the pool after
+``degraded_reset`` seconds.  Callers only submit; none of them sees
+``PoolBroken``.
 
 >>> from repro.engine.compiled import compile_spanner
 >>> with ThreadBackend() as backend:
@@ -32,56 +30,25 @@ exhausted).
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.engine.compiled import CompiledSpanner
-from repro.service.evaluate import WorkerPool, evaluate_records
+from repro.service.evaluate import (
+    WorkerPool,
+    _settle_exception,
+    _settle_result,
+    evaluate_records,
+)
+from repro.service.resilience import PoolBroken
 
-__all__ = ["ExecutorBackend", "ProcessBackend", "ThreadBackend"]
+__all__ = ["DEFAULT_DEGRADED_RESET", "ProcessBackend", "ThreadBackend"]
 
 _KINDS = ("mappings", "extract", "matches")
 
-
-class ExecutorBackend:
-    """The abstract executor seam (see the module docstring).
-
-    Concrete backends are duck-typed — anything with this surface works —
-    but subclassing documents intent and inherits the context-manager
-    plumbing.  ``parallelism`` is the backend's useful concurrency width
-    (callers size their in-flight backlog from it).
-    """
-
-    name = "abstract"
-
-    @property
-    def parallelism(self) -> int:
-        return 1
-
-    def submit(
-        self,
-        engine: CompiledSpanner,
-        records,
-        *,
-        kind: str = "mappings",
-        spans: bool = False,
-    ) -> Future:
-        raise NotImplementedError
-
-    def stats(self, fingerprint: str | None = None) -> dict:
-        """Executor-side counters; shape varies per backend."""
-        return {"backend": self.name, "workers": 0}
-
-    def revive(self) -> None:
-        """Reset a failed backend (no-op where failure cannot happen)."""
-
-    def close(self, wait: bool = True) -> None:
-        raise NotImplementedError
-
-    def __enter__(self) -> "ExecutorBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+#: Seconds a broken pool's batches run on threads before the pool is
+#: revived and probed.
+DEFAULT_DEGRADED_RESET = 30.0
 
 
 def _check_kind(kind: str) -> None:
@@ -89,11 +56,11 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown batch kind {kind!r}")
 
 
-class ThreadBackend(ExecutorBackend):
+class ThreadBackend:
     """Batches on an in-process thread pool, engines shared across threads.
 
     The executor is created lazily on first submit, so a ThreadBackend
-    held only as a fallback (the worker-pool server's degraded target)
+    held only as a fallback (a :class:`ProcessBackend`'s degraded target)
     costs nothing until the day it is needed.
     """
 
@@ -105,10 +72,6 @@ class ThreadBackend(ExecutorBackend):
         self._threads = threads or min(32, (os.cpu_count() or 1) + 4)
         self._executor: ThreadPoolExecutor | None = None
         self._closed = False
-
-    @property
-    def parallelism(self) -> int:
-        return self._threads
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
         if self._closed:
@@ -133,25 +96,32 @@ class ThreadBackend(ExecutorBackend):
             evaluate_records, engine, batch, kind, spans
         )
 
-    def stats(self, fingerprint: str | None = None) -> dict:
-        # Counters accrue on the caller's own engine — there is no
-        # executor-side engine copy to report on.
-        return {"backend": self.name, "workers": 0}
-
     def close(self, wait: bool = True) -> None:
         self._closed = True
         if self._executor is not None:
             self._executor.shutdown(wait=wait)
 
+    def __enter__(self) -> "ThreadBackend":
+        return self
 
-class ProcessBackend(ExecutorBackend):
-    """Batches on a :class:`~repro.service.evaluate.WorkerPool`.
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class ProcessBackend:
+    """Batches on a :class:`~repro.service.evaluate.WorkerPool`, degrading
+    to in-process threads while the pool is broken.
 
     Either wraps a caller-owned pool (``pool=...`` — ``close`` leaves it
     alone) or spawns and owns one (``workers=N`` plus the pool's keyword
-    arguments).  Submit-time failure semantics are the pool's own:
-    worker death rebuilds and requeues, and only
-    :class:`~repro.service.resilience.PoolBroken` reaches the caller.
+    arguments).  Worker death rebuilds and requeues inside the pool.
+    When the pool exhausts its rebuild budget — its ``submit`` raises
+    :class:`~repro.service.resilience.PoolBroken`, or a batch's future
+    resolves to it — that batch and every later one run on an owned,
+    auto-sized :class:`ThreadBackend`, with identical results.  The
+    backend is *degraded* exactly while ``pool.failed`` holds.  The
+    first submit ``degraded_reset`` seconds after the break revives the
+    pool and probes it with its own batch.
     """
 
     name = "processes"
@@ -161,22 +131,24 @@ class ProcessBackend(ExecutorBackend):
         workers: int | None = None,
         *,
         pool: WorkerPool | None = None,
+        degraded_reset: float = DEFAULT_DEGRADED_RESET,
         **pool_kwargs,
     ) -> None:
         if (workers is None) == (pool is None):
             raise ValueError("pass exactly one of workers= or pool=")
         if pool is not None and pool_kwargs:
             raise ValueError("pool keyword arguments need workers=")
+        if degraded_reset <= 0:
+            raise ValueError("degraded_reset must be positive")
         self._owned = pool is None
         self.pool = pool if pool is not None else WorkerPool(workers, **pool_kwargs)
+        self._degraded_reset = degraded_reset
+        self._fallback = ThreadBackend()
 
     @property
     def parallelism(self) -> int:
+        """The pool's worker count (callers size their backlog from it)."""
         return self.pool.workers
-
-    @property
-    def failed(self) -> bool:
-        return self.pool.failed
 
     def submit(
         self,
@@ -186,16 +158,69 @@ class ProcessBackend(ExecutorBackend):
         kind: str = "mappings",
         spans: bool = False,
     ) -> Future:
-        return self.pool.submit(engine, records, kind=kind, spans=spans)
+        batch = list(records)
+
+        def degrade() -> Future:
+            return self._fallback.submit(engine, batch, kind=kind, spans=spans)
+
+        if not self._pool_ready():
+            return degrade()
+        try:
+            inner = self.pool.submit(engine, batch, kind=kind, spans=spans)
+        except PoolBroken:
+            return degrade()
+        outer: Future = Future()
+
+        def finish(done: Future) -> None:
+            error = done.exception()
+            if error is None:
+                _settle_result(outer, done.result())
+            else:
+                _settle_exception(outer, error)
+
+        def settle(done: Future) -> None:
+            # Runs on a pool thread, so it must not block: a broken
+            # batch is resubmitted, and settles from its fallback future.
+            # No closure here refers to itself: a cycle would keep every
+            # batch's results alive until the cycle collector ran.
+            if isinstance(done.exception(), PoolBroken):
+                try:
+                    degrade().add_done_callback(finish)
+                except RuntimeError as closed:  # the backend was closed
+                    _settle_exception(outer, closed)
+                return
+            finish(done)
+
+        inner.add_done_callback(settle)
+        return outer
+
+    def _pool_ready(self) -> bool:
+        """Whether the next batch goes to the pool: it is alive, or it
+        broke ``degraded_reset`` seconds ago and was just revived."""
+        state = self.pool.resilience()
+        if not state["failed"]:
+            return True
+        if time.time() - state["last_restart"] < self._degraded_reset:
+            return False
+        try:
+            self.pool.revive()
+        except RuntimeError:  # shut down by its owner: stay on threads
+            return False
+        return True
 
     def stats(self, fingerprint: str | None = None) -> dict:
+        """The pool's summed worker-side counters."""
         stats = self.pool.stats(fingerprint)
         stats["backend"] = self.name
         return stats
 
-    def revive(self) -> None:
-        self.pool.revive()
-
     def close(self, wait: bool = True) -> None:
+        self._fallback.close(wait=wait)
         if self._owned:
             self.pool.shutdown(wait=wait)
+
+    def __enter__(self) -> "ProcessBackend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

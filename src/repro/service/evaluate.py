@@ -77,6 +77,15 @@ _BACKLOG_PER_WORKER = 2
 #: tolerates before declaring itself failed (:class:`PoolBroken`).
 DEFAULT_MAX_REBUILDS = 5
 
+#: Held around every executor ``submit``, where a fresh executor forks its
+#: workers.  A fork copies every open descriptor, and a worker's liveness
+#: pipe is open in the parent only while that worker forks: a second
+#: thread forking in that window (a retry timer rebuilding the pool while
+#: the quarantine thread starts a probe) hands the other worker's pipe to
+#: its own long-lived child, so that worker's death is never seen and its
+#: batch waits forever.
+_FORK_LOCK = threading.Lock()
+
 
 @dataclass(frozen=True)
 class CorpusResult:
@@ -400,14 +409,15 @@ class WorkerPool:
             generation = self._generation
             pool = self._pool
         try:
-            inner = pool.submit(
-                _evaluate_batch,
-                engine.fingerprint,
-                self._automaton_blob(engine),
-                list(task["records"]),
-                task["kind"],
-                task["spans"],
-            )
+            with _FORK_LOCK:
+                inner = pool.submit(
+                    _evaluate_batch,
+                    engine.fingerprint,
+                    self._automaton_blob(engine),
+                    list(task["records"]),
+                    task["kind"],
+                    task["spans"],
+                )
         except BrokenExecutor:
             self._rebuild(generation)
             self._retry_or_fail(engine, task, outer, "worker process died")
@@ -570,14 +580,15 @@ class WorkerPool:
         """One quarantined attempt; ``None`` when the probe pool broke/hung."""
         probe_pool = ProcessPoolExecutor(max_workers=1, initializer=_worker_init)
         try:
-            future = probe_pool.submit(
-                _evaluate_batch,
-                engine.fingerprint,
-                self._automaton_blob(engine),
-                list(records),
-                kind,
-                spans,
-            )
+            with _FORK_LOCK:
+                future = probe_pool.submit(
+                    _evaluate_batch,
+                    engine.fingerprint,
+                    self._automaton_blob(engine),
+                    list(records),
+                    kind,
+                    spans,
+                )
             try:
                 triples, (fingerprint, snapshot) = future.result(
                     timeout=self._task_timeout
@@ -781,43 +792,22 @@ def _parallel(
     from repro.service.backend import ProcessBackend
 
     # A borrowed pool outlives this sweep: its backend's close() leaves
-    # it running.
+    # it running.  A broken pool's chunks run on the backend's in-process
+    # threads, through the same evaluate_records.
     backend = (
         ProcessBackend(pool=pool)
         if pool is not None
         else ProcessBackend(workers, task_timeout=task_timeout)
     )
-    degraded = False
-    # ``(future, chunk)`` in flight; a ``None`` future marks a chunk that
-    # will be evaluated in-process (degraded mode) when its turn comes —
-    # keeping it in the deque preserves corpus order in ordered mode.
-    pending: "deque[tuple[Future | None, list[CorpusRecord]]]" = deque()
-
-    def note_degraded() -> None:
-        nonlocal degraded
-        if not degraded:
-            degraded = True
-            _LOGGER.warning(
-                "worker pool unavailable; evaluating remaining corpus "
-                "chunks in-process"
-            )
+    # ``(future, chunk)`` in flight, in corpus order.
+    pending: "deque[tuple[Future, list[CorpusRecord]]]" = deque()
 
     def submit_next() -> bool:
         chunk = next(chunks, None)
         if chunk is None:
             return False
-        if not degraded:
-            try:
-                pending.append(
-                    (
-                        backend.submit(engine, chunk, kind=kind, spans=spans),
-                        chunk,
-                    )
-                )
-                return True
-            except PoolBroken:
-                note_degraded()
-        pending.append((None, chunk))
+        future = backend.submit(engine, chunk, kind=kind, spans=spans)
+        pending.append((future, chunk))
         return True
 
     try:
@@ -829,33 +819,14 @@ def _parallel(
             if ordered:
                 future, chunk = pending.popleft()
             else:
+                wait({f for f, _ in pending}, return_when=FIRST_COMPLETED)
                 position = next(
-                    (
-                        i
-                        for i, (f, _) in enumerate(pending)
-                        if f is None or f.done()
-                    ),
-                    None,
+                    i for i, (f, _) in enumerate(pending) if f.done()
                 )
-                if position is None:
-                    wait(
-                        {f for f, _ in pending if f is not None},
-                        return_when=FIRST_COMPLETED,
-                    )
-                    position = next(
-                        i for i, (f, _) in enumerate(pending) if f.done()
-                    )
                 future, chunk = pending[position]
                 del pending[position]
-            error = future.exception() if future is not None else None
+            error = future.exception()
             submit_next()
-            if future is None or isinstance(error, PoolBroken):
-                # Graceful degradation: the pool is gone — evaluate this
-                # chunk (and every later one) on the caller's own engine,
-                # same per-document semantics, no documents lost.
-                note_degraded()
-                yield from _serial(engine, chunk, decode, spans)
-                continue
             if error is not None:
                 # The whole shard failed (e.g. unpicklable results): report
                 # every document of the chunk rather than aborting the run.
@@ -903,8 +874,10 @@ def evaluate_corpus(
     Parallel runs are fault tolerant: a killed or hung worker rebuilds
     the pool and requeues its batches (``task_timeout`` arms a
     per-batch deadline, default ``REPRO_TASK_TIMEOUT``), and if the pool
-    exhausts its rebuild budget the remaining documents are evaluated
-    in-process — the result stream is identical either way.  ``pool``
+    exhausts its rebuild budget the remaining chunks are evaluated on
+    in-process threads until the degraded window passes and the pool is
+    revived (see :class:`~repro.service.backend.ProcessBackend`) — the
+    result stream is identical either way.  ``pool``
     reuses a caller-owned :class:`WorkerPool` (and forces the parallel
     path) instead of spawning one per call; this function never shuts
     it down.

@@ -197,9 +197,9 @@ class TestCompiledBatchApi:
         for index, text in zip(engine.index_many(BATCH), BATCH):
             assert index.reach == DocumentIndex(engine.tables, text).reach
 
-    def test_extraction_order_survives_prewarm(self):
+    def test_extraction_order_survives_index_many(self):
         engine = compile_spanner(PATTERNS[1])
-        engine.prewarm(BATCH)
+        engine.index_many(BATCH)
         reference = compile_spanner(PATTERNS[1])
         for text in BATCH:
             assert list(engine.extract(text)) == list(reference.extract(text))

@@ -203,6 +203,30 @@ class TestPoolProcesses:
         assert len(workers) == 2
         assert children == workers
 
+    def test_every_executor_submit_holds_the_fork_lock(self, monkeypatch):
+        """A fresh executor forks its workers inside ``submit``.  Two
+        threads forking at once leak one worker's liveness pipe into the
+        other's child, which hides that worker's death and hangs its
+        batch, so the pool's and the quarantine probe's submits take
+        one lock."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.service import evaluate
+
+        held = []
+        real_submit = ProcessPoolExecutor.submit
+
+        def spy(executor, *args, **kwargs):
+            held.append(evaluate._FORK_LOCK.locked())
+            return real_submit(executor, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+        engine = compile_spanner(PATTERN)
+        with evaluate.WorkerPool(1) as pool:
+            pool.submit(engine, [("d0", "baa")]).result(timeout=60)
+            pool._probe_once(engine, [("d0", "baa")], "mappings", False)
+        assert held == [True, True]
+
 
 class TestExtractCorpus:
     def test_decoded_results(self):

@@ -10,7 +10,9 @@ degradation cycle an operator would see:
    server must still answer the request correctly (in-process fallback);
 3. **degraded** — ``/healthz`` must now read ``degraded`` with
    ``pool.alive == false``, and ``/metrics`` must report
-   ``repro_degraded 1``;
+   ``repro_degraded 1``; a clean request inside the reset window is
+   answered correctly on the already-failed pool's in-process fallback,
+   and ``/healthz`` still reads ``degraded`` after it;
 4. **recover** — after ``--degraded-reset`` the next request revives the
    pool (the poison knob is gone from the environment by then only for
    *new* workers, so the request must be clean) and ``/healthz`` flips
@@ -109,6 +111,15 @@ def main() -> int:
         assert health["degraded"] is True, health
         assert health["pool"]["alive"] is False, health
         assert "repro_degraded 1" in _metrics(), "metrics missed degradation"
+
+        # Inside the window the failed pool is not touched: the request
+        # is answered in-process and the server stays degraded.
+        reply = _enumerate("Seller: Ann, ID9\n")
+        assert reply["results"][0]["mappings"] == [{"x": "Ann"}], reply
+        assert reply["results"][0]["error"] is None, reply
+        health = _get_json("/healthz")
+        assert health["status"] == "degraded", health
+        assert health["pool"]["alive"] is False, health
 
         # Past the reset window the next request revives the pool.  New
         # workers inherit the poison knob too, so send a clean document.
