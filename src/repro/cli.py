@@ -251,6 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_serve_parser() -> argparse.ArgumentParser:
     """The ``repro serve`` flags (mirrors :class:`repro.server.ServerConfig`)."""
+    from repro.service.backend import DEFAULT_DEGRADED_RESET
+    from repro.service.evaluate import DEFAULT_MAX_REBUILDS
+
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description=(
@@ -326,21 +329,21 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-rebuilds",
         type=_nonnegative_int,
-        default=5,
+        default=DEFAULT_MAX_REBUILDS,
         metavar="N",
         help=(
             "consecutive worker-pool rebuilds tolerated before the server "
-            "degrades to in-process evaluation (default 5)"
+            f"degrades to in-process evaluation (default {DEFAULT_MAX_REBUILDS})"
         ),
     )
     parser.add_argument(
         "--degraded-reset",
         type=_positive_float,
-        default=30.0,
+        default=DEFAULT_DEGRADED_RESET,
         metavar="SECONDS",
         help=(
             "after degrading, wait this long before trying to revive the "
-            "worker pool (default 30)"
+            f"worker pool (default {DEFAULT_DEGRADED_RESET:g})"
         ),
     )
     return parser

@@ -3,10 +3,10 @@
 Precompiled transition tables (:mod:`repro.engine.tables`), the bitmask
 kernel — alphabet-class compression, mask state sets and the flat lazy
 DFA that flushes at its state budget (:mod:`repro.engine.kernel`) —
-the memoised ``Eval`` oracle and the per-document output DAG enumeration
-reads (:mod:`repro.engine.oracle`),
-lockstep batch sweeps (:mod:`repro.engine.vector`), and the reusable
-:class:`CompiledSpanner` with its batch API (:mod:`repro.engine.compiled`).
+the memoised ``Eval`` oracle, whose unpinned case (NonEmp) is one forward
+walk of the flat DFA, and the per-document output DAG enumeration reads
+(:mod:`repro.engine.oracle`), and the reusable :class:`CompiledSpanner`
+with its batch API (:mod:`repro.engine.compiled`).
 """
 
 import warnings as _warnings

@@ -45,9 +45,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from repro.automata.fingerprint import va_fingerprint
 from repro.automata.sequential import is_sequential
 from repro.automata.va import VA
-from repro.engine.oracle import Completions, OutputDAG, eval_compiled
+from repro.engine.oracle import Completions, OutputDAG, eval_compiled, non_empty_compiled
 from repro.engine.tables import CompiledVA, DocumentIndex, compile_va
-from repro.engine.vector import batch_accept, batch_index
 from repro.plan import Plan, plan as build_plan
 from repro.spans.document import Document, as_text
 from repro.spans.mapping import ExtendedMapping, Mapping, Variable
@@ -58,6 +57,10 @@ from repro.spans.span import Span
 #: regardless of document size.
 _DOCUMENT_CACHE_LIMIT = 64
 _VERDICT_CACHE_LIMIT = 4096
+
+#: The pin component of every NonEmp verdict's cache key: one shared
+#: object, so a cached NonEmp verdict costs a key tuple and no set.
+_NO_PINS: frozenset = frozenset()
 
 
 class CompiledSpanner:
@@ -229,60 +232,8 @@ class CompiledSpanner:
         return built
 
     def index_many(self, documents: "Sequence[Document | str]") -> list[DocumentIndex]:
-        """Reachability indexes for a batch, built in one lockstep sweep.
-
-        Cache-equivalent to calling :meth:`index` per document — hits
-        and misses count identically, misses land in the same LRU — but
-        misses are swept together through
-        :func:`repro.engine.vector.batch_index` when the vector layer is
-        available (falling back to per-document builds when not).  The
-        batch sweep's final states additionally pre-warm the NonEmp
-        verdict cache.
-        """
-        texts = [as_text(document) for document in documents]
-        out: list[DocumentIndex | None] = [None] * len(texts)
-        pending: OrderedDict[str, list[int]] = OrderedDict()
-        with self._lock:
-            for position, text in enumerate(texts):
-                key = (len(text), hash(text))
-                index = self._indexes.get(key)
-                if index is not None and index.text == text:
-                    self._indexes.move_to_end(key)
-                    self._index_hits += 1
-                    out[position] = index
-                else:
-                    pending.setdefault(text, []).append(position)
-        if not pending:
-            return out
-        miss_texts = list(pending)
-        built = batch_index(self._cva, miss_texts)
-        if built is None:
-            built = [DocumentIndex(self._cva, text) for text in miss_texts]
-        empty_key = frozenset()
-        final = self._cva.final
-        with self._lock:
-            for text, index in zip(miss_texts, built):
-                self._index_misses += 1
-                key = (len(text), hash(text))
-                current = self._indexes.get(key)
-                if current is not None and current.text == text:
-                    index = current  # another thread built it first
-                else:
-                    if current is None and len(self._indexes) >= _DOCUMENT_CACHE_LIMIT:
-                        self._indexes.popitem(last=False)
-                    self._indexes[key] = index
-                # The forward sweep's last state already answers NonEmp
-                # (the unpinned eval walks the same DFA).
-                verdict_key = (len(text), hash(text), empty_key)
-                if verdict_key not in self._verdicts:
-                    if len(self._verdicts) >= _VERDICT_CACHE_LIMIT:
-                        self._verdicts.popitem(last=False)
-                    self._verdicts[verdict_key] = bool(
-                        (index._reach_masks[-1] >> final) & 1
-                    )
-                for position in pending[text]:
-                    out[position] = index
-        return out
+        """:meth:`index` for every document of a batch, in order."""
+        return [self.index(document) for document in documents]
 
     # -- decision problems -------------------------------------------------------
 
@@ -296,10 +247,12 @@ class CompiledSpanner:
         would alias their verdicts.  Unlike :meth:`index` there is no
         stored text to verify against; the risk is accepted as
         negligible (siphash collisions at ~2⁻⁶⁴ per candidate pair)
-        in exchange for O(1) memory per cached verdict.
+        in exchange for O(1) memory per cached verdict.  With no pins
+        this is NonEmp (:func:`~repro.engine.oracle.non_empty_compiled`).
         """
         text = as_text(document)
-        key = (len(text), hash(text), frozenset(pinned.items()))
+        pins = frozenset(pinned.items()) or _NO_PINS
+        key = (len(text), hash(text), pins)
         with self._lock:
             verdict = self._verdicts.get(key)
             if verdict is not None:
@@ -309,11 +262,15 @@ class CompiledSpanner:
         verdict = eval_compiled(self._cva, text, pinned)  # outside the lock
         with self._lock:
             self._verdict_misses += 1
-            if key not in self._verdicts:
-                if len(self._verdicts) >= _VERDICT_CACHE_LIMIT:
-                    self._verdicts.popitem(last=False)
-                self._verdicts[key] = verdict
+            self._remember(key, verdict)
         return verdict
+
+    def _remember(self, key: tuple, verdict: bool) -> None:
+        # The caller holds ``self._lock``.
+        if key not in self._verdicts:
+            if len(self._verdicts) >= _VERDICT_CACHE_LIMIT:
+                self._verdicts.popitem(last=False)
+            self._verdicts[key] = verdict
 
     def matches(self, document: "Document | str") -> bool:
         """``⟦A⟧_d ≠ ∅`` (NonEmp as ``Eval`` with the empty mapping)."""
@@ -323,10 +280,10 @@ class CompiledSpanner:
         """NonEmp verdicts for a batch of documents.
 
         Identical to ``[self.matches(d) for d in documents]`` — same
-        verdicts, same cache discipline — but verdict-cache misses
-        resolve through one lockstep forward sweep
-        (:func:`repro.engine.vector.batch_accept`) instead of one python
-        sweep per document.  This is the server ``/evaluate`` hot path.
+        verdicts, same cache keys and counters — with one pass over the
+        verdict cache for the whole batch; each distinct miss is one
+        forward walk (:func:`~repro.engine.oracle.non_empty_compiled`).
+        This is the server ``/evaluate`` hot path.
 
         >>> engine = compile_spanner(".*x{a+}.*")
         >>> engine.matches_many(["ba", "bb", "a"])
@@ -334,12 +291,10 @@ class CompiledSpanner:
         """
         texts = [as_text(document) for document in documents]
         out: list[bool | None] = [None] * len(texts)
-        empty = ExtendedMapping.empty()
-        empty_key = frozenset(empty.items())
-        pending: OrderedDict[str, list[int]] = OrderedDict()
+        pending: dict[str, list[int]] = {}
         with self._lock:
             for position, text in enumerate(texts):
-                key = (len(text), hash(text), empty_key)
+                key = (len(text), hash(text), _NO_PINS)
                 verdict = self._verdicts.get(key)
                 if verdict is not None:
                     self._verdicts.move_to_end(key)
@@ -349,22 +304,14 @@ class CompiledSpanner:
                     pending.setdefault(text, []).append(position)
         if not pending:
             return out
-        miss_texts = list(pending)
-        verdicts = batch_accept(self._cva, miss_texts)
-        if verdicts is None:
-            verdicts = [self.eval(text, empty) for text in miss_texts]
-        else:
-            with self._lock:
-                for text, verdict in zip(miss_texts, verdicts):
-                    self._verdict_misses += 1
-                    key = (len(text), hash(text), empty_key)
-                    if key not in self._verdicts:
-                        if len(self._verdicts) >= _VERDICT_CACHE_LIMIT:
-                            self._verdicts.popitem(last=False)
-                        self._verdicts[key] = verdict
-        for text, verdict in zip(miss_texts, verdicts):
-            for position in pending[text]:
-                out[position] = verdict
+        cva = self._cva
+        verdicts = [non_empty_compiled(cva, text) for text in pending]
+        with self._lock:
+            for (text, positions), verdict in zip(pending.items(), verdicts):
+                self._verdict_misses += 1
+                self._remember((len(text), hash(text), _NO_PINS), verdict)
+                for position in positions:
+                    out[position] = verdict
         return out
 
     def check(self, document: "Document | str", mapping: Mapping) -> bool:

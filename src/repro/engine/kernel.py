@@ -42,8 +42,12 @@ variable-set automata:
 * **Two recorded sweeps** — :func:`_flat_sweep` (forward, with counted
   closures where a ``required`` dict asks) and :func:`_sweep_back`
   (backward) keep that flush contract for the document index and the
-  ``Eval`` oracle.  Enumeration runs one level up, on the frontier DFA
-  of :mod:`repro.engine.oracle`, which follows the same budget.
+  pinned ``Eval`` oracle.  NonEmp needs no recording: it is one forward
+  walk of the pin-free DFA
+  (:func:`~repro.engine.oracle.non_empty_compiled`), one document at a
+  time, batches included.  Enumeration runs one level up, on the
+  frontier DFA of :mod:`repro.engine.oracle`, which follows the same
+  budget.
 
 Every sweep runs over a :class:`SweepContext`: the same machinery with
 the closure graph restricted by a pin partition — operations of
@@ -106,9 +110,8 @@ def numpy_or_none():
 
     ``REPRO_NO_NUMPY=1`` forces every numpy fast path off process-wide —
     the pure-python lane CI runs — without uninstalling anything; unset
-    or ``0`` leaves numpy on when importable.  The single gate shared by
-    document interning and the vector layer
-    (:mod:`repro.engine.vector`).
+    or ``0`` leaves numpy on when importable.  Document interning is
+    the one numpy path it gates (:data:`NUMPY_INTERN_MIN`).
     """
     if _np is None or os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0"):
         return None
@@ -540,11 +543,6 @@ class FlatDFA:
         # short-circuits without ever exploring.
         self.rows: list[array] = [array("i", [0]) * self.num_classes]
 
-    @property
-    def full(self) -> bool:
-        """Whether interning one more state would flush the table."""
-        return len(self.masks) >= FLAT_STATE_LIMIT
-
     def intern(self, mask: int) -> int:
         """The state id of ``mask`` (assigning one on first sight)."""
         sid = self.ids.get(mask)
@@ -826,7 +824,6 @@ class FlatTables:
         "_np_table",
         "_interned",
         "_lock",
-        "_vector",
     )
 
     def __init__(self, kernel: Kernel) -> None:
@@ -856,10 +853,6 @@ class FlatTables:
         #: The enumeration's frontier DFA over these tables, attached
         #: lazily by :func:`repro.engine.oracle.frontier_dfa`.
         self.frontier = None
-        #: The numpy vector layer over these tables, attached lazily by
-        #: :func:`repro.engine.vector.vector_tables` (``None`` until a
-        #: batch sweep first asks for it).
-        self._vector = None
 
     # -- documents -------------------------------------------------------------
 

@@ -9,7 +9,9 @@ serves them all.  Two layers:
   sweep (:func:`~repro.engine.kernel._flat_sweep`) on the kernel's flat
   lazy DFA: state sets are interned bitmasks, a position without required
   operations is one table load, and the ≤ 2k positions with required
-  operations run a counted closure over per-count masks.
+  operations run a counted closure over per-count masks.  With no pins
+  it is NonEmp, :func:`non_empty_compiled`: one forward walk of the
+  pin-free DFA.
 
 * :class:`OutputDAG` — what enumeration reads, after the output DAG of
   Florenzano et al. (PODS 2018) and Amarilli et al. (ICDT 2019).  A node
@@ -104,6 +106,8 @@ def eval_compiled(cva: CompiledVA, text: str, pinned: ExtendedMapping) -> bool:
     >>> eval_compiled(cva, "ab", ExtendedMapping({"y": NULL}))
     False
     """
+    if not pinned:
+        return non_empty_compiled(cva, text)
     end = len(text) + 1
     requirements = Requirements(cva, end, pinned)
     if not requirements.valid:
@@ -124,6 +128,43 @@ def eval_compiled(cva: CompiledVA, text: str, pinned: ExtendedMapping) -> bool:
         return False
     masks, needed = swept
     return bool((masks[needed] >> cva.final) & 1)
+
+
+def non_empty_compiled(cva: CompiledVA, text: str) -> bool:
+    """NonEmp, ``⟦A⟧_d ≠ ∅``: one forward walk of the pin-free flat DFA.
+
+    The engine's automaton is sequential, so the unpinned ``Eval`` is
+    plain acceptance of the document by the DFA of its free closure —
+    the paper's single forward pass.  A ``-1`` row entry is explored on
+    the spot; an exploration that flushed the DFA returns an id of the
+    new generation, after which the walk re-reads ``rows``.  The walk
+    holds the DFA's lock throughout, so no other thread flushes the ids
+    it keeps.
+
+    >>> from repro.engine.tables import compile_va
+    >>> from repro.spanner import Spanner
+    >>> cva = compile_va(Spanner.compile(".*x{a+}.*").automaton)
+    >>> non_empty_compiled(cva, "ba"), non_empty_compiled(cva, "bb")
+    (True, False)
+    """
+    flat = cva.kernel.flat
+    classes = flat.intern(text)
+    dfa = flat.dfa
+    with dfa.lock:
+        state = dfa.intern(cva.kernel.free[cva.initial])
+        rows = dfa.rows
+        row = rows[state]
+        explore = dfa.explore
+        for class_id in classes:
+            target = row[class_id]
+            if target < 0:
+                target = explore(state, class_id)
+                rows = dfa.rows
+            if not target:
+                return False
+            state = target
+            row = rows[target]
+        return bool((dfa.masks[state] >> cva.final) & 1)
 
 
 # -- the frontier DFA ------------------------------------------------------------

@@ -37,7 +37,6 @@ from repro.automata.labels import Close, Eps, Open, Sym
 from repro.automata.sequential import is_sequential, make_sequential
 from repro.automata.va import VA
 from repro.engine.kernel import Kernel, Trail, _flat_sweep, _sweep_back, iter_bits
-from repro.engine.vector import op_positions_np
 from repro.plan import planner
 from repro.spans.mapping import Variable
 from repro.spans.span import Span
@@ -249,44 +248,7 @@ class DocumentIndex:
             self._coreach_masks = coreach.masks()
         self._reach_sets: list[frozenset[int]] | None = None
         self._coreach_sets: list[frozenset[int]] | None = None
-        #: Per-position masks as ``uint64`` numpy arrays — set only by
-        #: :meth:`from_flat_sweeps` on ≤64-state automata, enabling the
-        #: vectorized open/close position filter.
-        self._reach_np = None
-        self._coreach_np = None
         self._positions: dict[OpKey, tuple[int, ...]] = {}
-
-    @classmethod
-    def from_flat_sweeps(
-        cls,
-        cva: CompiledVA,
-        text: str,
-        classes,
-        reach_masks: list[int],
-        coreach_masks: list[int],
-        reach_np=None,
-        coreach_np=None,
-    ) -> "DocumentIndex":
-        """An index from precomputed flat sweeps (the batch vector path).
-
-        :func:`repro.engine.vector.batch_index` runs the reach/coreach
-        sweeps for a whole document batch in lockstep and hands each
-        document's per-position masks here — the same masks
-        :meth:`__init__` computes one document at a time.
-        """
-        self = cls.__new__(cls)
-        self.cva = cva
-        self.text = text
-        self.end = len(text) + 1
-        self.classes = classes
-        self._reach_masks = reach_masks
-        self._coreach_masks = coreach_masks
-        self._reach_sets = None
-        self._coreach_sets = None
-        self._reach_np = reach_np
-        self._coreach_np = coreach_np
-        self._positions = {}
-        return self
 
     @property
     def reach(self) -> list[frozenset[int]]:
@@ -329,10 +291,6 @@ class DocumentIndex:
     def _live_positions(self, edges) -> list[int]:
         if not edges:
             return []
-        if self._reach_np is not None:
-            vectorized = op_positions_np(self._reach_np, self._coreach_np, edges)
-            if vectorized is not None:
-                return vectorized
         pairs = [(1 << source, 1 << target) for source, target in edges]
         source_all = 0
         target_all = 0

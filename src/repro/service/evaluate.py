@@ -199,12 +199,12 @@ def evaluate_records(
     single definition of batch semantics, shared by the worker processes
     and the online server's in-process executor.
 
-    ``"matches"`` batches take the vector layer when available: verdicts
-    resolve through one lockstep forward sweep
-    (:meth:`~repro.engine.compiled.CompiledSpanner.matches_many`).  The
+    ``"matches"`` batches go through one
+    :meth:`~repro.engine.compiled.CompiledSpanner.matches_many` call: one
+    pass over the verdict cache, one forward DFA walk per miss.  The
     other kinds enumerate document by document, each on its own output
-    DAG.  Verdicts, mappings, and error isolation are identical either
-    way.
+    DAG.  If the batch call raises, every document is retried on its own,
+    so errors stay isolated per document.
 
     >>> from repro.engine.compiled import compile_spanner
     >>> evaluate_records(
@@ -624,8 +624,9 @@ class WorkerPool:
                 self._failed = True
                 self._pool = None
                 _LOGGER.error(
-                    "worker pool failed after %d consecutive rebuilds; "
-                    "callers degrade to in-process execution",
+                    "worker pool failed after %d consecutive breaks "
+                    "(max_rebuilds %d); callers degrade to in-process execution",
+                    self._consecutive_rebuilds,
                     self._max_rebuilds,
                 )
             else:

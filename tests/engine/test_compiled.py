@@ -1,5 +1,10 @@
 """Unit tests for the compiled engine (tables, pruning, batch API)."""
 
+import random
+import re
+import sys
+import threading
+
 import pytest
 
 from repro.automata.labels import EPS, Close, Open, Sym
@@ -9,14 +14,17 @@ from repro.automata.thompson import to_va
 from repro.automata.va import VABuilder
 from repro.alphabet import CharSet
 from repro.engine import CompiledSpanner, compile_va
+from repro.engine import compiled as compiled_module
 from repro.engine.compiled import compile_spanner
 from repro.evaluation.enumerate import enumerate_va_oracle
+from repro.evaluation.eval_problem import non_empty_va
 from repro.plan import planner
 from repro.rgx.parser import parse
 from repro.spanner import Spanner
 from repro.spans.mapping import NULL, ExtendedMapping, Mapping
 from repro.spans.span import Span, all_spans
 from repro.util.errors import BudgetExceededError
+from tests.engine_checks import flat_limit
 
 
 def build_mixed_va():
@@ -287,3 +295,119 @@ class TestBatchApi:
         engine, results = batch_workload(parse(".*x{a+}.*"), ["baab"])
         assert isinstance(engine, CompiledSpanner)
         assert results == [engine.mappings("baab")]
+
+
+#: A pattern whose flat DFA outgrows every small state budget: it must
+#: remember the last four letters.  As a plain regex over ``{a, b}``:
+HEAVY = "(a|b)*a(a|b)(a|b)(a|b)x{(a|b)*}"
+HEAVY_RE = re.compile("[ab]*a[ab]{3}[ab]*")
+
+
+def _ab_documents(count: int, seed: int, longest: int = 12) -> list[str]:
+    rng = random.Random(seed)
+    return [
+        "".join(rng.choice("ab") for _ in range(rng.randrange(longest)))
+        for _ in range(count)
+    ]
+
+
+class TestNonEmp:
+    """NonEmp (``matches``, ``matches_many``, the unpinned ``eval``) is one
+    forward walk of the pin-free flat DFA per distinct document."""
+
+    def test_a_flush_in_the_middle_of_a_batch(self, monkeypatch):
+        documents = _ab_documents(40, seed=3)
+        expected = [bool(HEAVY_RE.fullmatch(d)) for d in documents]
+        with flat_limit(3):
+            engine = compile_spanner(HEAVY)
+            dfa = engine.tables.kernel.flat.dfa
+            before = []
+            walk = compiled_module.non_empty_compiled
+
+            def spy(cva, text):
+                before.append(dfa.flushes)
+                return walk(cva, text)
+
+            monkeypatch.setattr(compiled_module, "non_empty_compiled", spy)
+            assert engine.matches_many(documents) == expected
+        # The DFA flushed between two documents of the one batch, after
+        # the first walk had already been answered.
+        assert before[0] < before[-1]
+        assert engine.matches_many(documents) == expected  # from the cache
+
+    def test_more_than_256_alphabet_classes(self):
+        letters = [chr(0x100 + offset) for offset in range(300)]
+        pattern = ".*x{(" + "|".join(letter * 2 for letter in letters) + ")}.*"
+        documents = [
+            "",
+            "z" + letters[0] * 2 + "z",
+            letters[7] * 2 + letters[299] * 3,
+            letters[5] + letters[6],
+            "".join(letters[:40]),
+        ]
+        engine = compile_spanner(pattern)
+        assert engine.kernel_stats()["classes"] == 301
+        assert isinstance(engine.tables.kernel.flat.intern("ab"), tuple)
+        expected = [non_empty_va(engine.automaton, d) for d in documents]
+        assert expected == [False, True, True, False, False]
+        assert engine.matches_many(documents) == expected
+        assert [compile_spanner(pattern).matches(d) for d in documents] == expected
+
+    def test_duplicate_and_empty_documents(self):
+        engine = compile_spanner("x{a*}")
+        documents = ["", "a", "", "ba", "a", ""]
+        assert engine.matches_many(documents) == [True, True, True, False, True, True]
+        stats = engine.cache_stats()
+        # One walk per distinct document.
+        assert (stats["verdict_misses"], stats["verdict_size"]) == (3, 3)
+        assert engine.matches_many(documents) == [True, True, True, False, True, True]
+        assert engine.cache_stats()["verdict_hits"] == len(documents)
+
+    def test_four_threads_share_one_engine(self):
+        """Walks of several threads interleave on one flushing DFA: each
+        holds the DFA's lock, so no flush lands under another's ids."""
+        # Long walks, so that thread switches land inside them.
+        batches = [_ab_documents(150, seed=seed, longest=400) for seed in range(4)]
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with flat_limit(8) as probe:
+                engine = compile_spanner(HEAVY)
+                barrier = threading.Barrier(len(batches))
+
+                def run(batch):
+                    try:
+                        barrier.wait(timeout=30)
+                        for start in range(0, len(batch), 16):
+                            chunk = batch[start : start + 16]
+                            verdicts = engine.matches_many(chunk)
+                            if verdicts != [bool(HEAVY_RE.fullmatch(d)) for d in chunk]:
+                                failures.append(chunk)
+                    except Exception as error:  # pragma: no cover - reported below
+                        failures.append(error)
+
+                threads = [threading.Thread(target=run, args=(b,)) for b in batches]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        assert probe.flushes > 0
+
+    def test_every_nonemp_entry_shares_one_key_object(self):
+        engine = compile_spanner(".*x{a+}.*")
+        engine.matches("ba")
+        engine.matches_many(["bb", "ab", "ba"])
+        engine.eval("aa", {})
+        engine.eval("b", ExtendedMapping.empty())
+        engine.check("ba", Mapping({"x": Span(2, 3)}))
+        pins = [key[2] for key in engine._verdicts]
+        unpinned = [p for p in pins if not p]
+        assert len(unpinned) == 5
+        assert len({id(p) for p in unpinned}) == 1
+        assert unpinned[0] is compiled_module._NO_PINS
+        assert len(pins) == 6  # the pinned check keeps its own key

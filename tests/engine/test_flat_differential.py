@@ -34,11 +34,9 @@ from repro.automata.thompson import to_va
 from repro.automata.va import VA, VABuilder
 from repro.engine import compile_va
 from repro.engine.compiled import CompiledSpanner, compile_spanner
-from repro.engine.kernel import numpy_or_none
 from repro.engine import oracle as oracle_module
 from repro.engine.oracle import OutputDAG, eval_compiled
 from repro.engine.tables import DocumentIndex
-from repro.engine.vector import batch_index
 from repro.evaluation.enumerate import enumerate_va_oracle
 from repro.evaluation.eval_problem import eval_va
 from repro.plan import OPT_LEVELS, plan
@@ -204,8 +202,8 @@ class TestFlatAgainstDictAndSets:
     the paths it names, only the set-based reference remains.)"""
 
     def test_document_index_three_ways(self):
-        """Per-document sweep, lockstep batch sweep and a set-based
-        reference build the same index."""
+        """The flat sweeps and a set-based reference build the same
+        index."""
         tally = FlushTally()
 
         @given(expression=rgx_expressions(), document=documents())
@@ -216,15 +214,12 @@ class TestFlatAgainstDictAndSets:
                 cva = compile_va(plan(expression, opt_level=1).automaton)
                 index = DocumentIndex(cva, document)
                 reach, coreach, candidate_spans = reference_index(cva, document)
-                batch = batch_index(cva, [document])
-                indexes = [index] if batch is None else [index, batch[0]]
-                for built in indexes:
-                    assert built.reach == reach
-                    assert built.coreach == coreach
-                    for variable in sorted(cva.variables):
-                        assert built.candidate_spans(variable) == (
-                            candidate_spans(variable)
-                        ), variable
+                assert index.reach == reach
+                assert index.coreach == coreach
+                for variable in sorted(cva.variables):
+                    assert index.candidate_spans(variable) == (
+                        candidate_spans(variable)
+                    ), variable
 
             tally.run(run)
 
@@ -864,7 +859,7 @@ WIDE_DOCUMENTS = [
 
 class TestWideAlphabet:
     """More than 256 alphabet classes: documents intern to tuples, not
-    bytes, and the vector layer steps aside."""
+    bytes, and every sweep indexes them alike."""
 
     def test_wide_alphabet_matches_seed(self):
         expression = parse(WIDE)
@@ -892,8 +887,6 @@ class TestWideAlphabet:
                 reference = DocumentIndex(fresh.tables, document)
                 assert index.reach == reference.reach
                 assert index.coreach == reference.coreach
-            if numpy_or_none() is not None:
-                assert batch_index(fresh.tables, WIDE_DOCUMENTS) is None
 
         tally.run(run)
         tally.assert_flushed()

@@ -195,7 +195,7 @@ class TestKernelTables:
         monkeypatch.setattr(kernel_module, "FLAT_STATE_LIMIT", 3)
         dfa = FlatDFA((1, 2, 4, 8), [0] * 4, 4, 1)
         assert [dfa.intern(mask) for mask in (1, 2)] == [1, 2]
-        assert dfa.full and dfa.flushes == 0
+        assert len(dfa.masks) == 3 and dfa.flushes == 0  # full
         old_masks = dfa.masks
         assert dfa.intern(4) == 1  # flushed: dead state 0, then mask 4
         assert (dfa.generation, dfa.flushes) == (1, 1)

@@ -1,16 +1,14 @@
-"""The vector layer against per-document calls, bit for bit.
+"""The batch APIs against per-document calls, bit for bit.
 
-:mod:`repro.engine.vector` advances a whole corpus batch through the
-flat DFA in lockstep; the contract is that every observable output of
-the batch APIs — NonEmp verdicts, document indexes, candidate spans,
-mapping sets, enumeration order — is *identical* to the per-document
-calls, which never touch the vector layer, and to the seed reference.
-The hypothesis sweeps run the same batches both ways at every opt level
+``matches_many``, ``index_many`` and ``evaluate_many`` take a vector of
+documents.  The contract is that every observable output — NonEmp
+verdicts, document indexes, candidate spans, mapping sets, enumeration
+order — is *identical* to the per-document calls on a fresh engine and
+to the seed reference.  NonEmp's own walk is tested in
+``tests/engine/test_compiled.py::TestNonEmp``.  The hypothesis sweeps run the same batches both ways at every opt level
 and under every flat-DFA state budget of
-:data:`tests.engine_checks.LIMITS` (the small budgets make the lockstep
-completion stop short and hand batches to per-document sweeps); the
-deterministic tests cover the gates, the fallbacks, and the tuning
-constants.
+:data:`tests.engine_checks.LIMITS`; the deterministic tests cover the
+numpy interning gate and the tuning constants.
 """
 
 import os
@@ -23,12 +21,11 @@ from repro.automata.labels import Open
 from repro.automata.sequential import is_sequential
 from repro.automata.thompson import to_va
 from repro.automata.va import VA
-from repro.engine import compile_va
+from repro.engine import CompiledSpanner, compile_va
 from repro.engine import kernel as kernel_module
 from repro.engine.compiled import compile_spanner
 from repro.engine.kernel import FlatTables, numpy_or_none
 from repro.engine.tables import DocumentIndex
-from repro.engine.vector import _DfaMirror, batch_accept, batch_index
 from repro.evaluation.eval_problem import non_empty_va
 from repro.plan import OPT_LEVELS, plan
 from repro.rgx.parser import parse
@@ -38,10 +35,6 @@ from tests.engine_checks import FlushTally, flat_limit
 from tests.strategies import documents, rgx_expressions
 
 pytestmark = [pytest.mark.kernel, pytest.mark.differential]
-
-requires_numpy = pytest.mark.skipif(
-    numpy_or_none() is None, reason="numpy unavailable or disabled"
-)
 
 PATTERNS = [
     ".*x{a+}.*",
@@ -79,8 +72,8 @@ def _per_document(pattern, batch, opt_level=None):
 
 class TestGates:
     def test_no_numpy_env_gates_the_layer(self, monkeypatch):
-        """``REPRO_NO_NUMPY=1`` also keeps long documents off the numpy
-        interning path (the batch helpers are covered below)."""
+        """``REPRO_NO_NUMPY=1`` keeps long documents off the numpy
+        interning path, the one numpy path left."""
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         monkeypatch.setattr(kernel_module, "NUMPY_INTERN_MIN", 1)
         assert numpy_or_none() is None
@@ -91,16 +84,9 @@ class TestGates:
             flat.classes.classify(char) for char in "baab"
         )
 
-    def test_batch_helpers_return_none_when_disabled(self, monkeypatch):
-        cva = compile_va(plan(parse(PATTERNS[0]), opt_level=1).automaton)
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert batch_accept(cva, BATCH) is None
-        assert batch_index(cva, BATCH) is None
-
-    @requires_numpy
     def test_batch_accept_on_a_non_sequential_source(self):
         """``compile_va`` sequentialises a non-sequential automaton, so its
-        batch verdicts take the lockstep sweep and match the seed."""
+        batch verdicts walk the product's DFA and match the seed."""
         base = to_va(seller_like_sequential_rgx(1))
         looped = base.transitions + ((base.final, Open("v0"), base.final),)
         automaton = VA(base.num_states, base.initial, base.final, looped)
@@ -108,56 +94,22 @@ class TestGates:
         texts = [*BATCH, "f0=ab;", "f0=;", "f0=a;f0=b;", "xf0=a;"]
         expected = [non_empty_va(automaton, text) for text in texts]
         assert any(expected) and not all(expected)
-        assert batch_accept(compile_va(automaton), texts) == expected
-
-    @requires_numpy
-    def test_completion_stops_short_of_the_budget(self):
-        """A DFA that cannot be completed within the budget sends the
-        batch back to per-document sweeps — without flushing."""
-        with flat_limit(3) as probe:
-            cva = compile_va(plan(parse(HEAVY), opt_level=1).automaton)
-            assert batch_accept(cva, BATCH) is None
-            assert batch_index(cva, BATCH) is None
-        assert probe.flushes == 0
-
-    @requires_numpy
-    def test_mirror_restarts_after_a_flush(self, monkeypatch):
-        cva = compile_va(plan(parse(PATTERNS[1]), opt_level=1).automaton)
-        dfa = FlatTables(cva.kernel).dfa
-        mirror = _DfaMirror(dfa, numpy_or_none())
-        start = cva.kernel.free[cva.initial]
-        dfa.intern(start)
-        assert mirror.complete() is not None
-        fresh = next(
-            mask for mask in range(1, 1 << cva.num_states) if mask not in dfa.ids
-        )
-        monkeypatch.setattr(kernel_module, "FLAT_STATE_LIMIT", len(dfa.masks))
-        dfa.intern(fresh)
-        monkeypatch.undo()
-        assert dfa.flushes == 1
-        dfa.intern(start)
-        table = mirror.complete()
-        assert table is not None
-        for sid, row in enumerate(dfa.rows):
-            assert list(table[sid, :-1]) == list(row)
+        assert CompiledSpanner(automaton).matches_many(texts) == expected
 
 
-@requires_numpy
 class TestBatchFunctions:
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_batch_accept_matches_per_document_eval(self, pattern):
         engine = compile_spanner(pattern)
-        cva = engine._cva
-        verdicts = batch_accept(cva, BATCH)
-        assert verdicts is not None
-        assert verdicts == [engine.eval(text, {}) for text in BATCH]
+        expected = [non_empty_va(engine.automaton, text) for text in BATCH]
+        assert engine.matches_many(BATCH) == expected
+        assert [compile_spanner(pattern).eval(text, {}) for text in BATCH] == expected
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_batch_index_matches_per_document_index(self, pattern):
-        cva = compile_va(plan(parse(pattern), opt_level=1).automaton)
-        indexes = batch_index(cva, BATCH)
-        assert indexes is not None
-        for text, index in zip(BATCH, indexes):
+        engine = compile_spanner(pattern)
+        cva = engine.tables
+        for text, index in zip(BATCH, engine.index_many(BATCH)):
             reference = DocumentIndex(cva, text)
             assert index.reach == reference.reach
             assert index.coreach == reference.coreach
@@ -167,19 +119,19 @@ class TestBatchFunctions:
                 ), (text, variable)
 
     def test_empty_batch(self):
-        cva = compile_va(plan(parse(PATTERNS[0]), opt_level=1).automaton)
-        assert batch_accept(cva, []) == []
-        assert batch_index(cva, []) == []
+        engine = compile_spanner(PATTERNS[0])
+        assert engine.matches_many([]) == []
+        assert engine.index_many([]) == []
 
     def test_all_empty_documents(self):
         engine = compile_spanner("x{a*}")
-        verdicts = batch_accept(engine._cva, ["", "", ""])
-        assert verdicts == [engine.eval("", {}), True, True]
+        verdicts = engine.matches_many(["", "", ""])
+        assert verdicts == [compile_spanner("x{a*}").eval("", {}), True, True]
 
 
 class TestCompiledBatchApi:
-    """The batch APIs against per-document calls on a fresh engine — the
-    path with the vector layer off."""
+    """The batch APIs against per-document calls on a fresh engine, and
+    against themselves once their caches are warm."""
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     def test_matches_many_identical_with_layer_off(self, pattern):
@@ -290,17 +242,16 @@ class TestEnvironmentOverrides:
     """
 
     def test_tiny_flat_state_limit_still_identical(self):
-        # A budget this small flushes on nearly every new state, and the
-        # lockstep completion hands every batch back to per-document
-        # sweeps: outputs must not change.
+        # A budget this small flushes on nearly every new state, inside
+        # a batch and inside a document: outputs must not change.
         with flat_limit(2) as probe:
             _assert_batch_matches_seed()
             _assert_batch_matches_seed(HEAVY)
         assert probe.flushes > 0
 
     def test_numpy_intern_threshold_zero_still_identical(self, monkeypatch):
-        # Threshold 1 interns even one-character documents via numpy.
-        monkeypatch.setattr(kernel_module, "NUMPY_INTERN_MIN", 1)
+        # Threshold 0 interns every document, the empty one too, via numpy.
+        monkeypatch.setattr(kernel_module, "NUMPY_INTERN_MIN", 0)
         calls = []
         original = FlatTables._intern_numpy
 

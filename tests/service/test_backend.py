@@ -1,5 +1,6 @@
 """The executor backends: threads, processes, and the degrade policy."""
 
+import logging
 import time
 
 import pytest
@@ -92,6 +93,19 @@ def _break(pool, engine):
     with pytest.raises(PoolBroken):
         pool.submit(engine, [("p", f"ba {POISON}")]).result(timeout=60)
     assert pool.failed
+
+
+@pytest.mark.usefixtures("poisoned")
+def test_failed_pool_logs_the_breaks_it_saw(engine, caplog):
+    """A zero-budget pool fails on its first break and says so: one break
+    against a budget of 0, not "failed after 0"."""
+    with caplog.at_level(logging.ERROR, logger="repro.service"):
+        with WorkerPool(1, max_rebuilds=0) as pool:
+            _break(pool, engine)
+    (record,) = [r for r in caplog.records if "worker pool failed" in r.getMessage()]
+    assert record.getMessage().startswith(
+        "worker pool failed after 1 consecutive breaks (max_rebuilds 0)"
+    )
 
 
 @pytest.mark.chaos
