@@ -13,6 +13,13 @@ lower than the seed's on every measured size (the observed gap is two to
 three orders of magnitude).  Under ``REPRO_BENCH_QUICK`` the sweep shrinks
 to one tiny size and only the equality of outputs is asserted — the CI
 smoke job exists to catch breakage, not to time a loaded runner.
+
+A second arm, *fresh short documents*, is the ``registry_corpus``
+workload's shape: one warm engine runs ``extract`` over many fresh
+16-row land-registry documents, and we record the per-document time and
+the share of it spent in the output DAG's backward pass
+(:class:`~repro.engine.oracle.Completions`).  Every output is checked
+against the documents' truth; nothing is timed against a bound.
 """
 
 import statistics
@@ -20,13 +27,20 @@ import time
 
 import pytest
 
-from benchmarks._harness import print_table, quick_mode, sizes, write_results
+from benchmarks._harness import percentile, print_table, quick_mode, sizes, write_results
+from benchmarks.e2e.inputs import REGISTRY_PATTERN, registry_ok, registry_rows
 from repro.automata.thompson import to_va
+from repro.engine import oracle
+from repro.engine.compiled import compile_spanner
 from repro.evaluation.enumerate import enumerate_va, enumerate_va_oracle
 from repro.workloads import land_registry
 
 ROW_COUNTS = sizes(full=[2, 3, 4, 6], quick=[2])
 MINIMUM_SPEEDUP = 2.0
+#: The fresh-documents arm: documents per run, and rows per document
+#: (the ``registry_corpus`` workload's size).
+FRESH_DOCUMENTS = sizes(full=[300], quick=[20])[0]
+FRESH_ROWS = 16
 
 
 def _delays(iterator):
@@ -110,3 +124,60 @@ def test_e19_compiled_engine(benchmark):
 
     document = land_registry.generate_document(ROW_COUNTS[-1], seed=7)
     benchmark(lambda: list(enumerate_va(automaton, document)))
+
+
+def _timed_backward_passes(monkeypatch) -> list[float]:
+    """Patch :class:`~repro.engine.oracle.Completions` to record the
+    seconds each backward pass takes; returns the list it appends to."""
+    spent: list[float] = []
+    original = oracle.Completions.__init__
+
+    def timed(self, *args):
+        started = time.perf_counter()
+        original(self, *args)
+        spent.append(time.perf_counter() - started)
+
+    monkeypatch.setattr(oracle.Completions, "__init__", timed)
+    return spent
+
+
+@pytest.mark.benchmark(group="e19")
+def test_e19_fresh_short_documents(benchmark, monkeypatch):
+    engine = compile_spanner(REGISTRY_PATTERN, opt_level=1)
+    truths = [
+        registry_rows(19, 1, index, FRESH_ROWS) for index in range(FRESH_DOCUMENTS + 1)
+    ]
+    texts = [land_registry.render(truth) for truth in truths]
+    # One document warms the engine, as the workload's first one does.
+    assert registry_ok(truths[0], engine.extract(texts[0]))
+    spent = _timed_backward_passes(monkeypatch)
+    totals, shares = [], []
+    for truth, text in zip(truths[1:], texts[1:]):
+        spent.clear()
+        started = time.perf_counter()
+        outputs = engine.extract(text)
+        total = time.perf_counter() - started
+        assert registry_ok(truth, outputs), text
+        totals.append(total)
+        shares.append(sum(spent) / total)
+    median_us = statistics.median(totals) * 1e6
+    p90_us = percentile(totals, 0.9) * 1e6
+    share = statistics.median(shares)
+    print_table(
+        "E19: fresh short documents on one warm engine (registry_corpus shape)",
+        ["documents", "rows", "extract med us", "extract p90 us", "backward share"],
+        [(FRESH_DOCUMENTS, FRESH_ROWS, median_us, p90_us, share)],
+    )
+    write_results(
+        "e19_fresh",
+        {
+            "documents": FRESH_DOCUMENTS,
+            "rows": FRESH_ROWS,
+            "extract_median_us": median_us,
+            "extract_p90_us": p90_us,
+            "backward_share": share,
+            "kernel": engine.kernel_stats(),
+        },
+    )
+    monkeypatch.undo()
+    benchmark(lambda: engine.extract(texts[-1]))

@@ -32,8 +32,10 @@ applies Proposition 5.6 to any input that is not):
 * :meth:`CompiledSpanner.count` sums the DAG's paths and enumerates
   nothing.
 
-The DAG lives for one call, so it needs no lock; the frontier DFA it
-runs on is shared by every document and thread, and takes its lock.
+The DAG lives for one call and is read by one thread.  What it is
+built from is shared by every document and thread: the frontier DFA of
+the forward pass, and the backward pass's level descriptions and memo,
+which hang off that DFA.  Both passes take its lock.
 """
 
 from __future__ import annotations
@@ -150,9 +152,10 @@ class CompiledSpanner:
 
     def kernel_stats(self) -> dict[str, int]:
         """Table sizes of the shared bitmask kernel (alphabet classes,
-        sweep contexts, interned documents, flat-DFA states and flushes) —
-        a live view of the state every document this engine evaluates
-        shares.  Forces the kernel build.
+        sweep contexts, interned documents, flat-DFA states, the output
+        DAG's level descriptions, and flushes) — a live view of the state
+        every document this engine evaluates shares.  Forces the kernel
+        build.
 
         >>> engine = compile_spanner(".*x{a+}.*")
         >>> _ = engine.mappings("baa")

@@ -307,6 +307,8 @@ class Kernel:
         :class:`FlatDFA` the kernel reaches — the document-index pair and
         those of every cached sweep context and its reverse — and the
         enumeration's frontier DFA (:class:`~repro.engine.oracle.FrontierDFA`).
+        ``dag_levels`` counts the level descriptions in that DFA's shared
+        backward-pass store, whose flushes ``flushes`` counts too.
         """
         flat = self._flat
         dfas: dict[int, FlatDFA] = {}
@@ -326,8 +328,9 @@ class Kernel:
             "interned": len(flat._interned) if flat is not None else 0,
             "flat_states": sum(len(dfa.masks) for dfa in dfas.values())
             + (frontier.states if frontier is not None else 0),
+            "dag_levels": len(frontier.store.levels) if frontier is not None else 0,
             "flushes": sum(dfa.flushes for dfa in dfas.values())
-            + (frontier.flushes if frontier is not None else 0),
+            + (frontier.flushes + frontier.level_flushes if frontier is not None else 0),
         }
 
 

@@ -181,7 +181,7 @@ class _FrontierTables:
     the node accepts at the document's end (``None`` until asked).
     """
 
-    __slots__ = ("frontiers", "ids", "rows", "edges", "accepts", "closures")
+    __slots__ = ("frontiers", "ids", "rows", "edges", "accepts", "closures", "store", "memos")
 
     def __init__(self, num_classes: int) -> None:
         # The dead frontier (no node) is id 0 in every generation.
@@ -192,6 +192,29 @@ class _FrontierTables:
         self.accepts: list[tuple | None] = [()]
         #: Per node mask: its ``(markers, states)`` pairs before the letter.
         self.closures: dict[int, tuple[tuple[int, int], ...]] = {}
+        #: The backward pass's memo over these frontier ids, valid for the
+        #: level store ``store``: per ``(pinned, nulls)``, per level id,
+        #: ``fid * width + class`` → the level id one position earlier.
+        self.store: _LevelStore | None = None
+        self.memos: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+
+
+class _LevelStore:
+    """The backward pass's level descriptions, shared by every document.
+
+    ``levels[id]`` is a description (see :class:`Completions`), ``ids``
+    interns them by content and ``marked[id]`` is its marked flag.
+    ``entries`` counts the memo entries recorded against the store, on
+    whichever tables generation they live.
+    """
+
+    __slots__ = ("levels", "ids", "marked", "entries")
+
+    def __init__(self) -> None:
+        self.levels: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
+        self.marked = bytearray()
+        self.entries = 0
 
 
 class FrontierDFA:
@@ -217,6 +240,16 @@ class FrontierDFA:
     generation starts), so a flush never invalidates a recorded id.  A
     pass holds ``lock`` while it interns or explores: one engine serves
     several threads under ``repro serve --workers 0``.
+
+    The backward pass is a lazy DFA too.  Its level descriptions live in
+    one :class:`_LevelStore` (``store``) and its memo on the frontier
+    tables it reads, so every document of the engine reuses both.  The
+    store holds at most ``FLAT_STATE_LIMIT`` descriptions and
+    ``FLAT_STATE_LIMIT`` × the class count memo entries (one generation's
+    worth of rows); past either bound :meth:`level_id` flushes it —
+    ``store`` becomes a fresh store and ``level_flushes`` goes up — and a
+    pass in flight re-interns the level it carries.  Backward passes
+    hold ``lock`` too.
     """
 
     __slots__ = (
@@ -225,6 +258,8 @@ class FrontierDFA:
         "bits",
         "tables",
         "flushes",
+        "store",
+        "level_flushes",
         "lock",
         "_step",
         "_useful",
@@ -242,6 +277,8 @@ class FrontierDFA:
         self._step = kernel.step
         self._final = cva.final
         self.flushes = 0
+        self.store = _LevelStore()
+        self.level_flushes = 0
         self.lock = threading.RLock()
         self.tables = _FrontierTables(self.num_classes)
         # Every non-letter move as ``(target, marker bit)`` (0 for ε).
@@ -359,6 +396,34 @@ class FrontierDFA:
             )
         return found
 
+    # -- the backward pass's store (the caller holds the lock) ------------------
+
+    def level_id(self, level: tuple) -> int:
+        """The id of a level description in the current store, which it
+        flushes when the store is at a bound."""
+        store = self.store
+        found = store.ids.get(level)
+        full = store.entries >= _kernel.FLAT_STATE_LIMIT * self.num_classes
+        if found is not None and not full:
+            return found
+        if full or len(store.levels) >= _kernel.FLAT_STATE_LIMIT:
+            store = self.store = _LevelStore()
+            self.level_flushes += 1
+        found = store.ids[level] = len(store.levels)
+        store.levels.append(level)
+        store.marked.append(level[3])
+        return found
+
+    def memo(self, tables: _FrontierTables, pins: tuple[int, int]) -> dict:
+        """The backward memo rows over ``tables`` for ``pins``, in the
+        current store (memo rows of an earlier store are dropped)."""
+        if tables.store is not self.store:
+            tables.store, tables.memos = self.store, {}
+        rows = tables.memos.get(pins)
+        if rows is None:
+            rows = tables.memos[pins] = {}
+        return rows
+
 
 def frontier_dfa(cva: CompiledVA) -> FrontierDFA:
     """The (lazily built) frontier DFA of an automaton, kept on its flat
@@ -379,10 +444,10 @@ def frontier_dfa(cva: CompiledVA) -> FrontierDFA:
 class Completions:
     """One backward pass over an :class:`OutputDAG`, under a set of pins.
 
-    A level description (``dag.levels[id]``) is a tuple ``(counts, links,
-    alone, marked, kept)`` over the nodes at one position: each node's
-    completions, capped at 2 ("many"); for a live node, its index at the
-    next *marked* position; whether a node with one completion takes only
+    A level description is a tuple ``(counts, links, alone, marked,
+    kept)`` over the nodes at one position: each node's completions,
+    capped at 2 ("many"); for a live node, its index at the next
+    *marked* position; whether a node with one completion takes only
     empty marker sets from there on; whether the position is marked; and
     each node's live edges ``(markers, target)`` (at the end: its
     accepting marker sets, as ``(markers, -1)``).  A position is marked
@@ -392,8 +457,16 @@ class Completions:
     through ``links`` in one step — and the pass keeps only the marked
     positions: ``marks`` (ascending), the description at each
     (``at_mark``) and at the position after it (``after_mark``, whose
-    ``links`` lead on to the next mark), and the description at
-    position 1 (``root``).
+    ``links`` lead on to the next mark; ``None`` after the end), and
+    the description at position 1 (``root``).
+
+    A description depends only on the frontier edges below it, never on
+    the document, so the pass runs on the frontier DFA's shared level
+    store and memo (:meth:`FrontierDFA.level_id`, :meth:`FrontierDFA.memo`)
+    under its lock: a position whose ``(level, frontier, class)`` step
+    some earlier pass — of any document — took is one dict load.  The
+    pass records descriptions, not their ids, so nothing it keeps
+    depends on the store once it returns.
 
     Pins only filter edges: at position ``p`` an edge must carry exactly
     ``required[p]`` of the span-pinned bits (``pinned``), and never a bit
@@ -406,23 +479,32 @@ class Completions:
     def __init__(self, dag: "OutputDAG", required: dict[int, int], pinned: int, nulls: int) -> None:
         self.dag = dag
         self.marks: list[int] = []
-        self.at_mark: list[int] = []
-        self.after_mark: list[int] = []
-        self.root = 0
+        self.at_mark: list[tuple] = []
+        self.after_mark: list[tuple | None] = []
+        self.root: tuple | None = None
         self.total = 0
         if dag.dead:
             return
+        dfa = dag._dfa
+        with dfa.lock:
+            self._backward(dfa, required, pinned, nulls)
+
+    def _backward(self, dfa: FrontierDFA, required: dict[int, int], pinned: int, nulls: int) -> None:
+        dag = self.dag
         end = dag.end
-        level_id, levels, flags = dag._level_id, dag.levels, dag._marked
+        pins = (pinned, nulls)
+        level_id = dfa.level_id
         state = level_id(_end_level(dag.accepts, required.get(end, 0), pinned, nulls))
-        marks, at_mark, after_mark = [end], [state], [-1]
+        store = dfa.store
+        levels, flags = store.levels, store.marked
+        marks, at_mark, after_mark = [end], [levels[state]], [None]
         fids, classes, width = dag.fids, dag.classes, dag._width
         starts, generations = dag._starts, dag._tables
-        memos = dag._memos.setdefault((pinned, nulls), {})
         pinned_at = sorted(pos for pos in required if pos < end)
         for at in range(len(starts) - 1, -1, -1):
-            table = generations[at].edges
-            rows = memos.setdefault(at, {})
+            generation = generations[at]
+            table = generation.edges
+            rows = dfa.memo(generation, pins)
             top = starts[at + 1] if at + 1 < len(starts) else end
             lo = starts[at]
             # Stretches without pinned operations take the memoised fast
@@ -441,13 +523,22 @@ class Completions:
                     key = fid * width + class_id
                     found = row.get(key)
                     if found is None:
-                        found = row[key] = level_id(
+                        found = level_id(
                             _level(table[fid][class_id], levels[state], 0, pinned, nulls)
                         )
+                        if dfa.store is not store:
+                            # The store flushed: carry on in the new one.
+                            carried, store = levels[state], dfa.store
+                            levels, flags = store.levels, store.marked
+                            state = level_id(carried)
+                            rows = dfa.memo(generation, pins)
+                            row = rows[state] = {}
+                        row[key] = found
+                        store.entries += 1
                     if flags[found]:
                         marks.append(pos)
-                        at_mark.append(found)
-                        after_mark.append(state)
+                        at_mark.append(levels[found])
+                        after_mark.append(levels[state])
                     if found != state:
                         state = found
                         row = rows.get(found)
@@ -455,40 +546,43 @@ class Completions:
                             row = rows[found] = {}
                 if stop < lo:
                     break
-                following = state
+                following = levels[state]
                 state = level_id(
                     _level(
                         table[fids[stop]][classes[stop - 1]],
-                        levels[following],
+                        following,
                         required[stop],
                         pinned,
                         nulls,
                     )
                 )
+                if dfa.store is not store:
+                    store = dfa.store
+                    levels, flags = store.levels, store.marked
+                    rows = dfa.memo(generation, pins)
                 if flags[state]:
                     marks.append(stop)
-                    at_mark.append(state)
+                    at_mark.append(levels[state])
                     after_mark.append(following)
                 top = stop
         marks.reverse()
         at_mark.reverse()
         after_mark.reverse()
         self.marks, self.at_mark, self.after_mark = marks, at_mark, after_mark
-        self.root = state
-        self.total = levels[state][0][0]
+        self.root = levels[state]
+        self.total = self.root[0][0]
 
     def start(self) -> int:
         """The root's node index at the first mark."""
-        return self.dag.levels[self.root][1][0]
+        return self.root[1][0]
 
     def read_off(self, at: int, node: int, markers: list) -> list:
         """Append to ``markers`` those of the single completion of
         ``node`` at the ``at``-th mark."""
-        levels, marks = self.dag.levels, self.marks
-        at_mark, after_mark = self.at_mark, self.after_mark
+        marks, at_mark, after_mark = self.marks, self.at_mark, self.after_mark
         end = self.dag.end
         while True:
-            level = levels[at_mark[at]]
+            level = at_mark[at]
             if level[2][node]:
                 return markers  # only empty marker sets from here on
             found, target = level[4][node][0]
@@ -496,7 +590,7 @@ class Completions:
                 markers.append((marks[at], found))
             if marks[at] == end:
                 return markers
-            node = levels[after_mark[at]][1][target]
+            node = after_mark[at][1][target]
             at += 1
 
 
@@ -547,8 +641,9 @@ class OutputDAG:
     holding ``p`` recorded it in (``_starts``/``_tables``: a flush
     during the pass starts a new segment).  A node is an index into its
     frontier.  :meth:`restrict` runs the backward pass for a set of pins
-    (:class:`Completions`); the passes of one document share their level
-    descriptions and memo, which the DAG owns.
+    (:class:`Completions`) on the frontier DFA's level store and memo,
+    which every document of the engine shares; the DAG keeps only the
+    descriptions its passes recorded.
 
     >>> from repro.engine.tables import compile_va
     >>> from repro.spanner import Spanner
@@ -564,16 +659,13 @@ class OutputDAG:
         "fids",
         "accepts",
         "dead",
-        "levels",
         "variables",
         "_cva",
+        "_dfa",
         "_bits",
         "_width",
         "_starts",
         "_tables",
-        "_level_ids",
-        "_marked",
-        "_memos",
         "_free",
     )
 
@@ -581,14 +673,10 @@ class OutputDAG:
         self._cva = cva
         end = self.end = len(text) + 1
         classes = self.classes = cva.kernel.flat.intern(text)
-        dfa = frontier_dfa(cva)
+        dfa = self._dfa = frontier_dfa(cva)
         self.variables, self._bits = dfa.variables, dfa.bits
         self._width = dfa.num_classes
         fids = self.fids = array("i", [0])
-        self.levels: list[tuple] = []
-        self._level_ids: dict[tuple, int] = {}
-        self._marked = bytearray()
-        self._memos: dict[tuple[int, int], dict] = {}
         self._free: Completions | None = None
         self.accepts: tuple = ()
         self.dead = True
@@ -619,14 +707,6 @@ class OutputDAG:
                 return
             self.accepts = dfa.accepting(tables, fids[end])
         self.dead = False
-
-    def _level_id(self, level: tuple) -> int:
-        found = self._level_ids.get(level)
-        if found is None:
-            found = self._level_ids[level] = len(self.levels)
-            self.levels.append(level)
-            self._marked.append(level[3])
-        return found
 
     # -- pins ----------------------------------------------------------------------
 
@@ -685,9 +765,9 @@ class OutputDAG:
     def _spans(self, completions: Completions, at: int, opened: list, closer: int):
         """Every span opened at the ``at``-th mark by one of ``opened``,
         ``j`` ascending, with its completion count."""
-        levels, marks, after_mark = self.levels, completions.marks, completions.after_mark
+        marks, after_mark = completions.marks, completions.after_mark
         begin = marks[at]
-        counts, links = levels[after_mark[at]][0], levels[after_mark[at]][1]
+        counts, links = after_mark[at][0], after_mark[at][1]
         empty = [
             (count, path, counts[target], links[target])
             for count, path, target, found in opened
@@ -704,7 +784,7 @@ class OutputDAG:
             if unset is not None:
                 yield (Span(begin, self.end), *self._combine(completions, closed))
                 return
-            counts, links = levels[after_mark[at]][0], levels[after_mark[at]][1]
+            counts, links = after_mark[at][0], after_mark[at][1]
             closed = [
                 (count, path, counts[target], links[target])
                 for count, path, target, _ in closed
@@ -723,12 +803,12 @@ class OutputDAG:
         with ``bit`` and those that accept without it, as contributions
         to :meth:`_combine`.
         """
-        levels, end = self.levels, self.end
+        end = self.end
         marks, at_mark, after_mark = completions.marks, completions.at_mark, completions.after_mark
         for at in range(at, len(marks)):
             if not carried:
                 return
-            kept = levels[at_mark[at]][4]
+            kept = at_mark[at][4]
             mark = marks[at]
             if mark == end:
                 hits, misses = [], []
@@ -738,7 +818,7 @@ class OutputDAG:
                         group.append((count, _extend(path, end, found), 1, None))
                 yield at, hits, misses
                 return
-            links = levels[after_mark[at]][1]
+            links = after_mark[at][1]
             if len(carried) == 1:
                 # The common mark: one path, which reads its letter.
                 ((node, entry),) = carried.items()
@@ -803,11 +883,11 @@ class OutputDAG:
         completions = self.restrict({})
         if not completions.total:
             return 0
-        levels, after_mark = self.levels, completions.after_mark
+        after_mark = completions.after_mark
         carried = {completions.start(): 1}
         for at, level in enumerate(completions.at_mark):
-            kept = levels[level][4]
-            links = levels[after_mark[at]][1] if after_mark[at] >= 0 else None
+            kept = level[4]
+            links = after_mark[at][1] if after_mark[at] is not None else None
             following: dict[int, int] = {}
             for node, count in carried.items():
                 for _, target in kept[node]:

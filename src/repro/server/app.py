@@ -390,6 +390,7 @@ class SpannerServer:
                 return await self._healthz(writer, keep_alive)
             if path == "/metrics":
                 self.dispatcher.publish_resilience_metrics()
+                self.dispatcher.publish_kernel_metrics()
                 await self._write_response(
                     writer,
                     200,

@@ -554,6 +554,22 @@ class Dispatcher:
             self.metrics.gauge("repro_breaker_state", count, state=state)
         self.metrics.gauge("repro_degraded", 1 if self.degraded else 0)
 
+    def publish_kernel_metrics(self) -> None:
+        """Set the ``repro_kernel_*`` gauges on ``/metrics``: the output
+        DAG's shared level descriptions and the DFA flushes, summed over
+        the pool's workers, or over the cached engines when documents run
+        in threads."""
+        pool = self.worker_pool
+        if pool is not None:
+            kernel = pool.stats()["kernel"]
+        else:
+            kernel = {}
+            for engine in self.cache.engines():
+                for key, value in engine.kernel_stats().items():
+                    kernel[key] = kernel.get(key, 0) + value
+        for key in ("dag_levels", "flushes"):
+            self.metrics.gauge(f"repro_kernel_{key}", kernel.get(key, 0))
+
     def stats(self) -> dict[str, object]:
         """A live snapshot for ``/healthz`` and tests."""
         snapshot: dict[str, object] = {

@@ -178,6 +178,11 @@ class SpannerCache:
         with self._lock:
             return plan.fingerprint in self._by_fingerprint
 
+    def engines(self) -> list[CompiledSpanner]:
+        """The cached engines, oldest first."""
+        with self._lock:
+            return list(self._by_fingerprint.values())
+
     def stats(self) -> dict[str, int]:
         """Hit/miss/size counters (for capacity tuning and dashboards)."""
         with self._lock:

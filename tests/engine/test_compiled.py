@@ -1,5 +1,6 @@
 """Unit tests for the compiled engine (tables, pruning, batch API)."""
 
+import dataclasses
 import random
 import re
 import sys
@@ -16,7 +17,7 @@ from repro.alphabet import CharSet
 from repro.engine import CompiledSpanner, compile_va
 from repro.engine import compiled as compiled_module
 from repro.engine.compiled import compile_spanner
-from repro.evaluation.enumerate import enumerate_va_oracle
+from repro.evaluation.enumerate import enumerate_va, enumerate_va_oracle
 from repro.evaluation.eval_problem import non_empty_va
 from repro.plan import planner
 from repro.rgx.parser import parse
@@ -24,6 +25,8 @@ from repro.spanner import Spanner
 from repro.spans.mapping import NULL, ExtendedMapping, Mapping
 from repro.spans.span import Span, all_spans
 from repro.util.errors import BudgetExceededError
+from benchmarks.e2e.inputs import LOGS_PATTERN, REGISTRY_PATTERN, logs_ok, registry_ok
+from repro.workloads import land_registry, server_logs
 from tests.engine_checks import flat_limit
 
 
@@ -411,3 +414,141 @@ class TestNonEmp:
         assert len({id(p) for p in unpinned}) == 1
         assert unpinned[0] is compiled_module._NO_PINS
         assert len(pins) == 6  # the pinned check keeps its own key
+
+
+#: Two variables, so enumeration also runs pinned backward passes.
+PAIR = "(a|b)*x{a(a|b)*}(a|b)*y{b}(a|b)(a|b)"
+
+
+def _seed_outputs(pattern: str, documents: list[str]) -> list[list[Mapping]]:
+    automaton = to_va(parse(pattern))
+    return [list(enumerate_va(automaton, text, compiled=False)) for text in documents]
+
+
+def _registry_reshaped(rows, seed: int):
+    """Rows of the same shape — kinds, tax present or not — with other values."""
+    rng = random.Random(seed)
+    return [
+        dataclasses.replace(
+            row,
+            name=rng.choice(land_registry._FIRST_NAMES),
+            identifier=f"ID{rng.randrange(1, 999)}",
+            tax=None if row.tax is None else f"${rng.randrange(1, 99)},{rng.randrange(100, 999)}",
+        )
+        for row in rows
+    ]
+
+
+def _logs_reshaped(lines, seed: int):
+    """Lines of the same shape — user and referrer present or not — with
+    other values."""
+    rng = random.Random(seed)
+    return [
+        dataclasses.replace(
+            line,
+            path=rng.choice(server_logs._PATHS),
+            status=rng.choice(server_logs._STATUS),
+            user=None if line.user is None else rng.choice(server_logs._USERS),
+            referrer=None if line.referrer is None else rng.choice(server_logs._PATHS),
+        )
+        for line in lines
+    ]
+
+
+@pytest.mark.kernel
+@pytest.mark.differential
+class TestSharedLevelStore:
+    """The backward pass's level descriptions and memo hang off the
+    engine's frontier DFA, so every document shares them: bounded,
+    flushed like a DFA, and guarded by the DFA's lock."""
+
+    @pytest.mark.parametrize(
+        "pattern, opt_level, generate, render, reshape, ok",
+        [
+            (
+                REGISTRY_PATTERN,
+                1,
+                lambda: land_registry.generate_rows(16, seed=1),
+                land_registry.render,
+                _registry_reshaped,
+                registry_ok,
+            ),
+            (
+                LOGS_PATTERN,
+                None,
+                lambda: server_logs.generate_lines(40, seed=1),
+                server_logs.render,
+                _logs_reshaped,
+                logs_ok,
+            ),
+        ],
+        ids=["registry", "logs"],
+    )
+    def test_a_fresh_document_of_a_warm_shape_adds_no_levels(
+        self, pattern, opt_level, generate, render, reshape, ok
+    ):
+        engine = compile_spanner(pattern, opt_level=opt_level)
+        warm = generate()
+        assert ok(warm, engine.extract(render(warm)))
+        held = engine.kernel_stats()["dag_levels"]
+        assert held > 0
+        for seed in range(2, 8):
+            fresh = reshape(warm, seed)
+            assert ok(fresh, engine.extract(render(fresh)))
+            assert engine.kernel_stats()["dag_levels"] == held, seed
+
+    @pytest.mark.parametrize("limit", [2, 3])
+    @pytest.mark.parametrize("pattern", [HEAVY, PAIR])
+    def test_store_flushes_inside_an_enumeration_keep_outputs(self, pattern, limit):
+        documents = _ab_documents(10, seed=limit, longest=14)
+        expected = _seed_outputs(pattern, documents)
+        assert any(expected)
+        flushed_inside = False
+        with flat_limit(limit) as probe:
+            engine = compile_spanner(to_va(parse(pattern)))
+            for text, mappings in zip(documents, expected):
+                before = probe.level_flushes
+                assert list(engine.enumerate(text)) == mappings, text
+                assert engine.count(text) == len(mappings)
+                # Two flushes in one document: at least one fell inside a pass.
+                flushed_inside |= probe.level_flushes - before >= 2
+        # flat_limit checked on exit that no store outgrew the budget.
+        assert flushed_inside
+
+    def test_four_threads_share_one_store(self):
+        """Backward passes of several threads interleave on one flushing
+        store: each holds the frontier DFA's lock, so no flush lands
+        under another's ids."""
+        batches = [_ab_documents(12, seed=seed, longest=14) for seed in range(4)]
+        expected = [_seed_outputs(PAIR, batch) for batch in batches]
+        failures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with flat_limit(3) as probe:
+                engine = compile_spanner(to_va(parse(PAIR)))
+                barrier = threading.Barrier(len(batches))
+
+                def run(batch, outputs):
+                    try:
+                        barrier.wait(timeout=30)
+                        for _ in range(3):
+                            for text, mappings in zip(batch, outputs):
+                                if list(engine.enumerate(text)) != mappings:
+                                    failures.append(text)
+                    except Exception as error:  # pragma: no cover - reported below
+                        failures.append(error)
+
+                threads = [
+                    threading.Thread(target=run, args=pair)
+                    for pair in zip(batches, expected)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        assert probe.level_flushes > 0

@@ -828,16 +828,16 @@ def _depth_first(dag: OutputDAG) -> list[Mapping]:
     """Every DAG path in plain depth-first order: position by position,
     each node's marker sets ascending."""
     completions = dag.restrict({})
-    levels, marks = dag.levels, completions.marks
+    marks = completions.marks
     found: list[Mapping] = []
 
     def walk(at, node, markers):
-        for markers_here, target in levels[completions.at_mark[at]][4][node]:
+        for markers_here, target in completions.at_mark[at][4][node]:
             path = [*markers, (marks[at], markers_here)] if markers_here else markers
             if marks[at] == dag.end:
                 found.append(dag.mapping(path))
             else:
-                walk(at + 1, levels[completions.after_mark[at]][1][target], path)
+                walk(at + 1, completions.after_mark[at][1][target], path)
 
     if completions.total:
         walk(0, completions.start(), [])

@@ -440,9 +440,11 @@ class TestKernelSharing:
         )
         assert stats["flat_states"] == 44
         assert stats["flushes"] == 0
+        assert stats["dag_levels"] == len(flat.frontier.store.levels) > 0
         assert sorted(stats) == [
             "classes",
             "contexts",
+            "dag_levels",
             "flat_states",
             "flushes",
             "interned",

@@ -35,7 +35,8 @@ SMALL_LIMITS = LIMITS[1:]
 
 class Probe:
     """Every ``FlatDFA`` and ``FrontierDFA`` built under one budget, and
-    the most states any of them ever held at once."""
+    the most states (or, for a frontier DFA's level store, descriptions)
+    any of them ever held at once."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
@@ -50,14 +51,20 @@ class Probe:
     def flushes(self) -> int:
         return sum(dfa.flushes for dfa in self.dfas)
 
+    @property
+    def level_flushes(self) -> int:
+        return sum(dfa.level_flushes for dfa in self.dfas if isinstance(dfa, FrontierDFA))
+
 
 @contextlib.contextmanager
 def flat_limit(limit: int):
     """Patch ``FLAT_STATE_LIMIT`` to ``limit`` around fresh compiled tables.
 
     Yields a :class:`Probe`; on exit asserts that no DFA ever held more
-    than ``limit`` states.  ``compile_va``'s cache is cleared on entry
-    and exit, so kernels built under one budget never leak into another.
+    than ``limit`` states, and no frontier DFA's level store more than
+    ``limit`` descriptions or ``limit`` × its class count memo entries.
+    ``compile_va``'s cache is cleared on entry and exit, so kernels built
+    under one budget never leak into another.
     """
     probe = Probe(limit)
 
@@ -84,14 +91,25 @@ def flat_limit(limit: int):
             init, intern = watched(cls, size)
             patch.setattr(cls, "__init__", init)
             patch.setattr(cls, "intern", intern)
+        original_level_id = FrontierDFA.level_id
+
+        def level_id(self, level):
+            found = original_level_id(self, level)
+            probe.peak = max(probe.peak, len(self.store.levels))
+            return found
+
+        patch.setattr(FrontierDFA, "level_id", level_id)
         compile_va.cache_clear()
         try:
             yield probe
         finally:
             compile_va.cache_clear()
     assert probe.peak <= limit, (
-        f"a DFA held {probe.peak} states under a limit of {limit}"
+        f"a DFA or level store held {probe.peak} states under a limit of {limit}"
     )
+    for dfa in probe.dfas:
+        if isinstance(dfa, FrontierDFA):
+            assert dfa.store.entries <= limit * dfa.num_classes, dfa.store.entries
 
 
 class FlushTally:

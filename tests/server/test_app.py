@@ -78,6 +78,16 @@ class TestEndpoints:
         assert "repro_documents_total" in text
         assert "repro_queue_depth" in text
 
+    def test_metrics_report_the_shared_level_store(self, client):
+        client.enumerate(".*x{a+}.*", ["baa"])
+        gauges = dict(
+            line.split(" ", 1)
+            for line in client.metrics_text().splitlines()
+            if line.startswith("repro_kernel_")
+        )
+        assert int(float(gauges["repro_kernel_dag_levels"])) > 0
+        assert "repro_kernel_flushes" in gauges
+
     def test_unknown_paths_share_one_metric_label(self, client):
         for path in ("/nope", '/a"b', "/random-123"):
             client.request_raw("GET", path)

@@ -251,6 +251,12 @@ class TestStatsFlag:
             line for line in captured.err.splitlines() if line.startswith("stats:")
         ]
         assert any("kernel" in line and "classes=" in line for line in stats_lines)
+        kernel_line = next(line for line in stats_lines if line.startswith("stats: kernel"))
+        counters = dict(field.split("=") for field in kernel_line.split()[2:])
+        # The enumeration's backward pass left its level descriptions in
+        # the shared store, and nothing flushed.
+        assert int(counters["dag_levels"]) > 0
+        assert int(counters["flushes"]) == 0
         assert any("engine" in line and "index_misses=" in line for line in stats_lines)
         assert any("spanner-cache" in line and "hits=" in line for line in stats_lines)
 
