@@ -20,20 +20,40 @@ workload's shape: one warm engine runs ``extract`` over many fresh
 the share of it spent in the output DAG's backward pass
 (:class:`~repro.engine.oracle.Completions`).  Every output is checked
 against the documents' truth; nothing is timed against a bound.
+
+A third arm, *interning and start-up*, times what a fresh process pays
+before its first mapping: ``FlatTables.intern`` (cache cleared) on
+ASCII, latin-1 and wide (CJK) documents of 2k, 18k and 70k characters,
+each checked against the per-character reference
+:meth:`~repro.engine.kernel.AlphabetClasses.intern`; and ``import
+repro.api`` in fresh subprocesses (wall ms and peak RSS, ``VmHWM``),
+which must load neither numpy nor asyncio.  Bytecode caches change the
+import time, so compare runs with the same cache state.
 """
 
+import json
+import os
 import statistics
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from benchmarks._harness import percentile, print_table, quick_mode, sizes, write_results
-from benchmarks.e2e.inputs import REGISTRY_PATTERN, registry_ok, registry_rows
+from benchmarks.e2e.inputs import (
+    LOGS_PATTERN,
+    REGISTRY_PATTERN,
+    log_lines,
+    registry_ok,
+    registry_rows,
+)
 from repro.automata.thompson import to_va
 from repro.engine import oracle
 from repro.engine.compiled import compile_spanner
 from repro.evaluation.enumerate import enumerate_va, enumerate_va_oracle
-from repro.workloads import land_registry
+from repro.workloads import land_registry, server_logs
 
 ROW_COUNTS = sizes(full=[2, 3, 4, 6], quick=[2])
 MINIMUM_SPEEDUP = 2.0
@@ -41,6 +61,11 @@ MINIMUM_SPEEDUP = 2.0
 #: (the ``registry_corpus`` workload's size).
 FRESH_DOCUMENTS = sizes(full=[300], quick=[20])[0]
 FRESH_ROWS = 16
+#: The interning arm: document lengths (characters), timed calls per
+#: length and script, and fresh ``import repro.api`` processes.
+INTERN_LENGTHS = sizes(full=[2_000, 18_000, 70_000], quick=[2_000])
+INTERN_REPEATS = sizes(full=[41], quick=[3])[0]
+IMPORT_RUNS = sizes(full=[9], quick=[1])[0]
 
 
 def _delays(iterator):
@@ -181,3 +206,99 @@ def test_e19_fresh_short_documents(benchmark, monkeypatch):
     )
     monkeypatch.undo()
     benchmark(lambda: engine.extract(texts[-1]))
+
+
+def _scripts(length: int) -> dict[str, str]:
+    """ASCII log text, the same with latin-1 letters, and CJK text."""
+    ascii_text = server_logs.render(log_lines(23, 1, 0, 1 + length // 20))[:length]
+    latin1 = "".join(
+        "é\xa0ÿ"[index % 3] if index % 17 == 0 else char
+        for index, char in enumerate(ascii_text)
+    )
+    wide = "".join(chr(0x4E00 + (index * 7) % 600) for index in range(length))
+    return {"ascii": ascii_text, "latin-1": latin1, "wide": wide}
+
+
+_IMPORT_PROBE = """
+import json, sys, time
+started = time.perf_counter()
+import repro.api
+elapsed_ms = (time.perf_counter() - started) * 1e3
+hwm_mb = None
+try:
+    with open("/proc/self/status") as status:
+        hwm = next(line for line in status if line.startswith("VmHWM:"))
+    hwm_mb = int(hwm.split()[1]) / 1024
+except OSError:
+    pass
+print(json.dumps([elapsed_ms, hwm_mb, [name for name in ("numpy", "asyncio") if name in sys.modules]]))
+"""
+
+
+def _fresh_import() -> tuple[float, float | None, list[str]]:
+    """One ``import repro.api`` in a fresh interpreter: ms, VmHWM MB
+    (``None`` without ``/proc``), and which of numpy/asyncio it loaded."""
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    elapsed_ms, hwm_mb, loaded = json.loads(out)
+    return elapsed_ms, hwm_mb, loaded
+
+
+@pytest.mark.benchmark(group="e19")
+def test_e19_intern_and_startup(benchmark):
+    flat = compile_spanner(LOGS_PATTERN, opt_level=1).tables.kernel.flat
+    rows = []
+    for length in INTERN_LENGTHS:
+        for script, text in _scripts(length).items():
+            expected = bytes(flat.classes.intern(text))
+            times = []
+            for _ in range(INTERN_REPEATS):
+                flat._interned.clear()
+                started = time.perf_counter()
+                ids = flat.intern(text)
+                times.append(time.perf_counter() - started)
+                assert ids == expected, (script, length)
+            rows.append((script, length, statistics.median(times) * 1e6))
+    print_table(
+        "E19: FlatTables.intern, cache cleared",
+        ["script", "chars", "intern med us"],
+        rows,
+    )
+    imports = [_fresh_import() for _ in range(IMPORT_RUNS)]
+    for _, _, loaded in imports:
+        assert loaded == [], f"import repro.api loaded {loaded}"
+    import_ms = statistics.median(run[0] for run in imports)
+    hwms = [run[1] for run in imports if run[1] is not None]
+    hwm_mb = statistics.median(hwms) if hwms else None
+    print_table(
+        "E19: import repro.api in a fresh process",
+        ["runs", "import med ms", "VmHWM med MB"],
+        [(IMPORT_RUNS, import_ms, hwm_mb if hwm_mb is not None else "n/a")],
+    )
+    write_results(
+        "e19_intern",
+        {
+            "intern_median_us": [
+                {"script": script, "chars": length, "us": us}
+                for script, length, us in rows
+            ],
+            "import_runs": IMPORT_RUNS,
+            "import_median_ms": import_ms,
+            "import_vmhwm_mb": hwm_mb,
+        },
+    )
+    text = _scripts(INTERN_LENGTHS[-1])["ascii"]
+
+    def intern_cold():
+        flat._interned.clear()
+        return flat.intern(text)
+
+    benchmark(intern_cold)

@@ -24,7 +24,8 @@ variable-set automata:
   composite "letter step then closure" transition is memoised in one
   contiguous class-indexed ``array('i')`` row per id (``-1`` =
   unexplored).  Documents are interned to ``bytes`` of class ids in one
-  C-level ``str.translate`` pass (numpy for long documents), so the inner
+  C-level pass — ``bytes.translate`` over the latin-1 encoding when every
+  code point is below 256, ``str.translate`` otherwise — so the inner
   sweep loop is two indexed loads per character.  The tables live on the
   kernel, which lives on the ``CompiledVA``, so they are shared by every
   document a :class:`~repro.engine.compiled.CompiledSpanner` evaluates —
@@ -68,18 +69,12 @@ included — are the reference the kernel is cross-validated against.
 
 from __future__ import annotations
 
-import os
 import threading
 from array import array
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.alphabet import CharSet
-
-try:  # pragma: no cover - absence is exercised via monkeypatching in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (tables imports us)
     from repro.engine.tables import CompiledVA
@@ -98,25 +93,6 @@ _CONTEXT_LIMIT = 256
 #: row of ``num_classes`` entries plus its mask, so the bound caps a
 #: DFA's memory even when the automaton's subset construction explodes.
 FLAT_STATE_LIMIT = 1 << 12
-
-#: Documents at least this long take the numpy interning path (when
-#: numpy is importable): one vectorised table lookup over the UTF-32
-#: code points instead of the per-character ``str.translate`` dict walk.
-NUMPY_INTERN_MIN = 2048
-
-
-def numpy_or_none():
-    """The ``numpy`` module, or ``None`` when absent or disabled.
-
-    ``REPRO_NO_NUMPY=1`` forces every numpy fast path off process-wide —
-    the pure-python lane CI runs — without uninstalling anything; unset
-    or ``0`` leaves numpy on when importable.  Document interning is
-    the one numpy path it gates (:data:`NUMPY_INTERN_MIN`).
-    """
-    if _np is None or os.environ.get("REPRO_NO_NUMPY", "") not in ("", "0"):
-        return None
-    return _np
-
 
 def iter_bits(mask: int):
     """The set bit indices of ``mask`` (lowest first)."""
@@ -471,7 +447,8 @@ class SweepContext:
 
 
 class _TranslateTable(dict):
-    """``str.translate`` table mapping code points to class-id characters.
+    """``str.translate`` table mapping code points to class-id characters,
+    for documents with a code point at or above U+0100.
 
     Unmentioned code points default to the residual class; the miss is
     memoised so repeated exotic characters cost one dict hit like
@@ -824,7 +801,7 @@ class FlatTables:
         "dfa_rev",
         "frontier",
         "_translate",
-        "_np_table",
+        "_translate_bytes",
         "_interned",
         "_lock",
     )
@@ -847,7 +824,7 @@ class FlatTables:
             kernel.free_rev, step_rev_flat, self.num_states, self.num_classes
         )
         self._translate: _TranslateTable | None = None
-        self._np_table = None
+        self._translate_bytes: bytes | None = None
         self._interned: OrderedDict[tuple[int, int], tuple[str, object]]
         self._interned = OrderedDict()
         #: Guards the document LRU (see :attr:`Kernel._lock`); interning
@@ -862,10 +839,11 @@ class FlatTables:
     def intern(self, text: str):
         """The (cached) class-id sequence of a document.
 
-        ``bytes`` from one C-level ``str.translate`` pass (or a vectorised
-        numpy table lookup for long documents); automata with more than
-        256 alphabet classes get a tuple instead — the sweeps index either
-        representation identically.  Keyed by ``(len, hash)`` so keys
+        ``bytes`` from one C-level pass: ``bytes.translate`` of the
+        latin-1 encoding through a 256-byte class table when every code
+        point is below 256, a ``str.translate`` dict walk otherwise;
+        automata with more than 256 alphabet classes get a tuple instead
+        — the sweeps index either representation identically.  Keyed by ``(len, hash)`` so keys
         stay O(1); the stored text is compared on hit, so a hash
         collision costs a re-intern, never a wrong answer.
         """
@@ -887,8 +865,18 @@ class FlatTables:
         return ids
 
     def _intern_bytes(self, text: str) -> bytes:
-        if len(text) >= NUMPY_INTERN_MIN and numpy_or_none() is not None:
-            return self._intern_numpy(text)
+        try:
+            raw = text.encode("latin-1")
+        except UnicodeEncodeError:
+            return text.translate(self._wide_table()).encode("latin-1")
+        table = self._translate_bytes
+        if table is None:
+            classify = self.classes.classify
+            table = bytes(classify(chr(code)) for code in range(256))
+            self._translate_bytes = table
+        return raw.translate(table)
+
+    def _wide_table(self) -> _TranslateTable:
         table = self._translate
         if table is None:
             table = _TranslateTable(
@@ -897,22 +885,7 @@ class FlatTables:
             )
             table.residual = chr(self.classes.residual)
             self._translate = table
-        return text.translate(table).encode("latin-1")
-
-    def _intern_numpy(self, text: str) -> bytes:
-        table = self._np_table
-        if table is None:
-            class_of = self.classes._class_of
-            size = max((ord(char) for char in class_of), default=0) + 2
-            table = _np.full(size, self.classes.residual, dtype=_np.uint8)
-            for char, class_id in class_of.items():
-                table[ord(char)] = class_id
-            self._np_table = table
-        codes = _np.frombuffer(text.encode("utf-32-le"), dtype=_np.uint32)
-        # Code points past the table (all unmentioned) clip onto the last
-        # slot, which is one past the highest mentioned code point and
-        # therefore always residual.
-        return table[_np.minimum(codes, len(table) - 1)].tobytes()
+        return table
 
     # -- sweep contexts ----------------------------------------------------------
 

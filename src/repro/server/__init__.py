@@ -11,37 +11,42 @@ is idle), queues are bounded with 429 load-shedding past the watermark,
 and SIGTERM drains gracefully —
 see :mod:`repro.server.dispatcher` and :mod:`repro.server.app`, and
 ``docs/server.md`` for the operational story.
+
+Every name in ``__all__`` is exported lazily, and its first lookup
+imports the submodule defining it: ``ServerConfig``, ``ServerThread``,
+``SpannerServer`` and ``serve`` from :mod:`~repro.server.app`;
+``Dispatcher``, ``DispatcherConfig``, ``Overloaded`` and
+``RequestTooLarge`` from :mod:`~repro.server.dispatcher`; ``Metrics``;
+``ServerClient``, ``RetryLaterError`` and ``ServerResponseError`` from
+:mod:`~repro.server.client`; ``ProtocolError``, ``SpanRequest`` and
+``parse_request`` from :mod:`~repro.server.protocol`.  So ``import
+repro.server.client`` (what :mod:`repro.api` does) loads only the
+client and the protocol, not asyncio.
 """
 
-from repro.server.app import ServerConfig, ServerThread, SpannerServer, serve
-from repro.server.client import (
-    RetryLaterError,
-    ServerClient,
-    ServerResponseError,
-)
-from repro.server.dispatcher import (
-    Dispatcher,
-    DispatcherConfig,
-    Overloaded,
-    RequestTooLarge,
-)
-from repro.server.metrics import Metrics
-from repro.server.protocol import ProtocolError, SpanRequest, parse_request
+#: Public names by the submodule defining them.  ``__getattr__`` (PEP 562)
+#: imports a name's submodule on its first lookup.
+_EXPORTS = {
+    name: submodule
+    for submodule, names in {
+        "app": ("ServerConfig", "ServerThread", "SpannerServer", "serve"),
+        "client": ("RetryLaterError", "ServerClient", "ServerResponseError"),
+        "dispatcher": ("Dispatcher", "DispatcherConfig", "Overloaded", "RequestTooLarge"),
+        "metrics": ("Metrics",),
+        "protocol": ("ProtocolError", "SpanRequest", "parse_request"),
+    }.items()
+    for name in names
+}
 
-__all__ = [
-    "Dispatcher",
-    "DispatcherConfig",
-    "Metrics",
-    "Overloaded",
-    "ProtocolError",
-    "RequestTooLarge",
-    "RetryLaterError",
-    "ServerClient",
-    "ServerConfig",
-    "ServerResponseError",
-    "ServerThread",
-    "SpanRequest",
-    "SpannerServer",
-    "parse_request",
-    "serve",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module 'repro.server' has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f"repro.server.{submodule}"), name)
+    globals()[name] = value  # later lookups bypass __getattr__
+    return value

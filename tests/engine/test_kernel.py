@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.alphabet import CharSet
-from repro.automata.labels import Open
+from repro.automata.labels import Open, Sym
 from repro.automata.sequential import is_sequential
 from repro.automata.thompson import to_va
 from repro.automata.va import VA
@@ -106,6 +106,67 @@ class TestAlphabetClasses:
         classes = AlphabetClasses([])
         assert classes.count == 1
         assert classes.intern("xyz") == (classes.residual,) * 3
+
+
+#: Mentions ASCII, latin-1 (``é``, ``\xa0``, ``ÿ``), BMP (``’``, ``李``)
+#: and astral characters, with a cofinite charset: six classes.
+INTERN_PATTERN = ".*x{[aé\xa0]+}[^,’]y{李|\U0001F600|ÿ}.*"
+
+
+def _intern_reference(flat, text):
+    """The per-character reference, in the representation ``intern`` uses."""
+    ids = flat.classes.intern(text)
+    return ids if flat.num_classes > 256 else bytes(ids)
+
+
+class TestInterning:
+    """``FlatTables.intern`` — ``bytes.translate`` below U+0100,
+    ``str.translate`` above, tuples past 256 classes — against
+    :meth:`AlphabetClasses.intern`, character by character."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Seller: John, ID75",
+            "café\xa0ÿ, é,a",
+            "a李’,é",
+            "a\U0001F600,ÿ",
+            "a\ud800é",
+            "\udfff",
+            "",
+            "ab, é" * 409 + "ab",
+            "ab, é" * 410,
+            "ab, é" * 410 + "a",
+            "ab, é" * 410 + "李",
+            ("ab, " * 1024)[:2047],
+            "ab, " * 512,
+        ],
+        ids=lambda text: f"{len(text)}:{ascii(text[:8])}",
+    )
+    def test_matches_reference(self, text):
+        flat = compile_spanner(INTERN_PATTERN).tables.kernel.flat
+        assert flat.num_classes == 6
+        assert flat.intern(text) == _intern_reference(flat, text)
+        flat._interned.clear()
+        assert flat.intern(text) == _intern_reference(flat, text)  # warm tables
+
+    @given(text=st.text())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_any_text(self, text):
+        flat = compile_spanner(INTERN_PATTERN).tables.kernel.flat
+        assert flat.intern(text) == _intern_reference(flat, text)
+
+    def test_more_than_256_classes_interns_tuples(self):
+        """300 single-letter edges from U+0021: latin-1 documents too
+        intern to tuples once the class ids outgrow a byte."""
+        letters = [chr(0x21 + offset) for offset in range(300)]
+        automaton = VA(2, 0, 1, tuple((0, Sym(CharSet.of(c)), 1) for c in letters))
+        flat = compile_va(automaton).kernel.flat
+        assert flat.num_classes == 301
+        for text in ["", "!~é", "".join(letters), "z\u014c\U0001F600"]:
+            ids = flat.intern(text)
+            assert isinstance(ids, tuple)
+            assert ids == _intern_reference(flat, text)
 
 
 class TestKernelTables:

@@ -7,8 +7,8 @@ order — is *identical* to the per-document calls on a fresh engine and
 to the seed reference.  NonEmp's own walk is tested in
 ``tests/engine/test_compiled.py::TestNonEmp``.  The hypothesis sweeps run the same batches both ways at every opt level
 and under every flat-DFA state budget of
-:data:`tests.engine_checks.LIMITS`; the deterministic tests cover the
-numpy interning gate and the tuning constants.
+:data:`tests.engine_checks.LIMITS`; the deterministic tests cover a
+non-sequential source and the flat-DFA state budget.
 """
 
 import os
@@ -21,13 +21,11 @@ from repro.automata.labels import Open
 from repro.automata.sequential import is_sequential
 from repro.automata.thompson import to_va
 from repro.automata.va import VA
-from repro.engine import CompiledSpanner, compile_va
-from repro.engine import kernel as kernel_module
+from repro.engine import CompiledSpanner
 from repro.engine.compiled import compile_spanner
-from repro.engine.kernel import FlatTables, numpy_or_none
 from repro.engine.tables import DocumentIndex
 from repro.evaluation.eval_problem import non_empty_va
-from repro.plan import OPT_LEVELS, plan
+from repro.plan import OPT_LEVELS
 from repro.rgx.parser import parse
 from repro.rgx.semantics import mappings as seed_mappings
 from repro.workloads.expressions import seller_like_sequential_rgx
@@ -71,19 +69,6 @@ def _per_document(pattern, batch, opt_level=None):
 
 
 class TestGates:
-    def test_no_numpy_env_gates_the_layer(self, monkeypatch):
-        """``REPRO_NO_NUMPY=1`` keeps long documents off the numpy
-        interning path, the one numpy path left."""
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        monkeypatch.setattr(kernel_module, "NUMPY_INTERN_MIN", 1)
-        assert numpy_or_none() is None
-        cva = compile_va(plan(parse(PATTERNS[0]), opt_level=1).automaton)
-        flat = FlatTables(cva.kernel)
-        monkeypatch.setattr(FlatTables, "_intern_numpy", None)  # must not be reached
-        assert flat.intern("baab") == bytes(
-            flat.classes.classify(char) for char in "baab"
-        )
-
     def test_batch_accept_on_a_non_sequential_source(self):
         """``compile_va`` sequentialises a non-sequential automaton, so its
         batch verdicts walk the product's DFA and match the seed."""
@@ -237,9 +222,8 @@ def _assert_batch_matches_seed(pattern=".*x{a+}.*"):
 
 
 class TestEnvironmentOverrides:
-    """The process-wide knobs: the two tuning constants of
-    :mod:`repro.engine.kernel` (patched in-process) and ``REPRO_NO_NUMPY``.
-    """
+    """The process-wide knob: the flat-DFA state budget of
+    :mod:`repro.engine.kernel`, patched in-process."""
 
     def test_tiny_flat_state_limit_still_identical(self):
         # A budget this small flushes on nearly every new state, inside
@@ -248,22 +232,3 @@ class TestEnvironmentOverrides:
             _assert_batch_matches_seed()
             _assert_batch_matches_seed(HEAVY)
         assert probe.flushes > 0
-
-    def test_numpy_intern_threshold_zero_still_identical(self, monkeypatch):
-        # Threshold 0 interns every document, the empty one too, via numpy.
-        monkeypatch.setattr(kernel_module, "NUMPY_INTERN_MIN", 0)
-        calls = []
-        original = FlatTables._intern_numpy
-
-        def spy(self, text):
-            calls.append(text)
-            return original(self, text)
-
-        monkeypatch.setattr(FlatTables, "_intern_numpy", spy)
-        _assert_batch_matches_seed()
-        assert bool(calls) == (numpy_or_none() is not None)
-
-    def test_no_numpy_env_still_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        monkeypatch.setattr(kernel_module, "NUMPY_INTERN_MIN", 1)
-        _assert_batch_matches_seed()

@@ -84,6 +84,34 @@ class TestFacade:
             assert not missing, (function.__name__, missing)
 
 
+class TestStartup:
+    """``import repro.api`` loads only what a first mapping needs."""
+
+    def test_import_loads_neither_numpy_nor_the_server(self):
+        unwanted = ["numpy", "asyncio", "repro.server.app", "repro.server.dispatcher"]
+        proc = _run(
+            "import sys, repro.api\n"
+            f"print([name for name in {unwanted!r} if name in sys.modules])"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_server_exports_resolve_lazily(self):
+        import repro.server
+        from repro.server import dispatcher
+
+        assert dispatcher.__name__ == "repro.server.dispatcher"
+        for name in repro.server.__all__:
+            value = getattr(repro.server, name)
+            assert value.__module__.startswith("repro.server."), name
+
+    def test_unknown_server_attribute_raises(self):
+        import repro.server
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.server.no_such_name
+
+
 class TestDeprecationPolicy:
     def test_importing_the_facade_is_warning_free(self):
         proc = _run("import repro.api", "-W", "error::DeprecationWarning")
